@@ -33,7 +33,8 @@ from .coupling_sim import CouplingConfig, simulate_coupling, \
     simulate_pair_trajectory
 from .errors import CatalogueError, ConfigError, LiouvilleLabError
 from .harmonic_oracle import harmonic_1d
-from .report import CONTRADICTION, VerdictBundle, build_field, emit, run
+from .report import (CONTRADICTION, VerdictBundle, annotate_stage,
+                     build_field, emit, run)
 
 _THREADS_ENV = "LIOUVILLE_LAB_THREADS"
 
@@ -217,15 +218,13 @@ def _cmd_full(args: argparse.Namespace) -> int:
 
 def _cmd_harmonic1d(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    field = build_field(cfg)
+    with annotate_stage("field"):
+        field = build_field(cfg)
     if field.dim != 1:
         raise ConfigError("harmonic1d requires a one-dimensional field")
-    try:
+    with annotate_stage("oracle"):
         profile = harmonic_1d(field, x_max=cfg.oracle_x_max,
                               tol=cfg.oracle_tol)
-    except LiouvilleLabError as exc:
-        report_mod._annotate_stage(exc, "oracle")
-        raise
     verdict = {True: "holds", False: "fails", None: "undecided"}[
         profile.liouville_holds]
     print(f"field: {profile.label}")
@@ -251,7 +250,8 @@ def _cmd_harmonic1d(args: argparse.Namespace) -> int:
 
 def _cmd_couple(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    field = build_field(cfg)
+    with annotate_stage("field"):
+        field = build_field(cfg)
     bounds = estimate_ellipticity(field, cfg.window_radius,
                                   cfg.ellipticity_samples, cfg.seed)
     mu = cfg.coupling_mu if cfg.coupling_mu is not None \
@@ -262,17 +262,16 @@ def _cmd_couple(args: argparse.Namespace) -> int:
     if len(x0) != field.dim or len(y0) != field.dim:
         raise ConfigError("coupling.x0/y0 length must equal field.dim")
     try:
-        ccfg = CouplingConfig(
-            mu=mu, t_max=cfg.coupling_t_max, n_paths=cfg.coupling_n_paths,
-            dt=cfg.coupling_dt, couple_radius=cfg.coupling_couple_radius,
-            escape_radius=cfg.coupling_escape_radius, seed=cfg.seed,
-            count_escaped_as_coupled=cfg.coupling_count_escaped)
-        stats = simulate_coupling(field, bounds, ccfg, x0, y0)
+        with annotate_stage("coupling"):
+            ccfg = CouplingConfig(
+                mu=mu, t_max=cfg.coupling_t_max,
+                n_paths=cfg.coupling_n_paths, dt=cfg.coupling_dt,
+                couple_radius=cfg.coupling_couple_radius,
+                escape_radius=cfg.coupling_escape_radius, seed=cfg.seed,
+                count_escaped_as_coupled=cfg.coupling_count_escaped)
+            stats = simulate_coupling(field, bounds, ccfg, x0, y0)
     except ValueError as exc:
         raise ConfigError(f"coupling setup: {exc}") from exc
-    except LiouvilleLabError as exc:
-        report_mod._annotate_stage(exc, "coupling")
-        raise
     doc = {
         "n_paths": stats.n_paths, "n_coupled": stats.n_coupled,
         "n_escaped": stats.n_escaped,
@@ -287,8 +286,9 @@ def _cmd_couple(args: argparse.Namespace) -> int:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         stride = max(1, ccfg.n_steps() // 1000)
-        t, X, Y, dist = simulate_pair_trajectory(field, bounds, ccfg,
-                                                 x0, y0, stride=stride)
+        with annotate_stage("coupling"):
+            t, X, Y, dist = simulate_pair_trajectory(field, bounds, ccfg,
+                                                     x0, y0, stride=stride)
         from .report import _csv_text
         dim = X.shape[1]
         header = (["t"] + [f"x{i+1}" for i in range(dim)]

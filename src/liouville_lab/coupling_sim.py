@@ -12,6 +12,10 @@ increment is mirrored across the hyperplane orthogonal to X - Y:
 with e = (X-Y)/|X-Y|.  The difference process then feels twice the
 reflected noise along e, which is what drives the pair together.
 
+One kernel, _euler_step, moves stacked points by b dt + sigma dB +
+sqrt(mu) dW; _pair_step builds the reflected dW and moves [X; Y] with
+it.  Every simulator, coupled_step included, steps through these two.
+
 Conventions: coupling is declared at a positive radius (exact hitting is
 a null event under discretization); the reflection direction is frozen
 within a step, and a step whose straight-line segment would cross the
@@ -22,9 +26,9 @@ reported separately.
 
 Every path owns the Philox substream (seed, path-domain, path index), so
 results are independent of chunking and worker layout.  Noise is drawn
-in whole-chunk blocks per path; a path that finishes mid-chunk simply
-discards the remainder of its block, which keeps the draw layout — and
-hence the output — a pure function of the seed.
+by _draw_noise in whole-chunk blocks per path; a path that finishes
+mid-chunk simply discards the remainder of its block, which keeps the
+draw layout — and hence the output — a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -110,20 +114,19 @@ class CouplingStats:
     recorded_distances: Optional[np.ndarray] = None
 
 
-def _check_mu(mu: float, bounds: EllipticityBounds) -> None:
+def _start_points(field: CoefficientField, bounds: EllipticityBounds,
+                  mu: float, *points) -> list:
+    """Check mu against the ellipticity floor; return the start points as
+    flat float arrays of the field's dimension."""
     if not (0.0 < mu < bounds.lambda0):
         raise ShiftTooLarge(
             f"mu = {mu} outside (0, lambda0 = {bounds.lambda0}); the "
             "shifted square root needs mu strictly below the ellipticity "
             "floor")
-
-
-def _sigma_batch(field: CoefficientField, pts: np.ndarray,
-                 mu: float, const_sigma: Optional[np.ndarray]) -> np.ndarray:
-    if const_sigma is not None:
-        return np.broadcast_to(const_sigma, (pts.shape[0],) + const_sigma.shape)
-    q = np.asarray(field.diffusion(pts), dtype=float)
-    return _shifted_sqrt_batch(q, mu)
+    rows = [np.array(p, dtype=float).reshape(-1) for p in points]
+    if any(r.size != field.dim for r in rows):
+        raise ValueError("start point dimension mismatch with the field")
+    return rows
 
 
 def _const_sigma(field: CoefficientField, mu: float) -> Optional[np.ndarray]:
@@ -133,36 +136,62 @@ def _const_sigma(field: CoefficientField, mu: float) -> Optional[np.ndarray]:
     return _shifted_sqrt_batch(q0[None], mu)[0]
 
 
+def _euler_step(field: CoefficientField, pts: np.ndarray, mu: float,
+                dt: float, const_sigma: Optional[np.ndarray],
+                dB: np.ndarray, dW: np.ndarray) -> np.ndarray:
+    """The Euler step of every simulator, row by row over stacked points:
+    pts + b(pts) dt + sigma(pts) dB + sqrt(mu) dW."""
+    drift = np.asarray(field.drift(pts), dtype=float)
+    if const_sigma is not None:
+        sig = np.broadcast_to(const_sigma, (len(pts),) + const_sigma.shape)
+    else:
+        sig = _shifted_sqrt_batch(
+            np.asarray(field.diffusion(pts), dtype=float), mu)
+    return pts + drift * dt + np.einsum("nij,nj->ni", sig, dB) \
+        + math.sqrt(mu) * dW
+
+
+def _pair_step(field: CoefficientField, x: np.ndarray, y: np.ndarray,
+               mu: float, dt: float, const_sigma: Optional[np.ndarray],
+               dB: np.ndarray, dW: np.ndarray,
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Reflection-coupled step of the pairs (x[i], y[i]), row by row.
+
+    Both endpoints share dB; y gets dW mirrored across the hyperplane
+    orthogonal to x - y.  One Euler step moves the stack [x; y].
+    """
+    diff = x - y
+    e = diff / np.linalg.norm(diff, axis=1)[:, None]
+    refl = dW - 2.0 * e * np.einsum("ij,ij->i", e, dW)[:, None]
+    new = _euler_step(field, np.concatenate([x, y]), mu, dt, const_sigma,
+                      np.concatenate([dB, dB]), np.concatenate([dW, refl]))
+    return new[:len(x)], new[len(x):]
+
+
 def coupled_step(field: CoefficientField, bounds: EllipticityBounds,
                  x: np.ndarray, y: np.ndarray, mu: float, dt: float,
                  noise: Tuple[np.ndarray, np.ndarray],
                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """One explicit Euler step of the coupled pair (reference kernel).
+    """One explicit Euler step of the coupled pair (a one-row kernel call).
 
     noise = (dB, dW): two independent N(0, dt*I_d) increments.  Requires
     x != y (the reflection direction is undefined at the diagonal).
     """
-    _check_mu(mu, bounds)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diff = x - y
-    dist = float(np.linalg.norm(diff))
-    if not dist > 0.0:
+    x, y = _start_points(field, bounds, mu, x, y)
+    if not np.linalg.norm(x - y) > 0.0:
         raise ValueError("coupled_step needs x != y")
-    dB, dW = (np.asarray(a, dtype=float) for a in noise)
-    e = diff / dist
-    refl = dW - 2.0 * e * float(e @ dW)
-    pts = np.stack([x, y])
-    drift = np.asarray(field.drift(pts), dtype=float)
-    sig = _sigma_batch(field, pts, mu, _const_sigma(field, mu))
-    root_mu = math.sqrt(mu)
-    x_new = x + drift[0] * dt + sig[0] @ dB + root_mu * dW
-    y_new = y + drift[1] * dt + sig[1] @ dB + root_mu * refl
-    return x_new, y_new
+    dB, dW = (np.asarray(a, dtype=float).reshape(1, -1) for a in noise)
+    x_new, y_new = _pair_step(field, x[None], y[None], mu, dt,
+                              _const_sigma(field, mu), dB, dW)
+    return x_new[0], y_new[0]
 
 
 def _draw_noise(gens: Sequence[np.random.Generator], ids: np.ndarray,
-                n_k: int, dim: int, root_dt: float) -> np.ndarray:
+                steps_left: int, dim: int, root_dt: float) -> np.ndarray:
+    """Increments (dB, dW), shape (ids.size, n_k, 2*dim), of the next
+    16..256 steps (never past the horizon) within the noise budget."""
+    budget = int(_NOISE_BUDGET_BYTES / max(1, ids.size * 2 * dim * 8))
+    n_k = min(max(16, min(256, budget)), steps_left)
     out = np.empty((ids.size, n_k, 2 * dim))
     for row, pid in enumerate(ids):
         out[row] = gens[pid].standard_normal((n_k, 2 * dim))
@@ -191,11 +220,7 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
     radius, segment-crossing counted), escape (either endpoint beyond
     the escape radius), or the horizon.  Deterministic given cfg.seed.
     """
-    _check_mu(cfg.mu, bounds)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    y0 = np.asarray(y0, dtype=float).reshape(-1)
-    if x0.size != field.dim or y0.size != field.dim:
-        raise ValueError("x0/y0 dimension mismatch with the field")
+    x0, y0 = _start_points(field, bounds, cfg.mu, x0, y0)
     if not np.linalg.norm(x0 - y0) > cfg.couple_radius:
         raise ValueError("x0 and y0 must start farther apart than the "
                          "couple radius")
@@ -204,7 +229,6 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
     esc_radius = cfg.resolved_escape_radius(x0, y0)
     n_steps = cfg.n_steps()
     const_sigma = _const_sigma(field, cfg.mu)
-    root_mu = math.sqrt(cfg.mu)
     root_dt = math.sqrt(cfg.dt)
 
     gens = [_streams.substream(cfg.seed, _streams.DOMAIN_PATHS, i)
@@ -227,34 +251,21 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
 
     step = 0
     while step < n_steps and ids.size:
-        budget = int(_NOISE_BUDGET_BYTES / max(1, ids.size * 2 * dim * 8))
-        n_k = max(16, min(256, budget))
-        n_k = min(n_k, n_steps - step)
-        noise = _draw_noise(gens, ids, n_k, dim, root_dt)
+        noise = _draw_noise(gens, ids, n_steps - step, dim, root_dt)
+        n_k = noise.shape[1]
         alive = np.ones(ids.size, dtype=bool)
         for k in range(n_k):
             rows = np.flatnonzero(alive)
             if rows.size == 0:
                 break
-            if k_record is not None and step + k == k_record:
-                recorded[ids[rows]] = np.linalg.norm(X[rows] - Y[rows],
-                                                     axis=1)
             xa = X[rows]
             ya = Y[rows]
             diff = xa - ya
-            dist = np.linalg.norm(diff, axis=1)
-            e = diff / dist[:, None]
-            dB = noise[rows, k, :dim]
-            dW = noise[rows, k, dim:]
-            refl = dW - 2.0 * e * np.einsum("ij,ij->i", e, dW)[:, None]
-            both = np.concatenate([xa, ya])
-            drift = np.asarray(field.drift(both), dtype=float)
-            sig = _sigma_batch(field, both, cfg.mu, const_sigma)
-            m = rows.size
-            x_new = xa + drift[:m] * cfg.dt \
-                + np.einsum("nij,nj->ni", sig[:m], dB) + root_mu * dW
-            y_new = ya + drift[m:] * cfg.dt \
-                + np.einsum("nij,nj->ni", sig[m:], dB) + root_mu * refl
+            if k_record is not None and step + k == k_record:
+                recorded[ids[rows]] = np.linalg.norm(diff, axis=1)
+            x_new, y_new = _pair_step(field, xa, ya, cfg.mu, cfg.dt,
+                                      const_sigma, noise[rows, k, :dim],
+                                      noise[rows, k, dim:])
             bad = ~(np.isfinite(x_new).all(axis=1)
                     & np.isfinite(y_new).all(axis=1))
             if bad.any():
@@ -312,50 +323,39 @@ def simulate_pair_trajectory(field: CoefficientField,
 
     Returns (t, X, Y, dist) sampled every `stride` steps (plus the final
     state).  After coupling the pair moves as a single merged path
-    (Y := X); escape truncates the record.  Uses path index 0's stream.
+    (Y := X); escape truncates the record.  Uses path index 0's stream,
+    so it follows path 0 of simulate_coupling up to the coupling step.
     """
     if int(stride) != stride or stride < 1:
         raise ValueError("stride must be a positive integer")
-    _check_mu(cfg.mu, bounds)
-    x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    y = np.asarray(y0, dtype=float).reshape(-1).copy()
-    if x.size != field.dim or y.size != field.dim:
-        raise ValueError("x0/y0 dimension mismatch with the field")
+    x, y = (p[None] for p in _start_points(field, bounds, cfg.mu, x0, y0))
+    dim = field.dim
     esc_radius = cfg.resolved_escape_radius(x, y)
     n_steps = cfg.n_steps()
     const_sigma = _const_sigma(field, cfg.mu)
-    root_mu = math.sqrt(cfg.mu)
-    root_dt = math.sqrt(cfg.dt)
-    gen = _streams.substream(cfg.seed, _streams.DOMAIN_PATHS, 0)
+    gens = [_streams.substream(cfg.seed, _streams.DOMAIN_PATHS, 0)]
 
     times = [0.0]
-    xs = [x.copy()]
-    ys = [y.copy()]
+    xs = [x]
+    ys = [y]
     merged = False
+    noise = np.empty((0, 2 * dim))
+    start = 0
     for k in range(n_steps):
-        z = gen.standard_normal(2 * field.dim) * root_dt
-        dB, dW = z[:field.dim], z[field.dim:]
+        if k == start + len(noise):
+            start, noise = k, _draw_noise(gens, np.zeros(1, dtype=int),
+                                          n_steps - k, dim,
+                                          math.sqrt(cfg.dt))[0]
+        dB = noise[None, k - start, :dim]
+        dW = noise[None, k - start, dim:]
         if merged:
-            drift = np.asarray(field.drift(x[None]), dtype=float)[0]
-            sig = _sigma_batch(field, x[None], cfg.mu, const_sigma)[0]
-            x = x + drift * cfg.dt + sig @ dB + root_mu * dW
-            y = x
+            x = y = _euler_step(field, x, cfg.mu, cfg.dt, const_sigma, dB, dW)
         else:
-            diff = x - y
-            dist = float(np.linalg.norm(diff))
-            e = diff / dist
-            refl = dW - 2.0 * e * float(e @ dW)
-            both = np.stack([x, y])
-            drift = np.asarray(field.drift(both), dtype=float)
-            sig = _sigma_batch(field, both, cfg.mu, const_sigma)
-            x_new = x + drift[0] * cfg.dt + sig[0] @ dB + root_mu * dW
-            y_new = y + drift[1] * cfg.dt + sig[1] @ dB + root_mu * refl
-            crossing = _segment_min_distance((x - y)[None],
-                                             (x_new - y_new)[None])[0]
-            x, y = x_new, y_new
-            if crossing <= cfg.couple_radius:
-                merged = True
-                y = x
+            x_new, y_new = _pair_step(field, x, y, cfg.mu, cfg.dt,
+                                      const_sigma, dB, dW)
+            merged = _segment_min_distance(x - y, x_new - y_new)[0] \
+                <= cfg.couple_radius
+            x, y = x_new, (x_new if merged else y_new)
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise SimulationBlowUp("non-finite state in pair trajectory",
                                    path_index=0, time=(k + 1) * cfg.dt)
@@ -363,11 +363,11 @@ def simulate_pair_trajectory(field: CoefficientField,
             break
         if (k + 1) % stride == 0 or k == n_steps - 1:
             times.append((k + 1) * cfg.dt)
-            xs.append(x.copy())
-            ys.append(y.copy())
+            xs.append(x)
+            ys.append(y)
     t = np.array(times)
-    X = np.stack(xs)
-    Y = np.stack(ys)
+    X = np.concatenate(xs)
+    Y = np.concatenate(ys)
     return t, X, Y, np.linalg.norm(X - Y, axis=1)
 
 
@@ -381,7 +381,7 @@ def martingale_check(field: CoefficientField, bounds: EllipticityBounds,
     plus sqrt(mu) dW) without reflection; for a space-time harmonic u the
     mean estimates u(0, x0) up to discretization bias.
     """
-    _check_mu(mu, bounds)
+    (x0,) = _start_points(field, bounds, mu, x0)
     if not t > 0:
         raise ValueError("t must be positive")
     if not (dt > 0 and dt <= t):
@@ -390,34 +390,26 @@ def martingale_check(field: CoefficientField, bounds: EllipticityBounds,
         raise ValueError(f"t/dt exceeds the {_STEP_CAP} step cap")
     if int(n_paths) != n_paths or n_paths < 2:
         raise ValueError("n_paths must be an integer >= 2")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
     dim = field.dim
-    if x0.size != dim:
-        raise ValueError("x0 dimension mismatch with the field")
     n_steps = int(math.floor(t / dt + 1e-9))
     const_sigma = _const_sigma(field, mu)
-    root_mu = math.sqrt(mu)
     root_dt = math.sqrt(dt)
+    ids = np.arange(int(n_paths))
     gens = [_streams.substream(seed, _streams.DOMAIN_MARTINGALE, i)
-            for i in range(int(n_paths))]
-    X = np.tile(x0, (int(n_paths), 1))
+            for i in ids]
+    X = np.tile(x0, (ids.size, 1))
     step = 0
     while step < n_steps:
-        budget = int(_NOISE_BUDGET_BYTES / max(1, X.shape[0] * 2 * dim * 8))
-        n_k = min(max(16, min(256, budget)), n_steps - step)
-        noise = _draw_noise(gens, np.arange(X.shape[0]), n_k, dim, root_dt)
-        for k in range(n_k):
-            drift = np.asarray(field.drift(X), dtype=float)
-            sig = _sigma_batch(field, X, mu, const_sigma)
-            X = X + drift * dt \
-                + np.einsum("nij,nj->ni", sig, noise[:, k, :dim]) \
-                + root_mu * noise[:, k, dim:]
+        noise = _draw_noise(gens, ids, n_steps - step, dim, root_dt)
+        for k in range(noise.shape[1]):
+            X = _euler_step(field, X, mu, dt, const_sigma,
+                            noise[:, k, :dim], noise[:, k, dim:])
             if not np.isfinite(X).all():
                 j = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
                 raise SimulationBlowUp("non-finite state in martingale paths",
                                        path_index=j,
                                        time=(step + k + 1) * dt)
-        step += n_k
+        step += noise.shape[1]
     try:
         vals = np.asarray(u(n_steps * dt, X), dtype=float)
         if vals.shape != (X.shape[0],):

@@ -23,6 +23,7 @@ as strings, and a versioned integer schema that readers must check.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -104,41 +105,41 @@ def _default_endpoints(dim: int) -> Tuple[Tuple[float, ...],
     return x0, y0
 
 
-def _annotate_stage(exc: Exception, stage: str) -> None:
+@contextlib.contextmanager
+def annotate_stage(stage: str):
+    """Tag an exception leaving the block with the stage it came from;
+    the CLI names that stage on a numerical failure."""
     try:
+        yield
+    except Exception as exc:
         exc.stage = stage  # type: ignore[attr-defined]
-    except Exception:
-        pass
+        raise
 
 
 def run(cfg: RunConfig) -> VerdictBundle:
     """Execute criterion -> oracle -> coupling per the configuration."""
-    field = build_field(cfg)
+    with annotate_stage("field"):
+        field = build_field(cfg)
     if cfg.oracle_enabled and field.dim != 1:
         raise ConfigError("oracle.enabled requires a one-dimensional field")
 
-    try:
+    with annotate_stage("criterion"):
         report = evaluate_liouville_criterion(field, _criterion_config(cfg))
-    except Exception as exc:
-        _annotate_stage(exc, "criterion")
-        raise
 
     oracle_profile = None
     oracle_verdict = None
     oracle_note = None
     if cfg.oracle_enabled:
         try:
-            oracle_profile = harmonic_1d(field, x_max=cfg.oracle_x_max,
-                                         tol=cfg.oracle_tol)
+            with annotate_stage("oracle"):
+                oracle_profile = harmonic_1d(field, x_max=cfg.oracle_x_max,
+                                             tol=cfg.oracle_tol)
             oracle_verdict = oracle_profile.liouville_holds
             if oracle_verdict is None:
                 oracle_note = ("oracle classification withheld: "
                                + "; ".join(oracle_profile.notes))
         except NotApplicable as exc:
             oracle_note = f"oracle not applicable: {exc}"
-        except Exception as exc:
-            _annotate_stage(exc, "oracle")
-            raise
 
     coupling_stats = None
     coupling_params = None
@@ -154,23 +155,21 @@ def run(cfg: RunConfig) -> VerdictBundle:
         if len(x0) != field.dim or len(y0) != field.dim:
             raise ConfigError("coupling.x0/y0 length must equal field.dim")
         try:
-            coupling_params = CouplingConfig(
-                mu=mu, t_max=cfg.coupling_t_max,
-                n_paths=cfg.coupling_n_paths,
-                dt=cfg.coupling_dt, couple_radius=cfg.coupling_couple_radius,
-                escape_radius=cfg.coupling_escape_radius, seed=cfg.seed,
-                count_escaped_as_coupled=cfg.coupling_count_escaped)
-            coupling_stats = simulate_coupling(field, report.bounds,
-                                               coupling_params, x0, y0)
-            stride = max(1, coupling_params.n_steps() // 1000)
-            trajectory = simulate_pair_trajectory(field, report.bounds,
-                                                  coupling_params, x0, y0,
-                                                  stride=stride)
+            with annotate_stage("coupling"):
+                coupling_params = CouplingConfig(
+                    mu=mu, t_max=cfg.coupling_t_max,
+                    n_paths=cfg.coupling_n_paths, dt=cfg.coupling_dt,
+                    couple_radius=cfg.coupling_couple_radius,
+                    escape_radius=cfg.coupling_escape_radius, seed=cfg.seed,
+                    count_escaped_as_coupled=cfg.coupling_count_escaped)
+                coupling_stats = simulate_coupling(field, report.bounds,
+                                                   coupling_params, x0, y0)
+                stride = max(1, coupling_params.n_steps() // 1000)
+                trajectory = simulate_pair_trajectory(
+                    field, report.bounds, coupling_params, x0, y0,
+                    stride=stride)
         except ValueError as exc:
             raise ConfigError(f"coupling setup: {exc}") from exc
-        except Exception as exc:
-            _annotate_stage(exc, "coupling")
-            raise
 
     return VerdictBundle(
         config=cfg, criterion=report,

@@ -211,14 +211,24 @@ def test_escaped_paths_counted_separately():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulation_blowup_reported_with_path_and_time():
+    # dX = X^3 dt from 3 explodes near t = 1/18 in every simulator
     cubic = ll.field_from_expressions(1, ["x1^3"], label="cubic")
     cfg = ll.CouplingConfig(
         mu=0.5, t_max=1.0, n_paths=4, dt=1e-3, seed=0, escape_radius=math.inf
     )
-    with pytest.raises(ll.SimulationBlowUp) as exc:
-        ll.simulate_coupling(cubic, D1_BOUNDS, cfg, np.array([3.0]), np.array([2.9]))
-    assert exc.value.path_index is not None
-    assert exc.value.time is not None and 0 < exc.value.time <= 1.0
+    x0, y0 = np.array([3.0]), np.array([2.9])
+    simulators = [
+        (lambda: ll.simulate_coupling(cubic, D1_BOUNDS, cfg, x0, y0), range(4)),
+        (lambda: ll.simulate_pair_trajectory(cubic, D1_BOUNDS, cfg, x0, y0), [0]),
+        (lambda: ll.martingale_check(
+            cubic, D1_BOUNDS, lambda t, x: 0.0, mu=0.5, x0=x0, t=1.0,
+            n_paths=4, dt=1e-3, seed=0), range(4)),
+    ]
+    for run, path_indices in simulators:
+        with pytest.raises(ll.SimulationBlowUp) as exc:
+            run()
+        assert exc.value.path_index in path_indices
+        assert exc.value.time is not None and 0 < exc.value.time <= 1.0
 
 
 def test_mu_outside_admissible_range():
@@ -259,6 +269,22 @@ def test_pair_trajectory_shapes_and_merge():
     if dist[-1] == 0.0:  # coupled: pair moves as one afterwards
         merged = dist == 0.0
         np.testing.assert_array_equal(xs[merged], ys[merged])
+
+
+@pytest.mark.parametrize("name, dim", [("zero", 1), ("ou", 2)])
+def test_pair_trajectory_couples_at_the_step_of_simulate_coupling(name, dim):
+    # both simulators step path 0's stream through the same kernel; seeds 0-3
+    # couple early, after the first 256-step noise chunk, and not at all
+    field = ll.make_standard_fields(name, dim)
+    x0 = 0.5 * np.eye(dim)[0]
+    for seed in range(4):
+        cfg = ll.CouplingConfig(mu=0.5, t_max=2.0, n_paths=1, dt=1e-3, seed=seed)
+        stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
+        t, _, _, dist = ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg, x0, -x0)
+        merged = t[dist == 0.0]
+        assert stats.n_coupled == int(merged.size > 0)
+        if merged.size:
+            assert merged[0] == stats.coupling_time_quantiles[0]
 
 
 def test_pair_trajectory_stride():

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +341,32 @@ def test_cli_numerical_failure_exit_3(capsys):
     assert "error in stage coupling" in err
 
 
+@pytest.mark.parametrize("command", ["criterion", "harmonic1d", "couple"])
+def test_cli_field_construction_failure_names_stage(command, capsys):
+    # the drift is non-finite on the probe grid, so building the field fails
+    code = run_cli(
+        [command, "--dim", "1", "--drift", "log(x1 - 100)", "--seed", "0"]
+    )
+    assert code == 3
+    assert "error in stage field:" in capsys.readouterr().err
+
+
+def test_cli_trajectory_blowup_names_stage(tmp_path, capsys):
+    # path 0 couples, then the merged trajectory that --output records
+    # explodes under the cubic drift before it passes the escape radius
+    code = run_cli(
+        [
+            "couple", "--dim", "1", "--drift", "x1^3", "--x0", "1.1",
+            "--y0", "1.05", "--t-max", "2", "--n-paths", "1", "--seed", "7",
+            "--coupling-escape-radius", "1e300", "--ellipticity-samples",
+            "500", "--output", str(tmp_path),
+        ]
+    )
+    assert code == 3
+    assert "error in stage coupling: non-finite state in pair trajectory" \
+        in capsys.readouterr().err
+
+
 def test_cli_oracle_failure_names_stage(capsys):
     # non-constant q is outside the 1D oracle's scope -> numerical-stage error
     code = run_cli(
@@ -485,3 +514,18 @@ def test_cli_unwritable_output_exit_2(tmp_path, capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+def test_readme_quick_start_transcript(tmp_path, capsys):
+    # README's quick-start command prints README's transcript; "..." stands
+    # for the note lines and the wrote: line lists paths under --output
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Quick start")[1]
+    command, transcript = re.findall(r"```(?:sh)?\n(.*?)```", section, re.S)[:2]
+    argv = shlex.split(command.replace("\\\n", " "))[1:]
+    argv[argv.index("--output") + 1] = str(tmp_path)
+    assert run_cli(argv) == 0
+    printed = iter(capsys.readouterr().out.splitlines())
+    for line in transcript.split("\nwrote:")[0].splitlines():
+        if line.strip() != "...":
+            assert line in printed, line
