@@ -159,7 +159,8 @@ def _growth_bound(drift: Callable[[np.ndarray], np.ndarray], dim: int,
     diag = np.repeat(t[:, None], dim, axis=1) / math.sqrt(dim)
     lines.append(diag)
     pts = np.concatenate(lines, axis=0)
-    b = np.asarray(drift(pts), dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite value raises below
+        b = np.asarray(drift(pts), dtype=float)
     if not np.all(np.isfinite(b)):
         raise CoefficientEvaluationError("drift is non-finite on the probe grid")
     ratio = np.linalg.norm(b, axis=1) / (1.0 + np.linalg.norm(pts, axis=1))

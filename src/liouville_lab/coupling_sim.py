@@ -24,11 +24,14 @@ spurious flip of e).  Escaped paths (either endpoint beyond the escape
 radius) count as not coupled unless configured otherwise, and are
 reported separately.
 
-Every path owns the Philox substream (seed, path-domain, path index), so
-results are independent of chunking and worker layout.  Noise is drawn
-by _draw_noise in whole-chunk blocks per path; a path that finishes
-mid-chunk simply discards the remainder of its block, which keeps the
-draw layout — and hence the output — a pure function of the seed.
+Noise comes in blocks of 64 consecutive path indices: path i reads the
+Philox substream (seed, path-domain, i // 64), laid out step-major as 64
+paths by 2*dim normals per step, so its increment at step k is entry
+[k, i % 64] of that stream.  _draw_noise draws whole steps of the blocks
+that still hold a live path; a path that finishes mid-chunk leaves the
+rest of its entries unused.  Each path's noise is a pure function of the
+seed and the path index, whatever n_paths, the chunk length or the set
+of live paths, and since every step acts row by row, so is its outcome.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ from .matrix_analysis import _shifted_sqrt_batch
 
 _STEP_CAP = 10_000_000
 _NOISE_BUDGET_BYTES = 6e7
+_BLOCK = 64  # paths per noise stream; see the module docstring
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -100,9 +105,10 @@ class CouplingStats:
     """Aggregated outcome of simulate_coupling.
 
     coupling_time_quantiles holds the (25%, 50%, 90%) quantiles of the
-    coupling times among coupled paths (NaN when no path coupled).
-    recorded_distances is test instrumentation: the |X-Y| sample frozen
-    at a requested time, 0.0 for already-coupled paths.
+    coupling times among coupled paths (NaN when no path coupled), and
+    coupling_times each path's coupling time (NaN where it did not
+    couple).  recorded_distances is test instrumentation: the |X-Y|
+    sample frozen at a requested time, 0.0 for already-coupled paths.
     """
 
     n_paths: int
@@ -111,6 +117,7 @@ class CouplingStats:
     p_couple: float
     ci_halfwidth: float
     coupling_time_quantiles: Tuple[float, float, float]
+    coupling_times: np.ndarray
     recorded_distances: Optional[np.ndarray] = None
 
 
@@ -138,34 +145,39 @@ def _const_sigma(field: CoefficientField, mu: float) -> Optional[np.ndarray]:
 
 def _euler_step(field: CoefficientField, pts: np.ndarray, mu: float,
                 dt: float, const_sigma: Optional[np.ndarray],
-                dB: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """The Euler step of every simulator, row by row over stacked points:
-    pts + b(pts) dt + sigma(pts) dB + sqrt(mu) dW."""
+                dB: np.ndarray, dW: np.ndarray) -> None:
+    """The Euler step of every simulator, in place over stacked points:
+    pts += b(pts) dt + sigma(pts) dB + sqrt(mu) dW."""
     drift = np.asarray(field.drift(pts), dtype=float)
     if const_sigma is not None:
-        sig = np.broadcast_to(const_sigma, (len(pts),) + const_sigma.shape)
+        # one product dB sigma^T, row by row: np.dot hands it to threaded
+        # BLAS, whose wake-up costs milliseconds per step at 10^4 rows
+        sig_dB = np.einsum("nj,ij->ni", dB, const_sigma)
     else:
         sig = _shifted_sqrt_batch(
             np.asarray(field.diffusion(pts), dtype=float), mu)
-    return pts + drift * dt + np.einsum("nij,nj->ni", sig, dB) \
-        + math.sqrt(mu) * dW
+        sig_dB = np.einsum("nij,nj->ni", sig, dB)
+    pts += drift * dt
+    pts += sig_dB
+    pts += math.sqrt(mu) * dW
 
 
-def _pair_step(field: CoefficientField, x: np.ndarray, y: np.ndarray,
-               mu: float, dt: float, const_sigma: Optional[np.ndarray],
-               dB: np.ndarray, dW: np.ndarray,
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    """Reflection-coupled step of the pairs (x[i], y[i]), row by row.
+def _pair_step(field: CoefficientField, z: np.ndarray, mu: float, dt: float,
+               const_sigma: Optional[np.ndarray], dB: np.ndarray,
+               dW: np.ndarray) -> np.ndarray:
+    """Reflection-coupled step, in place, of the stacked pairs z = [x; y].
 
-    Both endpoints share dB; y gets dW mirrored across the hyperplane
-    orthogonal to x - y.  One Euler step moves the stack [x; y].
+    Both halves share dB; y gets dW mirrored across the hyperplane
+    orthogonal to x - y.  One Euler step moves the whole stack.  Returns
+    the pre-step differences x - y.
     """
-    diff = x - y
-    e = diff / np.linalg.norm(diff, axis=1)[:, None]
-    refl = dW - 2.0 * e * np.einsum("ij,ij->i", e, dW)[:, None]
-    new = _euler_step(field, np.concatenate([x, y]), mu, dt, const_sigma,
-                      np.concatenate([dB, dB]), np.concatenate([dW, refl]))
-    return new[:len(x)], new[len(x):]
+    m = len(z) // 2
+    diff = z[:m] - z[m:]
+    proj = np.einsum("ij,ij->i", diff, dW) / np.einsum("ij,ij->i", diff, diff)
+    refl = dW - diff * (2.0 * proj)[:, None]
+    _euler_step(field, z, mu, dt, const_sigma, np.concatenate([dB, dB]),
+                np.concatenate([dW, refl]))
+    return diff
 
 
 def coupled_step(field: CoefficientField, bounds: EllipticityBounds,
@@ -181,33 +193,49 @@ def coupled_step(field: CoefficientField, bounds: EllipticityBounds,
     if not np.linalg.norm(x - y) > 0.0:
         raise ValueError("coupled_step needs x != y")
     dB, dW = (np.asarray(a, dtype=float).reshape(1, -1) for a in noise)
-    x_new, y_new = _pair_step(field, x[None], y[None], mu, dt,
-                              _const_sigma(field, mu), dB, dW)
-    return x_new[0], y_new[0]
+    z = np.stack([x, y])
+    _pair_step(field, z, mu, dt, _const_sigma(field, mu), dB, dW)
+    return z[0], z[1]
 
 
-def _draw_noise(gens: Sequence[np.random.Generator], ids: np.ndarray,
-                steps_left: int, dim: int, root_dt: float) -> np.ndarray:
-    """Increments (dB, dW), shape (ids.size, n_k, 2*dim), of the next
-    16..256 steps (never past the horizon) within the noise budget."""
-    budget = int(_NOISE_BUDGET_BYTES / max(1, ids.size * 2 * dim * 8))
+def _draw_noise(gens: Sequence[np.random.Generator], steps_left: int,
+                dim: int, root_dt: float) -> np.ndarray:
+    """Increments (dB, dW) of the next 16..256 steps (never past the
+    horizon, within the noise budget) for the path blocks whose streams
+    are gens: shape (n_k, 64 * len(gens), 2*dim), block j in columns
+    64j..64j+63."""
+    rows = _BLOCK * len(gens)
+    budget = int(_NOISE_BUDGET_BYTES / (rows * 2 * dim * 8))
     n_k = min(max(16, min(256, budget)), steps_left)
-    out = np.empty((ids.size, n_k, 2 * dim))
-    for row, pid in enumerate(ids):
-        out[row] = gens[pid].standard_normal((n_k, 2 * dim))
-    out *= root_dt
+    out = np.empty((n_k, rows, 2 * dim))
+    block = np.empty((n_k, _BLOCK, 2 * dim))
+    for j, gen in enumerate(gens):
+        gen.standard_normal(out=block)
+        np.multiply(block, root_dt, out=out[:, j * _BLOCK:(j + 1) * _BLOCK])
     return out
+
+
+def _block_streams(seed: int, domain: int, n_paths: int) -> list:
+    """The Philox substream of every block of _BLOCK path indices."""
+    return [_streams.substream(seed, domain, b)
+            for b in range(-(-n_paths // _BLOCK))]
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: np.linalg.norm's arithmetic, overflow
+    to inf included, without its per-call overhead."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
 def _segment_min_distance(diff0: np.ndarray, diff1: np.ndarray) -> np.ndarray:
     """Min of |diff0 + a*(diff1-diff0)| over a in [0,1], per row."""
     delta = diff1 - diff0
-    denom = np.einsum("ij,ij->i", delta, delta)
-    num = -np.einsum("ij,ij->i", diff0, delta)
-    alpha = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
-    alpha = np.clip(alpha, 0.0, 1.0)
+    # where delta = 0 the numerator is 0 too, and alpha = 0/tiny = 0
+    alpha = np.einsum("ij,ij->i", diff0, delta) / -np.maximum(
+        np.einsum("ij,ij->i", delta, delta), _TINY)
+    np.minimum(np.maximum(alpha, 0.0, out=alpha), 1.0, out=alpha)
     closest = diff0 + alpha[:, None] * delta
-    return np.linalg.norm(closest, axis=1)
+    return _norms(closest)
 
 
 def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
@@ -231,69 +259,60 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
     const_sigma = _const_sigma(field, cfg.mu)
     root_dt = math.sqrt(cfg.dt)
 
-    gens = [_streams.substream(cfg.seed, _streams.DOMAIN_PATHS, i)
-            for i in range(n)]
-    X = np.tile(x0, (n, 1))
-    Y = np.tile(y0, (n, 1))
+    gens = _block_streams(cfg.seed, _streams.DOMAIN_PATHS, n)
+    z = np.concatenate([np.tile(x0, (n, 1)), np.tile(y0, (n, 1))])
     ids = np.arange(n)
-    coupled = np.zeros(n, dtype=bool)
     escaped = np.zeros(n, dtype=bool)
     couple_time = np.full(n, np.nan)
-    recorded = None
-    k_record = None
+    recorded = k_record = None
     if record_distance_at is not None:
         k_record = int(round(record_distance_at / cfg.dt))
         if not 0 <= k_record <= n_steps:
             raise ValueError("record_distance_at outside the horizon")
         recorded = np.zeros(n)
-        if k_record == 0:
-            recorded[:] = np.linalg.norm(x0 - y0)
 
     step = 0
     while step < n_steps and ids.size:
-        noise = _draw_noise(gens, ids, n_steps - step, dim, root_dt)
-        n_k = noise.shape[1]
-        alive = np.ones(ids.size, dtype=bool)
-        for k in range(n_k):
-            rows = np.flatnonzero(alive)
-            if rows.size == 0:
-                break
-            xa = X[rows]
-            ya = Y[rows]
-            diff = xa - ya
-            if k_record is not None and step + k == k_record:
-                recorded[ids[rows]] = np.linalg.norm(diff, axis=1)
-            x_new, y_new = _pair_step(field, xa, ya, cfg.mu, cfg.dt,
-                                      const_sigma, noise[rows, k, :dim],
-                                      noise[rows, k, dim:])
-            bad = ~(np.isfinite(x_new).all(axis=1)
-                    & np.isfinite(y_new).all(axis=1))
-            if bad.any():
-                j = int(np.flatnonzero(bad)[0])
+        blocks = np.unique(ids // _BLOCK)
+        noise = _draw_noise([gens[b] for b in blocks], n_steps - step, dim,
+                            root_dt)
+        # column of each live path in the chunk; all columns live is the
+        # identity map, and the chunk rows are used without a gather
+        cols = np.searchsorted(blocks, ids // _BLOCK) * _BLOCK \
+            + ids % _BLOCK
+        for k in range(len(noise)):
+            m = ids.size
+            nz = noise[k] if m == noise.shape[1] \
+                else np.take(noise[k], cols, axis=0)
+            diff = _pair_step(field, z, cfg.mu, cfg.dt, const_sigma,
+                              nz[:, :dim], nz[:, dim:])
+            if step + k == k_record:
+                recorded[ids] = _norms(diff)
+            if not np.isfinite(z).all():
+                bad = ~np.isfinite(z).all(axis=1)
                 raise SimulationBlowUp(
                     "non-finite state in coupled pair",
-                    path_index=int(ids[rows[j]]),
+                    path_index=int(ids[np.flatnonzero(bad[:m] | bad[m:])[0]]),
                     time=(step + k + 1) * cfg.dt)
-            min_dist = _segment_min_distance(diff, x_new - y_new)
-            hit = min_dist <= cfg.couple_radius
-            esc = ~hit & ((np.linalg.norm(x_new, axis=1) > esc_radius)
-                          | (np.linalg.norm(y_new, axis=1) > esc_radius))
-            X[rows] = x_new
-            Y[rows] = y_new
-            if hit.any():
-                pid = ids[rows[hit]]
-                coupled[pid] = True
-                couple_time[pid] = (step + k + 1) * cfg.dt
-            if esc.any():
-                escaped[ids[rows[esc]]] = True
-            alive[rows[hit | esc]] = False
-        step += n_k
-        if k_record is not None and step == k_record and ids.size:
-            live = np.flatnonzero(alive)
-            recorded[ids[live]] = np.linalg.norm(X[live] - Y[live], axis=1)
-        keep = alive
-        X, Y, ids = X[keep], Y[keep], ids[keep]
+            hit = _segment_min_distance(diff, z[:m] - z[m:]) \
+                <= cfg.couple_radius
+            far = _norms(z) > esc_radius
+            done = hit | far[:m] | far[m:]
+            if done.any():
+                couple_time[ids[hit]] = (step + k + 1) * cfg.dt
+                escaped[ids[done & ~hit]] = True
+                keep = ~done
+                ids, cols = ids[keep], cols[keep]
+                z = z[np.concatenate([keep, keep])]
+                if not ids.size:
+                    break
+        step += len(noise)
+        noise = nz = None  # free the chunk before the next one is drawn
+    if k_record == n_steps:
+        m = ids.size
+        recorded[ids] = _norms(z[:m] - z[m:])
 
+    coupled = ~np.isnan(couple_time)
     n_coupled = int(coupled.sum())
     n_escaped = int(escaped.sum())
     successes = n_coupled + (n_escaped if cfg.count_escaped_as_coupled else 0)
@@ -308,7 +327,7 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
     return CouplingStats(
         n_paths=n, n_coupled=n_coupled, n_escaped=n_escaped,
         p_couple=p, ci_halfwidth=ci,
-        coupling_time_quantiles=quantiles,
+        coupling_time_quantiles=quantiles, coupling_times=couple_time,
         recorded_distances=recorded,
     )
 
@@ -328,46 +347,42 @@ def simulate_pair_trajectory(field: CoefficientField,
     """
     if int(stride) != stride or stride < 1:
         raise ValueError("stride must be a positive integer")
-    x, y = (p[None] for p in _start_points(field, bounds, cfg.mu, x0, y0))
+    z = np.stack(_start_points(field, bounds, cfg.mu, x0, y0))
     dim = field.dim
-    esc_radius = cfg.resolved_escape_radius(x, y)
+    esc_radius = cfg.resolved_escape_radius(z[0], z[1])
     n_steps = cfg.n_steps()
     const_sigma = _const_sigma(field, cfg.mu)
-    gens = [_streams.substream(cfg.seed, _streams.DOMAIN_PATHS, 0)]
+    gens = _block_streams(cfg.seed, _streams.DOMAIN_PATHS, 1)
 
     times = [0.0]
-    xs = [x]
-    ys = [y]
+    states = [z.copy()]
     merged = False
     noise = np.empty((0, 2 * dim))
     start = 0
     for k in range(n_steps):
         if k == start + len(noise):
-            start, noise = k, _draw_noise(gens, np.zeros(1, dtype=int),
-                                          n_steps - k, dim,
-                                          math.sqrt(cfg.dt))[0]
+            start, noise = k, _draw_noise(gens, n_steps - k, dim,
+                                          math.sqrt(cfg.dt))[:, 0]
         dB = noise[None, k - start, :dim]
         dW = noise[None, k - start, dim:]
         if merged:
-            x = y = _euler_step(field, x, cfg.mu, cfg.dt, const_sigma, dB, dW)
+            _euler_step(field, z[:1], cfg.mu, cfg.dt, const_sigma, dB, dW)
         else:
-            x_new, y_new = _pair_step(field, x, y, cfg.mu, cfg.dt,
-                                      const_sigma, dB, dW)
-            merged = _segment_min_distance(x - y, x_new - y_new)[0] \
+            diff = _pair_step(field, z, cfg.mu, cfg.dt, const_sigma, dB, dW)
+            merged = _segment_min_distance(diff, z[:1] - z[1:])[0] \
                 <= cfg.couple_radius
-            x, y = x_new, (x_new if merged else y_new)
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        if merged:
+            z[1] = z[0]
+        if not np.isfinite(z).all():
             raise SimulationBlowUp("non-finite state in pair trajectory",
                                    path_index=0, time=(k + 1) * cfg.dt)
-        if max(np.linalg.norm(x), np.linalg.norm(y)) > esc_radius:
+        if (_norms(z) > esc_radius).any():
             break
         if (k + 1) % stride == 0 or k == n_steps - 1:
             times.append((k + 1) * cfg.dt)
-            xs.append(x)
-            ys.append(y)
+            states.append(z.copy())
     t = np.array(times)
-    X = np.concatenate(xs)
-    Y = np.concatenate(ys)
+    X, Y = np.stack(states, axis=1)
     return t, X, Y, np.linalg.norm(X - Y, axis=1)
 
 
@@ -394,22 +409,22 @@ def martingale_check(field: CoefficientField, bounds: EllipticityBounds,
     n_steps = int(math.floor(t / dt + 1e-9))
     const_sigma = _const_sigma(field, mu)
     root_dt = math.sqrt(dt)
-    ids = np.arange(int(n_paths))
-    gens = [_streams.substream(seed, _streams.DOMAIN_MARTINGALE, i)
-            for i in ids]
-    X = np.tile(x0, (ids.size, 1))
+    n = int(n_paths)
+    gens = _block_streams(seed, _streams.DOMAIN_MARTINGALE, n)
+    X = np.tile(x0, (n, 1))
     step = 0
     while step < n_steps:
-        noise = _draw_noise(gens, ids, n_steps - step, dim, root_dt)
-        for k in range(noise.shape[1]):
-            X = _euler_step(field, X, mu, dt, const_sigma,
-                            noise[:, k, :dim], noise[:, k, dim:])
+        noise = _draw_noise(gens, n_steps - step, dim, root_dt)[:, :n]
+        for k in range(len(noise)):
+            _euler_step(field, X, mu, dt, const_sigma,
+                        noise[k, :, :dim], noise[k, :, dim:])
             if not np.isfinite(X).all():
                 j = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
                 raise SimulationBlowUp("non-finite state in martingale paths",
                                        path_index=j,
                                        time=(step + k + 1) * dt)
-        step += noise.shape[1]
+        step += len(noise)
+        noise = None  # free the chunk before the next one is drawn
     try:
         vals = np.asarray(u(n_steps * dt, X), dtype=float)
         if vals.shape != (X.shape[0],):

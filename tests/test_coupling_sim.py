@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import liouville_lab as ll
+from liouville_lab import coupling_sim
 
 
 D1_BOUNDS = ll.EllipticityBounds(1.0, 1.0, 10.0, 1)
@@ -180,6 +181,29 @@ def test_coupling_stats_consistency():
     assert 0 < q25 <= q50 <= q90 <= 2.0
 
 
+@pytest.mark.parametrize("name, dim", [("zero", 1), ("ou", 2)])
+def test_block_noise_outcomes_do_not_depend_on_path_count_or_chunking(
+        name, dim, monkeypatch):
+    # path i reads entry [k, i % 64] of block i // 64's step-major stream, so
+    # paths 0-63 meet the same noise whatever n_paths, the chunk length or
+    # the set of live paths
+    field = ll.make_standard_fields(name, dim)
+    x0 = 0.5 * np.eye(dim)[0]
+
+    def first_block_times(n_paths):
+        cfg = ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=n_paths, dt=1e-3,
+                                seed=4)
+        stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
+        return stats.coupling_times[:64]
+
+    alone = first_block_times(64)
+    assert 0 < np.isnan(alone).sum() < 64  # both outcomes occur
+    np.testing.assert_array_equal(first_block_times(200), alone)
+    # a budget below one step's noise gives the shortest chunks, 16 steps
+    monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", 1.0)
+    np.testing.assert_array_equal(first_block_times(200), alone)
+
+
 def test_coupling_deterministic():
     field = ll.make_standard_fields("zero", 1)
     cfg = ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=300, dt=1e-3, seed=9)
@@ -273,11 +297,12 @@ def test_pair_trajectory_shapes_and_merge():
 
 @pytest.mark.parametrize("name, dim", [("zero", 1), ("ou", 2)])
 def test_pair_trajectory_couples_at_the_step_of_simulate_coupling(name, dim):
-    # both simulators step path 0's stream through the same kernel; seeds 0-3
+    # both simulators step path 0's stream through the same kernel; seeds 0-7
     # couple early, after the first 256-step noise chunk, and not at all
     field = ll.make_standard_fields(name, dim)
     x0 = 0.5 * np.eye(dim)[0]
-    for seed in range(4):
+    cases = set()
+    for seed in range(8):
         cfg = ll.CouplingConfig(mu=0.5, t_max=2.0, n_paths=1, dt=1e-3, seed=seed)
         stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
         t, _, _, dist = ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg, x0, -x0)
@@ -285,6 +310,10 @@ def test_pair_trajectory_couples_at_the_step_of_simulate_coupling(name, dim):
         assert stats.n_coupled == int(merged.size > 0)
         if merged.size:
             assert merged[0] == stats.coupling_time_quantiles[0]
+            cases.add("early" if merged[0] <= 256 * cfg.dt else "late")
+        else:
+            cases.add("none")
+    assert cases == {"early", "late", "none"}
 
 
 def test_pair_trajectory_stride():
@@ -323,6 +352,20 @@ def test_martingale_quadratic_harmonic():
         x0=np.zeros(1), t=0.5, n_paths=2000, dt=1e-3, seed=3,
     )
     assert abs(mean - 0.0) <= 3 * stderr + 0.01
+
+
+def test_martingale_endpoints_do_not_depend_on_path_count():
+    # the first 64 paths read block 0's stream whatever n_paths is
+    field = ll.make_standard_fields("zero", 1)
+    ends = {}
+    for n_paths in (64, 200):
+        def u(t, x, n_paths=n_paths):
+            ends[n_paths] = x.copy()
+            return x[:, 0]
+
+        ll.martingale_check(field, D1_BOUNDS, u, mu=0.5, x0=np.zeros(1),
+                            t=0.5, n_paths=n_paths, dt=1e-3, seed=3)
+    np.testing.assert_array_equal(ends[200][:64], ends[64])
 
 
 def test_martingale_vectorized_and_scalar_u_agree():

@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -351,13 +354,28 @@ def test_cli_field_construction_failure_names_stage(command, capsys):
     assert "error in stage field:" in capsys.readouterr().err
 
 
+def test_cli_field_construction_failure_prints_only_the_error(capfd):
+    # numpy warnings from the drift probe must not reach stderr ahead of the
+    # error; a child process, because pytest captures warnings in-process
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "liouville_lab", "criterion", "--dim", "1",
+         "--drift", "log(x1 - 100)", "--seed", "0"],
+        env=env, check=False,
+    )
+    assert proc.returncode == 3
+    assert capfd.readouterr().err.splitlines() == [
+        "error in stage field: drift is non-finite on the probe grid"]
+
+
 def test_cli_trajectory_blowup_names_stage(tmp_path, capsys):
     # path 0 couples, then the merged trajectory that --output records
     # explodes under the cubic drift before it passes the escape radius
     code = run_cli(
         [
             "couple", "--dim", "1", "--drift", "x1^3", "--x0", "1.1",
-            "--y0", "1.05", "--t-max", "2", "--n-paths", "1", "--seed", "7",
+            "--y0", "1.05", "--t-max", "2", "--n-paths", "1", "--seed", "0",
             "--coupling-escape-radius", "1e300", "--ellipticity-samples",
             "500", "--output", str(tmp_path),
         ]
