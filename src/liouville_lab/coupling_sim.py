@@ -227,6 +227,19 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
+def _beyond(rows: np.ndarray, radius: float) -> np.ndarray:
+    """Which finite rows lie farther than radius from the origin.  Rows
+    flagged on the first pass are measured again with their largest entry
+    scaled out, so that a squared norm that overflows (|row| above about
+    1.3e154) is not taken for an escape; other steps pay nothing."""
+    far = _norms(rows) > radius
+    if far.any():
+        big = rows[far]
+        scale = np.abs(big).max(axis=1)
+        far[far] = scale * _norms(big / scale[:, None]) > radius
+    return far
+
+
 def _segment_min_distance(diff0: np.ndarray, diff1: np.ndarray) -> np.ndarray:
     """Min of |diff0 + a*(diff1-diff0)| over a in [0,1], per row."""
     delta = diff1 - diff0
@@ -296,7 +309,7 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
                     time=(step + k + 1) * cfg.dt)
             hit = _segment_min_distance(diff, z[:m] - z[m:]) \
                 <= cfg.couple_radius
-            far = _norms(z) > esc_radius
+            far = _beyond(z, esc_radius)
             done = hit | far[:m] | far[m:]
             if done.any():
                 couple_time[ids[hit]] = (step + k + 1) * cfg.dt
@@ -376,7 +389,7 @@ def simulate_pair_trajectory(field: CoefficientField,
         if not np.isfinite(z).all():
             raise SimulationBlowUp("non-finite state in pair trajectory",
                                    path_index=0, time=(k + 1) * cfg.dt)
-        if (_norms(z) > esc_radius).any():
+        if _beyond(z, esc_radius).any():
             break
         if (k + 1) % stride == 0 or k == n_steps - 1:
             times.append((k + 1) * cfg.dt)

@@ -29,6 +29,13 @@ cannot overshoot), so the verdict is conservative in the dispersion
 direction but depends on the refinement finding the true max.  Second,
 the sup over |x-y| <= s is computed by optimizing at |x-y| = s on a grid
 and taking a running maximum, with a floor at 0 (the pair x = y).
+
+Both sups come from one engine, _refine_sup, which refines every radius
+of a grid at once: one objective call per move serves all live radii,
+and a radius leaves the block when its own ascent converges, so each
+value is what refining that radius alone would give.  Radii that stop
+at the sweep cap instead are named in the report's diagnostics; a NaN
+objective raises CoefficientEvaluationError (a +inf sup is a value).
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ import numpy as np
 
 from . import _streams
 from .coefficients import CoefficientField, EllipticityBounds, estimate_ellipticity
-from .errors import ConstantMismatch, NoAdmissibleConstants
+from .errors import (CoefficientEvaluationError, ConstantMismatch,
+                     NoAdmissibleConstants)
 
 VERDICT_GUARANTEED = "LiouvilleGuaranteed"
 VERDICT_INCONCLUSIVE = "Inconclusive"
@@ -89,59 +97,121 @@ def _multistart(seed: int, domain: int, index: int, n: int, dim: int,
     return m, e
 
 
-def _refine_sup(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                m: np.ndarray, e: np.ndarray, window_radius: float) -> float:
-    """Coordinate ascent on (midpoint, direction) from many starts.
+def _pair_points(m: np.ndarray, e: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The pairs x = m + (s/2)e over y = m - (s/2)e, one pair per row."""
+    half = (0.5 * s)[:, None]
+    return np.concatenate([m + half * e, m - half * e], axis=0)
 
-    ``objective(m, e) -> (k,)`` must be pure.  Midpoint moves are
-    projected back into the window ball; direction moves are renormalized
-    (the objective is symmetric under e -> -e, so only hemisphere moves
+
+def _stacked_starts(seed: int, domain: int, n_radii: int, n: int, dim: int,
+                    window_radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The _multistart block of every radius index, stacked as (R, k, d)."""
+    starts = [_multistart(seed, domain, i, n, dim, window_radius)
+              for i in range(n_radii)]
+    return (np.stack([m for m, _ in starts]),
+            np.stack([e for _, e in starts]))
+
+
+def _refine_sup(objective: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                     np.ndarray],
+                m: np.ndarray, e: np.ndarray, s: np.ndarray,
+                window_radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Coordinate ascent on (midpoint, direction) from many starts, for
+    every radius of a grid at once.
+
+    ``m`` and ``e`` stack the k starts of each of the R radii as
+    (R, k, d); ``s`` holds the R separations.  ``objective(m, e, s) ->
+    (n,)`` takes one row per candidate, ``s`` being each row's separation,
+    and must be pure and act row by row.  Midpoint moves are projected
+    back into the window ball; direction moves are renormalized (the
+    objective is symmetric under e -> -e, so only hemisphere moves
     matter).  Per-candidate steps halve after a sweep that improves that
-    candidate by less than 1e-10; the runner returns the maximum over
-    every configuration it evaluated, hence a certified lower bound of
-    the window sup.
+    candidate by less than 1e-10.  A radius leaves the live set on the
+    sweep where all of its candidates' steps fall below the floors, or
+    after _MAX_SWEEPS sweeps; masking finished radii leaves every row's
+    trajectory, and so every value, what a run on that radius alone would
+    give.
+
+    Returns, per radius, the maximum over every configuration evaluated
+    (hence a certified lower bound of the window sup) and the sweeps it
+    used; _MAX_SWEEPS marks a radius stopped at the cap.  A NaN objective
+    raises CoefficientEvaluationError naming the pair; +inf is a
+    legitimate sup.
     """
-    m = m.copy()
-    e = e.copy()
-    k, dim = m.shape
-    f = objective(m, e)
-    best = float(f.max())
-    step_m = np.full(k, max(window_radius / 4.0, 1e-6))
-    step_e = np.full(k, 0.5)
+    n_radii, k, dim = m.shape
+    m = m.reshape(-1, dim).copy()
+    e = e.reshape(-1, dim).copy()
+    rows_s = np.repeat(np.asarray(s, dtype=float), k)
+    values = np.empty(n_radii)
+    sweeps = np.empty(n_radii, dtype=int)
+    live = np.arange(n_radii)
     m_floor = 1e-12 * (1.0 + window_radius)
-    for _ in range(_MAX_SWEEPS):
-        f_start = f.copy()
-        for axis in range(dim):
-            for sign in (1.0, -1.0):
-                cand = m.copy()
-                cand[:, axis] += sign * step_m
-                cand = _project_ball(cand, window_radius)
-                fc = objective(cand, e)
-                best = max(best, float(fc.max()))
-                take = fc > f
-                if take.any():
-                    m[take] = cand[take]
-                    f[take] = fc[take]
-            if dim > 1:
+
+    def evaluate(mc, ec):
+        fc = objective(mc, ec, rows_s)
+        if np.isnan(fc).any():
+            i = int(np.flatnonzero(np.isnan(fc))[0])
+            x, y = _pair_points(mc[i:i + 1], ec[i:i + 1], rows_s[i:i + 1])
+            raise CoefficientEvaluationError(
+                f"sup-search objective is NaN at the pair x = {x.tolist()}, "
+                f"y = {y.tolist()} (separation {rows_s[i]:.6g})")
+        return fc
+
+    def raise_best(best, fc):
+        top = fc.reshape(-1, k).max(axis=1)
+        return np.where(top > best, top, best)
+
+    # an infinite objective is a value (and inf - inf in the stall test
+    # reads as progress); NaN objectives raise in evaluate
+    with np.errstate(all="ignore"):
+        f = evaluate(m, e)
+        best = raise_best(np.full(n_radii, -np.inf), f)
+        step_m = np.full(f.size, max(window_radius / 4.0, 1e-6))
+        step_e = np.full(f.size, 0.5)
+        for sweep in range(1, _MAX_SWEEPS + 1):
+            f_start = f.copy()
+            for axis in range(dim):
                 for sign in (1.0, -1.0):
-                    cand = e.copy()
-                    cand[:, axis] += sign * step_e
-                    norms = np.linalg.norm(cand, axis=1)
-                    good = norms > 1e-14
-                    cand[good] /= norms[good, None]
-                    cand[~good] = e[~good]
-                    fc = objective(m, cand)
-                    best = max(best, float(fc.max()))
+                    cand = m.copy()
+                    cand[:, axis] += sign * step_m
+                    cand = _project_ball(cand, window_radius)
+                    fc = evaluate(cand, e)
+                    best = raise_best(best, fc)
                     take = fc > f
                     if take.any():
-                        e[take] = cand[take]
+                        m[take] = cand[take]
                         f[take] = fc[take]
-        stalled = (f - f_start) < _IMPROVE_TOL
-        step_m[stalled] *= 0.5
-        step_e[stalled] *= 0.5
-        if np.all((step_m < m_floor) & (step_e < 1e-12)):
-            break
-    return max(best, float(f.max()))
+                if dim > 1:
+                    for sign in (1.0, -1.0):
+                        cand = e.copy()
+                        cand[:, axis] += sign * step_e
+                        norms = np.linalg.norm(cand, axis=1)
+                        good = norms > 1e-14
+                        cand[good] /= norms[good, None]
+                        cand[~good] = e[~good]
+                        fc = evaluate(m, cand)
+                        best = raise_best(best, fc)
+                        take = fc > f
+                        if take.any():
+                            e[take] = cand[take]
+                            f[take] = fc[take]
+            stalled = (f - f_start) < _IMPROVE_TOL
+            step_m[stalled] *= 0.5
+            step_e[stalled] *= 0.5
+            done = ((step_m < m_floor) & (step_e < 1e-12)) \
+                .reshape(-1, k).all(axis=1)
+            if sweep == _MAX_SWEEPS:
+                done[:] = True
+            if done.any():
+                values[live[done]] = raise_best(best, f)[done]
+                sweeps[live[done]] = sweep
+                keep = np.repeat(~done, k)
+                live, best = live[~done], best[~done]
+                m, e, f, rows_s = m[keep], e[keep], f[keep], rows_s[keep]
+                step_m, step_e = step_m[keep], step_e[keep]
+                if not live.size:
+                    break
+    return values, sweeps
 
 
 # --------------------------------------------------------------------------
@@ -150,7 +220,9 @@ def _refine_sup(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
 @dataclass(frozen=True)
 class DispersionCurve:
     """kappa(s) over a radius grid; each value is a certified lower bound
-    of the window sup at that exact separation."""
+    of the window sup at that exact separation.  ``sweeps`` holds the
+    ascent sweeps each radius used (_MAX_SWEEPS: stopped at the cap), or
+    None for a curve not produced by the sup-search."""
 
     radii: np.ndarray
     values: np.ndarray
@@ -158,6 +230,7 @@ class DispersionCurve:
     n_pairs_per_radius: int
     seed: int
     method: str
+    sweeps: Optional[np.ndarray] = None
 
 
 def drift_dispersion(field: CoefficientField, radii: Sequence[float],
@@ -177,27 +250,23 @@ def drift_dispersion(field: CoefficientField, radii: Sequence[float],
         raise ValueError("radii must be positive and strictly ascending")
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    dim = field.dim
-    values = np.empty(radii.size)
-    for i, s in enumerate(radii):
-        half = 0.5 * s
 
-        def objective(m, e):
-            pts = np.concatenate([m + half * e, m - half * e], axis=0)
-            b = np.asarray(field.drift(pts), dtype=float)
-            k = m.shape[0]
-            return s * np.einsum("ij,ij->i", e, b[:k] - b[k:])
+    def objective(m, e, s):
+        pts = _pair_points(m, e, s)
+        b = np.asarray(field.drift(pts), dtype=float)
+        k = m.shape[0]
+        return s * np.einsum("ij,ij->i", e, b[:k] - b[k:])
 
-        m0, e0 = _multistart(seed, _streams.DOMAIN_DISPERSION, i, n_pairs,
-                             dim, window_radius)
-        values[i] = _refine_sup(objective, m0, e0, window_radius)
+    m0, e0 = _stacked_starts(seed, _streams.DOMAIN_DISPERSION, radii.size,
+                             n_pairs, field.dim, window_radius)
+    values, sweeps = _refine_sup(objective, m0, e0, radii, window_radius)
     method = (f"multistart({n_pairs} pairs/radius) + projected coordinate "
               f"ascent; midpoints confined to |m| <= {window_radius:g}; "
               "values are lower bounds of the window sup")
     return DispersionCurve(radii=radii, values=values,
                            window_radius=float(window_radius),
                            n_pairs_per_radius=int(n_pairs), seed=int(seed),
-                           method=method)
+                           method=method, sweeps=sweeps)
 
 
 def asymptotic_dispersion(curve: DispersionCurve, tail_fraction: float) -> float:
@@ -343,6 +412,8 @@ class ModulusProfile:
     smallest grid points, whose mass is reported separately
     (``head_mass``).  ``dini_ok`` is False when omega does not vanish at
     0 fast enough (fit exponent <= 0), i.e. the Dini requirement fails.
+    ``sweeps`` holds the ascent sweeps of each grid point, as in
+    :class:`DispersionCurve`.
     """
 
     lam: float
@@ -354,6 +425,7 @@ class ModulusProfile:
     head_mass: float = 0.0
     dini_ok: bool = True
     notes: Tuple[str, ...] = ()
+    sweeps: Optional[np.ndarray] = None
 
     @property
     def total_mass(self) -> float:
@@ -368,7 +440,9 @@ def _log_trapezoid(radii: np.ndarray, values: np.ndarray) -> float:
 
 
 def modulus_profile_from_samples(lam: float, radii, values,
-                                 notes: Tuple[str, ...] = ()) -> ModulusProfile:
+                                 notes: Tuple[str, ...] = (),
+                                 sweeps: Optional[np.ndarray] = None
+                                 ) -> ModulusProfile:
     """Assemble a ModulusProfile from raw sup samples on an ascending grid.
 
     Applies the running maximum (sup over <= s) and the floor at 0, fits
@@ -408,7 +482,8 @@ def modulus_profile_from_samples(lam: float, radii, values,
     return ModulusProfile(lam=float(lam), radii=radii, values=omega,
                           dini_mass=mass, head_exponent=head_exponent,
                           head_coeff=head_coeff, head_mass=head_mass,
-                          dini_ok=dini_ok, notes=tuple(note_list))
+                          dini_ok=dini_ok, notes=tuple(note_list),
+                          sweeps=sweeps)
 
 
 def modulus(field: CoefficientField, lam: float, s0: float,
@@ -430,33 +505,30 @@ def modulus(field: CoefficientField, lam: float, s0: float,
         raise ValueError("grid_size must be >= 3")
     grid = np.geomspace(s_min, s0, grid_size)
     grid[-1] = s0
-    dim = field.dim
     skip_q = field.constant_diffusion
-    raw = np.empty(grid.size)
-    for i, s in enumerate(grid):
-        half = 0.5 * s
 
-        def objective(m, e):
-            pts = np.concatenate([m + half * e, m - half * e], axis=0)
-            k = m.shape[0]
-            b = np.asarray(field.drift(pts), dtype=float)
-            val = 2.0 * s * np.einsum("ij,ij->i", e, b[:k] - b[k:])
-            if not skip_q:
-                q = np.asarray(field.diffusion(pts), dtype=float)
-                dq = q[:k] - q[k:]
-                val = val + lam * np.einsum("nij,nij->n", dq, dq)
-            return val
+    def objective(m, e, s):
+        pts = _pair_points(m, e, s)
+        k = m.shape[0]
+        b = np.asarray(field.drift(pts), dtype=float)
+        val = 2.0 * s * np.einsum("ij,ij->i", e, b[:k] - b[k:])
+        if not skip_q:
+            q = np.asarray(field.diffusion(pts), dtype=float)
+            dq = q[:k] - q[k:]
+            val = val + lam * np.einsum("nij,nij->n", dq, dq)
+        return val
 
-        m0, e0 = _multistart(seed, _streams.DOMAIN_MODULUS, i, n_pairs, dim,
-                             window_radius)
-        raw[i] = _refine_sup(objective, m0, e0, window_radius)
+    m0, e0 = _stacked_starts(seed, _streams.DOMAIN_MODULUS, grid.size,
+                             n_pairs, field.dim, window_radius)
+    raw, sweeps = _refine_sup(objective, m0, e0, grid, window_radius)
     notes = (
         "omega estimated by optimizing at separation exactly s on the grid, "
         "then taking a running maximum (sup over <= s) and flooring at 0 "
         "(the pair x = y)",
         f"pair midpoints confined to |m| <= {window_radius:g}",
     )
-    return modulus_profile_from_samples(lam, grid, raw, notes=notes)
+    return modulus_profile_from_samples(lam, grid, raw, notes=notes,
+                                        sweeps=sweeps)
 
 
 # --------------------------------------------------------------------------
@@ -711,6 +783,15 @@ class CriterionReport:
 _DINI_RETRIES = 4
 
 
+def _cap_notes(stage: str, sweeps: Optional[np.ndarray]) -> list:
+    """The diagnostic naming the radii whose ascent stopped at the cap."""
+    capped = 0 if sweeps is None else int(np.sum(sweeps >= _MAX_SWEEPS))
+    if not capped:
+        return []
+    return [f"stage {stage}: {capped} of {sweeps.size} radii stopped at the "
+            f"{_MAX_SWEEPS}-sweep cap"]
+
+
 def evaluate_liouville_criterion(field: CoefficientField,
                                  config: Optional[CriterionConfig] = None
                                  ) -> CriterionReport:
@@ -733,6 +814,7 @@ def evaluate_liouville_criterion(field: CoefficientField,
                              window_radius=cfg.window_radius)
     kappa_inf = asymptotic_dispersion(curve, cfg.tail_fraction)
     threshold = theorem_threshold(bounds, field.dim)
+    notes.extend(_cap_notes("dispersion", curve.sweeps))
     notes.append(
         f"kappa_inf is window-limited: radii in [{cfg.radii_min:g}, "
         f"{cfg.radii_max:g}], midpoints confined to |m| <= "
@@ -775,6 +857,7 @@ def evaluate_liouville_criterion(field: CoefficientField,
             # lam never enters omega when q is constant; retrying other
             # mu values cannot change the Dini outcome.
             break
+    notes.extend(_cap_notes("modulus", prof.sweeps))
     if profile is None:
         return report(VERDICT_INCONCLUSIVE, [
             "stage modulus: Dini integral of omega(s)/s diverges at 0 for "

@@ -255,6 +255,25 @@ def test_simulation_blowup_reported_with_path_and_time():
         assert exc.value.time is not None and 0 < exc.value.time <= 1.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_escape_test_survives_squared_norm_overflow():
+    # the record of `couple --dim 1 --drift "x1^3" --x0 1.1 --y0 1.05
+    # --t-max 2 --n-paths 1 --seed 7 --coupling-escape-radius 1e300
+    # --output DIR`: the merged pair reaches |x| = 2.3e87 at t = 0.74, whose
+    # squared norm overflows, yet the state is finite and far inside the
+    # escape radius, so the record goes on until the cubic drift blows it up
+    cubic = ll.field_from_expressions(1, ["x1^3"], label="cubic")
+    cfg = ll.CouplingConfig(mu=0.5, t_max=2.0, n_paths=1, dt=1e-3, seed=7,
+                            escape_radius=1e300)
+    x0, y0 = np.array([1.1]), np.array([1.05])
+    with pytest.raises(ll.SimulationBlowUp) as exc:
+        ll.simulate_pair_trajectory(cubic, D1_BOUNDS, cfg, x0, y0, stride=2)
+    assert exc.value.time > 0.7405
+    rows = np.array([[1e200, -3e200], [2e300, 0.0], [3.0, 4.0]])
+    assert coupling_sim._beyond(rows, 1e300).tolist() == [False, True, False]
+    assert coupling_sim._beyond(rows, 4.9).tolist() == [True, True, True]
+
+
 def test_mu_outside_admissible_range():
     field = ll.make_standard_fields("zero", 1)
     cfg = ll.CouplingConfig(mu=1.0, t_max=1.0, n_paths=10, dt=1e-3, seed=0)

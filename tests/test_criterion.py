@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import liouville_lab as ll
+from liouville_lab import _streams
+from liouville_lab import criterion as crit
 
 
 # ---------------------------------------------------------------------------
@@ -459,3 +461,126 @@ def test_pipeline_deterministic(log_field_025):
     assert a.constants == b.constants
     assert a.escape == b.escape
     assert a.diagnostics == b.diagnostics
+
+
+# ---------------------------------------------------------------------------
+# the batched sup-search engine
+
+
+# float.hex of the drift_dispersion values (12 radii in [1, 1e5], 4 pairs)
+# and modulus values (lam 0.5, s0 50, 12 points, 4 pairs), recorded from
+# the one-radius-at-a-time ascent that the batched sup-search replaced
+SUP_SEARCH_BITS = {
+    ("radial_expand", 3, 0): ((
+        "0x1.999999999999dp-1", "0x1.56e6deb74b979p+1", "0x1.4b55eeaf068cfp+2",
+        "0x1.9300dcd5f625bp+3", "0x1.0f4b7b988a09dp+5", "0x1.7ac8eaab33b2cp+6",
+        "0x1.29d247a4bb982p+2", "0x1.0482a0ab388d2p+2", "0x1.008c2ef83eb0fp+2",
+        "0x1.0011400902d0bp+2", "0x1.0002204dcc9acp+2", "0x1.0000431a3849dp+2",
+    ), (
+        "0x1.19799812de53dp-39", "0x1.b9b489ab34355p-35", "0x1.5a92cd7b16cedp-30",
+        "0x1.0fee39eb13fb1p-25", "0x1.aaba445e88352p-21", "0x1.4ed220e5a3152p-16",
+        "0x1.06b17f7310216p-11", "0x1.9b9c51cf2ed3ap-7", "0x1.372e5b2c73acfp-2",
+        "0x1.fdcacef924aa5p+1", "0x1.85a955ff7f7f4p+3", "0x1.a051e3235a45ap+5",
+    )),
+    ("radial_expand", 3, 3): ((
+        "0x1.999999999999dp-1", "0x1.56e6deb74b979p+1", "0x1.4b55eeaf068cep+2",
+        "0x1.9300dcd5f625dp+3", "0x1.0f4b7b988a09dp+5", "0x1.7ac8eaab33b2cp+6",
+        "0x1.29d247a4bb982p+2", "0x1.0482a0ab388d2p+2", "0x1.008c2ef83eb0fp+2",
+        "0x1.0011400902d0ap+2", "0x1.0002204dcc9acp+2", "0x1.0000431a3849dp+2",
+    ), (
+        "0x1.19799812de53dp-39", "0x1.b9b489ab34355p-35", "0x1.5a92cd7b16cedp-30",
+        "0x1.0fee39eb13fb1p-25", "0x1.aaba445e88352p-21", "0x1.4ed220e5a3152p-16",
+        "0x1.06b17f7310216p-11", "0x1.9b9c51cf2ed3ap-7", "0x1.372e5b2c73acfp-2",
+        "0x1.fdcacef924aa5p+1", "0x1.85a955ff7f7f6p+3", "0x1.a051e3235a45ap+5",
+    )),
+    ("var_q_const_b", 2, 0): ((
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    ), (
+        "0x1.1979990ba75c3p-42", "0x1.b9b489f876381p-38", "0x1.5a92cd83af6f9p-33",
+        "0x1.0fee39e6ccc28p-28", "0x1.aaba4371d91e8p-24", "0x1.4ed20ea6a7c54p-19",
+        "0x1.06b017f82a485p-14", "0x1.9b64eb89e5d86p-10", "0x1.32cb05070dd84p-5",
+        "0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p-2",
+    )),
+    ("var_q_const_b", 2, 3): ((
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    ), (
+        "0x1.1979998dad5b9p-42", "0x1.b9b489ce6da01p-38", "0x1.5a92cd893d217p-33",
+        "0x1.0fee39e5fea18p-28", "0x1.aaba437219ac6p-24", "0x1.4ed20ea6a75dcp-19",
+        "0x1.06b017f827afcp-14", "0x1.9b64eb89e67abp-10", "0x1.32cb05070dd84p-5",
+        "0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p-2",
+    )),
+}
+
+
+@pytest.mark.parametrize("name, dim, seed", sorted(SUP_SEARCH_BITS))
+def test_sup_search_values_match_recorded_bits(name, dim, seed):
+    field = ll.make_standard_fields(name, dim)
+    curve = ll.drift_dispersion(field, np.geomspace(1.0, 1e5, 12), n_pairs=4,
+                                seed=seed)
+    prof = ll.modulus(field, 0.5, 50.0, n_pairs=4, grid_size=12, seed=seed)
+    disp_bits, mod_bits = SUP_SEARCH_BITS[(name, dim, seed)]
+    assert [v.hex() for v in curve.values.tolist()] == list(disp_bits)
+    assert [v.hex() for v in prof.values.tolist()] == list(mod_bits)
+
+
+ENGINE_FIELDS = {
+    "zero": lambda: ll.make_standard_fields("zero", 2),
+    "ou": lambda: ll.make_standard_fields("ou", 2),
+    "var_q_const_b": lambda: ll.make_standard_fields("var_q_const_b", 3, [0.9]),
+    "radial_expand": lambda: ll.make_standard_fields("radial_expand", 3),
+    "log_example": lambda: ll.make_log_example(0.25),
+    "expression": lambda: ll.field_from_expressions(
+        2, ["sin(x2) + log(1 + x1^2)", "-x2*sqrt(1 + x1^2)/10"],
+        ["1.5 + sin(x1)", "0", "0", "1.5 + sin(x1)"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_FIELDS))
+def test_stacked_radii_refine_as_each_radius_alone(name):
+    # the modulus objective, which reads both the drift and q
+    field = ENGINE_FIELDS[name]()
+
+    def objective(m, e, s):
+        pts = crit._pair_points(m, e, s)
+        k = m.shape[0]
+        b = field.drift(pts)
+        q = field.diffusion(pts)
+        dq = q[:k] - q[k:]
+        return (2.0 * s * np.einsum("ij,ij->i", e, b[:k] - b[k:])
+                + 0.7 * np.einsum("nij,nij->n", dq, dq))
+
+    radii = np.geomspace(1e-3, 1e4, 8)
+    m0, e0 = crit._stacked_starts(5, _streams.DOMAIN_MODULUS, radii.size, 3,
+                                  field.dim, 100.0)
+    values, sweeps = crit._refine_sup(objective, m0, e0, radii, 100.0)
+    for i in range(radii.size):
+        alone = crit._refine_sup(objective, m0[i:i + 1], e0[i:i + 1],
+                                 radii[i:i + 1], 100.0)
+        assert alone[0][0].hex() == values[i].hex()
+        assert alone[1][0] == sweeps[i]
+    assert np.all((sweeps >= 1) & (sweeps <= crit._MAX_SWEEPS))
+
+
+def test_nan_objective_is_a_named_error():
+    field = ll.field_from_expressions(2, ["-x1 + 0*sqrt(x1*x2 + 1)", "-x2"])
+    with pytest.raises(ll.CoefficientEvaluationError,
+                       match=r"NaN at the pair x = .* \(separation 1\)"):
+        ll.drift_dispersion(field, np.geomspace(1.0, 1e5, 12), n_pairs=4)
+
+
+def test_pipeline_names_radii_stopped_at_the_sweep_cap():
+    field = ll.make_standard_fields("radial_expand", 3)
+    cfg = ll.CriterionConfig(radii_points=12, n_pairs=4,
+                             ellipticity_samples=500, seed=1)
+    rep = ll.evaluate_liouville_criterion(field, cfg)
+    capped = int(np.sum(rep.dispersion.sweeps == crit._MAX_SWEEPS))
+    assert 0 < capped < 12
+    assert (f"stage dispersion: {capped} of 12 radii stopped at the "
+            f"{crit._MAX_SWEEPS}-sweep cap") in rep.diagnostics
+    assert not any(d.startswith("stage modulus:") for d in rep.diagnostics)

@@ -354,19 +354,47 @@ def test_cli_field_construction_failure_names_stage(command, capsys):
     assert "error in stage field:" in capsys.readouterr().err
 
 
-def test_cli_field_construction_failure_prints_only_the_error(capfd):
-    # numpy warnings from the drift probe must not reach stderr ahead of the
-    # error; a child process, because pytest captures warnings in-process
+def _cli_child(*argv):
+    # a child process, because pytest captures warnings in-process
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "liouville_lab", "criterion", "--dim", "1",
-         "--drift", "log(x1 - 100)", "--seed", "0"],
-        env=env, check=False,
-    )
+    return subprocess.run([sys.executable, "-m", "liouville_lab", *argv],
+                          env=env, check=False)
+
+
+def test_cli_field_construction_failure_prints_only_the_error(capfd):
+    # numpy warnings from the drift probe must not reach stderr ahead of the
+    # error
+    proc = _cli_child("criterion", "--dim", "1", "--drift", "log(x1 - 100)",
+                      "--seed", "0")
     assert proc.returncode == 3
     assert capfd.readouterr().err.splitlines() == [
         "error in stage field: drift is non-finite on the probe grid"]
+
+
+def test_cli_nan_objective_is_a_criterion_stage_error(capfd, tmp_path):
+    # finite on the probe grid, NaN where x1*x2 < -1: a named error, not a
+    # NaN kappa_inf, and no numpy warnings on stderr
+    proc = _cli_child("criterion", "--dim", "2", "--drift",
+                      "-x1 + 0*sqrt(x1*x2 + 1); -x2", "--seed", "0",
+                      "--radii-points", "12", "--pairs", "4",
+                      "--output", str(tmp_path))
+    assert proc.returncode == 3
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error in stage criterion: sup-search "
+                             "objective is NaN at the pair x = ")
+
+
+def test_cli_infinite_sup_is_inconclusive_without_warnings(capfd, tmp_path):
+    proc = _cli_child("criterion", "--dim", "1", "--drift", "exp(x1)",
+                      "--seed", "0", "--radii-points", "12", "--pairs", "4",
+                      "--output", str(tmp_path))
+    assert proc.returncode == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert "criterion verdict: Inconclusive" in out
+    assert "kappa_inf = inf" in out
 
 
 def test_cli_trajectory_blowup_names_stage(tmp_path, capsys):
