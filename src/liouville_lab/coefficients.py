@@ -16,7 +16,7 @@ Fields come from two sources:
 * a small expression sub-language (``field_from_expressions``) so config
   files can define coefficients without writing Python.  Grammar:
   ``+ - * / ^`` (or ``**``), unary minus, parentheses, the functions
-  ``log exp sin cos sqrt abs``, the constants ``pi`` and ``e``, the
+  ``log exp sin cos tanh sqrt abs``, the constants ``pi`` and ``e``, the
   coordinates ``x1 .. xd`` and the radius ``normx`` (``|x|`` is accepted
   and rewritten).  Anything else is rejected with ExpressionError before
   evaluation; the compiled expression is evaluated with an empty builtins
@@ -61,8 +61,10 @@ class CoefficientField:
     ``drift`` and ``diffusion`` take an (n, d) float array; they must be
     pure (bit-identical output for identical input).  ``growth_bound`` is
     a linear-growth constant used only as a runaway-simulation guard.
-    ``constant_diffusion`` lets consumers skip per-step matrix square
-    roots.  ``smoothness_note`` is set when the field is only known to be
+    ``constant_diffusion`` lets consumers compute the shifted square root
+    of q once instead of at every step.  A variable q needs no flag to skip
+    the eigen-solver where it is diagonal: the simulator sees that in the
+    values.  ``smoothness_note`` is set when the field is only known to be
     continuous (e.g. expressions involving ``abs``): the criterion and
     simulator still run, but reports carry the caveat.
     """
@@ -283,7 +285,7 @@ def make_standard_fields(name: str, dim: int, params: Sequence[float] = ()
 # expression sub-language
 
 _FUNCS = {"log": np.log, "exp": np.exp, "sin": np.sin, "cos": np.cos,
-          "sqrt": np.sqrt, "abs": np.abs}
+          "tanh": np.tanh, "sqrt": np.sqrt, "abs": np.abs}
 _CONSTS = {"pi": math.pi, "e": math.e}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARYOPS = (ast.USub, ast.UAdd)

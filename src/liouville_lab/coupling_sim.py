@@ -15,6 +15,12 @@ reflected noise along e, which is what drives the pair together.
 One kernel, _euler_step, moves stacked points by b dt + sigma dB +
 sqrt(mu) dW; _pair_step builds the reflected dW and moves [X; Y] with
 it.  Every simulator, coupled_step included, steps through these two.
+sigma comes from one of three routes: a field with constant diffusion has
+its sigma computed once; a step whose whole batch of q is diagonal (seen
+in the values: a finite diagonal and no nonzero entry off it) takes
+sigma = diag(sqrt(q_ii - mu)), which is what the eigen-solver returns for
+such a batch, to the bit; any other batch goes through the batched
+Jacobi square root.
 
 Conventions: coupling is declared at a positive radius (exact hitting is
 a null event under discretization); the reflection direction is frozen
@@ -45,7 +51,7 @@ import numpy as np
 from . import _streams
 from .coefficients import CoefficientField, EllipticityBounds
 from .errors import ShiftTooLarge, SimulationBlowUp
-from .matrix_analysis import _shifted_sqrt_batch
+from .matrix_analysis import _check_shift, _shifted_sqrt_batch
 
 _STEP_CAP = 10_000_000
 _NOISE_BUDGET_BYTES = 6e7
@@ -148,15 +154,23 @@ def _euler_step(field: CoefficientField, pts: np.ndarray, mu: float,
                 dB: np.ndarray, dW: np.ndarray) -> None:
     """The Euler step of every simulator, in place over stacked points:
     pts += b(pts) dt + sigma(pts) dB + sqrt(mu) dW."""
-    drift = np.asarray(field.drift(pts), dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite state raises downstream
+        drift = np.asarray(field.drift(pts), dtype=float)
     if const_sigma is not None:
         # one product dB sigma^T, row by row: np.dot hands it to threaded
         # BLAS, whose wake-up costs milliseconds per step at 10^4 rows
         sig_dB = np.einsum("nj,ij->ni", dB, const_sigma)
     else:
-        sig = _shifted_sqrt_batch(
-            np.asarray(field.diffusion(pts), dtype=float), mu)
-        sig_dB = np.einsum("nij,nj->ni", sig, dB)
+        q = np.asarray(field.diffusion(pts), dtype=float)
+        diag = np.diagonal(q, axis1=1, axis2=2)
+        if np.isfinite(diag).all() \
+                and np.count_nonzero(q) == np.count_nonzero(diag):
+            # Jacobi does no rotation on a diagonal q and v is a permutation,
+            # so sigma = diag(sqrt(q_ii - mu)) to the bit
+            _check_shift(diag.min(axis=1), mu)
+            sig_dB = np.sqrt(diag - mu) * dB
+        else:
+            sig_dB = np.einsum("nij,nj->ni", _shifted_sqrt_batch(q, mu), dB)
     pts += drift * dt
     pts += sig_dB
     pts += math.sqrt(mu) * dW

@@ -163,16 +163,21 @@ def sym_eig(a, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w[0], eigenvectors=v[0])
 
 
-def _shifted_sqrt_batch(qs: np.ndarray, mu: float) -> np.ndarray:
-    """sigma with sigma^2 = q - mu*I for a stack of symmetric q, SPD required."""
-    w, v = _sym_eig_batch(qs)
-    lam_min = w[:, 0]
+def _check_shift(lam_min: np.ndarray, mu: float) -> None:
+    """Raise ShiftTooLarge unless mu lies strictly below every entry of
+    lam_min, the smallest eigenvalue of each matrix of a batch."""
     if np.any(lam_min <= mu):
         bad = int(np.argmin(lam_min))
         raise ShiftTooLarge(
             f"shift mu={mu:g} is not strictly below the smallest eigenvalue "
             f"{lam_min[bad]:.12g} (batch index {bad})"
         )
+
+
+def _shifted_sqrt_batch(qs: np.ndarray, mu: float) -> np.ndarray:
+    """sigma with sigma^2 = q - mu*I for a stack of symmetric q, SPD required."""
+    w, v = _sym_eig_batch(qs)
+    _check_shift(w[:, 0], mu)
     roots = np.sqrt(w - mu)
     sig = np.einsum("nij,nj,nkj->nik", v, roots, v)
     return 0.5 * (sig + np.transpose(sig, (0, 2, 1)))

@@ -170,6 +170,12 @@ def test_expression_arithmetic_and_functions():
     np.testing.assert_allclose(ll.eval_drift(field, x), expected, rtol=1e-14)
 
 
+def test_expression_tanh_is_numpy_tanh():
+    field = ll.field_from_expressions(1, ["tanh(x1)"])
+    x = np.linspace(-30.0, 30.0, 601)[:, None]
+    assert np.array_equal(field.drift(x), np.tanh(x))
+
+
 def test_expression_norm_token():
     field = ll.field_from_expressions(3, ["|x|", "0", "0"])
     x = np.array([1.0, 2.0, 2.0])

@@ -99,6 +99,141 @@ def test_one_step_increment_covariance(var_q_field, var_q_bounds):
 
 
 # ---------------------------------------------------------------------------
+# diagonal diffusion: sigma without the eigen-solver
+
+
+# float.hex of simulate_coupling's coupling times (6 paths) and of the
+# simulate_pair_trajectory rows [X; Y] at t = 0.5 and 1 (mu 0.5, T = 1,
+# dt 1e-3), recorded when every variable sigma came from the Jacobi solver
+DIAGONAL_Q_BITS = {
+    ("var_q_const_b-2", 0): ((
+        "0x1.e0c49ba5e3540p-1", "0x1.47ae147ae147bp-2", "nan",
+        "nan", "nan", "0x1.c9ba5e353f7cfp-2",
+    ), (
+        "0x1.81fa1bbb7c4eep-1", "0x1.8a542adce1413p-2", "-0x1.b3e2806ddcf9bp-6",
+        "0x1.3a38b5af7bdb6p-2", "0x1.37eac8dc6c07ep+0", "0x1.3556b3b6191c6p-2",
+        "0x1.37eac8dc6c07ep+0", "0x1.3556b3b6191c6p-2",
+    )),
+    ("var_q_const_b-2", 3): ((
+        "0x1.2f1a9fbe76c8bp-3", "nan", "nan",
+        "nan", "0x1.7645a1cac0831p-1", "nan",
+    ), (
+        "0x1.bfeccf68e8dfap-2", "0x1.796fd76e8e44ep-3", "0x1.bfeccf68e8dfap-2",
+        "0x1.796fd76e8e44ep-3", "0x1.4cb9d73e3e76fp+0", "0x1.cb67ae82d2a30p-1",
+        "0x1.4cb9d73e3e76fp+0", "0x1.cb67ae82d2a30p-1",
+    )),
+    ("var_q_const_b-3", 0): ((
+        "0x1.fa5e353f7ced9p-1", "0x1.b2b020c49ba5ep-1", "0x1.645a1cac08313p-3",
+        "nan", "nan", "nan",
+    ), (
+        "0x1.3b8b3a0b68110p-1", "0x1.626e70a23efaep-3", "0x1.7e0ccfc49e63dp-1",
+        "-0x1.a4766b5b80658p-2", "0x1.34b824800f149p-7", "0x1.85a45d475b004p-1",
+        "0x1.bf66a03b156e9p-1", "-0x1.8a910e74c352bp+0", "0x1.4e5c6d2203c86p+0",
+        "0x1.bf66a03b156e9p-1", "-0x1.8a910e74c352bp+0", "0x1.4e5c6d2203c86p+0",
+    )),
+    ("var_q_const_b-3", 3): ((
+        "nan", "0x1.810624dd2f1aap-2", "0x1.810624dd2f1aap-1",
+        "nan", "nan", "0x1.be76c8b439581p-4",
+    ), (
+        "0x1.d1eb78d7d1910p-1", "0x1.e03f8e686afd3p-1", "0x1.2091fe068aed5p+0",
+        "-0x1.45913b3b0ead0p+0", "0x1.1013fbf01d744p-1", "0x1.44daab64d7bb7p-1",
+        "0x1.9b62ad6e7f257p+0", "0x1.b6d0e8d74c9e1p-1", "0x1.e37d1f094de12p-2",
+        "-0x1.7022acb585330p-4", "0x1.fcd88cf88054cp-2", "-0x1.e4134bd5472d6p-5",
+    )),
+    ("diagonal-2", 0): ((
+        "0x1.9eb851eb851ecp-1", "0x1.e978d4fdf3b65p-3", "nan",
+        "nan", "nan", "0x1.645a1cac08313p-2",
+    ), (
+        "0x1.5b6354a7ed9c4p-5", "0x1.a02ecce6910e5p-1", "-0x1.9e08cd3c1d833p-2",
+        "0x1.60720b0eb91a8p-1", "-0x1.91c9c9f510f8bp-5", "0x1.959fb426b72a1p+0",
+        "-0x1.91c9c9f510f8bp-5", "0x1.959fb426b72a1p+0",
+    )),
+    ("diagonal-2", 3): ((
+        "0x1.147ae147ae148p-3", "0x1.e04189374bc6bp-1", "nan",
+        "nan", "0x1.5db22d0e56042p-1", "0x1.ced916872b021p-1",
+    ), (
+        "0x1.6869774a8b842p-7", "-0x1.e9f0df7b9238ep-5", "0x1.6869774a8b842p-7",
+        "-0x1.e9f0df7b9238ep-5", "0x1.171a03e7d3a72p-2", "0x1.7753318e5a764p-3",
+        "0x1.171a03e7d3a72p-2", "0x1.7753318e5a764p-3",
+    )),
+}
+
+DIAGONAL_Q_FIELDS = {
+    "var_q_const_b-2": lambda: ll.make_standard_fields("var_q_const_b", 2,
+                                                       [0.9]),
+    "var_q_const_b-3": lambda: ll.make_standard_fields("var_q_const_b", 3,
+                                                       [0.9]),
+    "diagonal-2": lambda: ll.field_from_expressions(
+        2, ["-x1", "sin(x2)"], ["1 + 0.9*sin(x1)^2", "2 + cos(x2)"]),
+}
+DIAGONAL_Q_BOUNDS = ll.EllipticityBounds(1.0, 3.0, 10.0, 1)
+
+
+@pytest.mark.parametrize("name, seed", sorted(DIAGONAL_Q_BITS))
+def test_diagonal_diffusion_outcomes_match_recorded_bits(name, seed):
+    field = DIAGONAL_Q_FIELDS[name]()
+    x0 = np.array([0.5, 0.2, 0.1][:field.dim])
+    y0 = np.array([-0.5, 0.1, 0.0][:field.dim])
+    cfg = ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=6, dt=1e-3, seed=seed)
+    stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg, x0, y0)
+    t, xs, ys, _ = ll.simulate_pair_trajectory(
+        field, DIAGONAL_Q_BOUNDS, cfg, x0, y0, stride=500)
+    assert t.tolist() == [0.0, 0.5, 1.0]
+    rows = np.concatenate([xs[1:], ys[1:]], axis=1).ravel()
+    time_bits, row_bits = DIAGONAL_Q_BITS[(name, seed)]
+    assert [v.hex() for v in stats.coupling_times.tolist()] == list(time_bits)
+    assert [v.hex() for v in rows.tolist()] == list(row_bits)
+
+
+def test_full_diffusion_step_uses_the_jacobi_square_root(rng):
+    # nonzero off-diagonals in every row but one: the whole batch takes the
+    # eigen-solver, and the step equals its explicit reference to the bit
+    field = ll.field_from_expressions(
+        2, ["-x1", "x1*x2"],
+        ["2 + sin(x1)", "0.3*x2", "0.3*x2", "2 + x1^2/(1 + x1^2)"])
+    mu, dt = 0.5, 1e-3
+    pts = rng.uniform(-2.0, 2.0, size=(50, 2))
+    pts[7, 1] = 0.0
+    dB, dW = math.sqrt(dt) * rng.standard_normal((2, 50, 2))
+    ref = pts.copy()
+    ref += field.drift(pts) * dt
+    ref += np.einsum("nij,nj->ni", coupling_sim._shifted_sqrt_batch(
+        field.diffusion(pts), mu), dB)
+    ref += math.sqrt(mu) * dW
+    coupling_sim._euler_step(field, pts, mu, dt, None, dB, dW)
+    np.testing.assert_array_equal(pts, ref)
+
+
+@pytest.mark.parametrize("diffusion", [["1 + x1"], ["1 + x1", "2"],
+                                       ["2", "1 + x1"]])
+def test_diagonal_diffusion_below_the_shift_is_named(diffusion):
+    field = ll.field_from_expressions(2, ["0", "0"], diffusion)
+    pts = np.array([[1.0, 0.0], [-0.7, 0.0], [-0.8, 0.0]])
+    with pytest.raises(ll.ShiftTooLarge) as exc:
+        coupling_sim._euler_step(field, pts, 0.5, 1e-3, None,
+                                 np.ones((3, 2)), np.ones((3, 2)))
+    assert str(exc.value) == ("shift mu=0.5 is not strictly below the "
+                              "smallest eigenvalue 0.2 (batch index 2)")
+
+
+@pytest.mark.parametrize("dim, error", [(1, ll.SimulationBlowUp),
+                                        (2, ll.EigenFailure)])
+def test_nan_diffusion_keeps_its_error(dim, error):
+    # a NaN diagonal bypasses the shortcut: in d = 1 the NaN sigma makes the
+    # state non-finite, in d > 1 the Jacobi sweeps never converge
+    def diffusion(points):
+        q = np.broadcast_to(np.eye(dim), (len(points), dim, dim)).copy()
+        q[points[:, 0] > 0.0, 0, 0] = np.nan
+        return q
+
+    field = ll.CoefficientField(dim, np.zeros_like, diffusion, 1.0, "nan-q")
+    cfg = ll.CouplingConfig(mu=0.5, t_max=0.1, n_paths=4, dt=1e-3, seed=0)
+    with pytest.raises(error):
+        ll.simulate_coupling(field, D1_BOUNDS, cfg, np.ones(dim),
+                             -np.ones(dim))
+
+
+# ---------------------------------------------------------------------------
 # simulate_coupling: laws and bookkeeping
 
 

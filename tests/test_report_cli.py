@@ -413,6 +413,25 @@ def test_cli_trajectory_blowup_names_stage(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_cli_trajectory_blowup_prints_only_the_error(capfd, tmp_path):
+    # the cubic drift overflows while the recorded trajectory explodes; the
+    # named blow-up is the only line on stderr
+    proc = _cli_child("couple", "--dim", "1", "--drift", "x1^3", "--x0",
+                      "1.1", "--y0", "1.05", "--t-max", "2", "--n-paths",
+                      "1", "--seed", "0", "--coupling-escape-radius", "1e300",
+                      "--ellipticity-samples", "500", "--output",
+                      str(tmp_path))
+    assert proc.returncode == 3
+    assert capfd.readouterr().err.splitlines() == [
+        "error in stage coupling: non-finite state in pair trajectory"]
+
+
+def test_cli_criterion_accepts_tanh(tmp_path, capsys):
+    assert run_cli(["criterion", "--dim", "1", "--drift", "tanh(x1)",
+                    "--seed", "0", "--output", str(tmp_path)]) == 0
+    assert "criterion verdict:" in capsys.readouterr().out
+
+
 def test_cli_oracle_failure_names_stage(capsys):
     # non-constant q is outside the 1D oracle's scope -> numerical-stage error
     code = run_cli(
