@@ -33,16 +33,22 @@ reported separately.
 Noise comes in blocks of 64 consecutive path indices: path i reads the
 Philox substream (seed, path-domain, i // 64), laid out step-major as 64
 paths by 2*dim normals per step, so its increment at step k is entry
-[k, i % 64] of that stream.  _draw_noise draws whole steps of the blocks
-that still hold a live path; a path that finishes mid-chunk leaves the
-rest of its entries unused.  Each path's noise is a pure function of the
-seed and the path index, whatever n_paths, the chunk length or the set
-of live paths, and since every step acts row by row, so is its outcome.
+[k, i % 64] of that stream.  _NoiseFeed hands out the noise in chunks of
+16..128 whole steps and draws chunk c+1 on one worker thread while the
+caller steps chunk c, so two chunks are in flight and the noise budget is
+split over them.  Chunk c+1 covers the blocks that still held a live path
+when chunk c began; a path that finishes mid-chunk leaves the rest of its
+entries unused, and a block with no live path left is not drawn again.
+Only the worker draws, one chunk after another, so each stream is read in
+order.  Each path's noise is a pure function of the seed and the path
+index, whatever n_paths, the chunk length or the set of live paths, and
+since every step acts row by row, so is its outcome.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -50,11 +56,12 @@ import numpy as np
 
 from . import _streams
 from .coefficients import CoefficientField, EllipticityBounds
-from .errors import ShiftTooLarge, SimulationBlowUp
+from .errors import (CoefficientEvaluationError, ShiftTooLarge,
+                     SimulationBlowUp)
 from .matrix_analysis import _check_shift, _shifted_sqrt_batch
 
 _STEP_CAP = 10_000_000
-_NOISE_BUDGET_BYTES = 6e7
+_NOISE_BUDGET_BYTES = 3e7  # per chunk, and _NoiseFeed holds two
 _BLOCK = 64  # paths per noise stream; see the module docstring
 _TINY = np.finfo(float).tiny
 
@@ -170,6 +177,11 @@ def _euler_step(field: CoefficientField, pts: np.ndarray, mu: float,
             _check_shift(diag.min(axis=1), mu)
             sig_dB = np.sqrt(diag - mu) * dB
         else:
+            bad = ~np.isfinite(q).all(axis=(1, 2))
+            if bad.any():
+                raise CoefficientEvaluationError(
+                    "diffusion is non-finite at x = "
+                    f"{pts[np.flatnonzero(bad)[0]].tolist()}")
             sig_dB = np.einsum("nij,nj->ni", _shifted_sqrt_batch(q, mu), dB)
     pts += drift * dt
     pts += sig_dB
@@ -212,21 +224,79 @@ def coupled_step(field: CoefficientField, bounds: EllipticityBounds,
     return z[0], z[1]
 
 
-def _draw_noise(gens: Sequence[np.random.Generator], steps_left: int,
-                dim: int, root_dt: float) -> np.ndarray:
-    """Increments (dB, dW) of the next 16..256 steps (never past the
-    horizon, within the noise budget) for the path blocks whose streams
-    are gens: shape (n_k, 64 * len(gens), 2*dim), block j in columns
-    64j..64j+63."""
-    rows = _BLOCK * len(gens)
-    budget = int(_NOISE_BUDGET_BYTES / (rows * 2 * dim * 8))
-    n_k = min(max(16, min(256, budget)), steps_left)
-    out = np.empty((n_k, rows, 2 * dim))
-    block = np.empty((n_k, _BLOCK, 2 * dim))
+def _draw_noise(gens: Sequence[np.random.Generator], out: np.ndarray,
+                root_dt: float) -> None:
+    """Fill out, shape (n_k, 64 * len(gens), 2*dim), with the increments
+    (dB, dW) of the next n_k steps of the path blocks whose streams are
+    gens, block j in columns 64j..64j+63."""
+    block = np.empty((len(out), _BLOCK, out.shape[2]))
     for j, gen in enumerate(gens):
         gen.standard_normal(out=block)
         np.multiply(block, root_dt, out=out[:, j * _BLOCK:(j + 1) * _BLOCK])
-    return out
+
+
+class _NoiseFeed:
+    """The noise of a run's path blocks in chunks of 16..128 steps (never
+    past the horizon, within the per-chunk noise budget), each filled by
+    _draw_noise on a worker thread while the caller steps the one before.
+
+    take(live) waits for the chunk in flight, starts the next one for the
+    blocks in live (those still holding a live path, a subset of the
+    blocks of the chunk taken) and returns (chunk, blocks): block blocks[j]
+    is in columns 64j..64j+63.  Only the worker draws, and it draws one
+    chunk at a time, so every stream is read in order.  Chunks are
+    allocated on the caller's thread, so they come from its heap whatever
+    the thread timing, and a caller that drops each chunk before it takes
+    the next holds at most two.  Leaving the with block waits for the
+    worker, so no thread outlives the run, whether it reaches the horizon,
+    stops early or raises.
+    """
+
+    def __init__(self, gens: Sequence[np.random.Generator], n_steps: int,
+                 dim: int, root_dt: float):
+        self._gens = gens
+        self._steps_left = n_steps
+        self._dim = dim
+        self._root_dt = root_dt
+        self._worker: Optional[threading.Thread] = None
+        self._chunk = self._blocks = self._error = None
+
+    def __enter__(self) -> "_NoiseFeed":
+        self._start(range(len(self._gens)))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._worker is not None:
+            self._worker.join()
+
+    def _start(self, blocks) -> None:
+        self._worker = None
+        if not self._steps_left:
+            return
+        self._blocks = np.asarray(blocks)
+        rows = _BLOCK * len(self._blocks)
+        budget = int(_NOISE_BUDGET_BYTES / (rows * 2 * self._dim * 8))
+        n_k = min(max(16, min(128, budget)), self._steps_left)
+        self._chunk = chunk = np.empty((n_k, rows, 2 * self._dim))
+        gens = [self._gens[b] for b in self._blocks]
+
+        def draw():
+            try:
+                _draw_noise(gens, chunk, self._root_dt)
+            except Exception as exc:  # raised again by take, on the caller
+                self._error = exc
+
+        self._worker = threading.Thread(target=draw, name="noise-draw")
+        self._worker.start()
+
+    def take(self, live) -> Tuple[np.ndarray, np.ndarray]:
+        self._worker.join()
+        if self._error is not None:
+            raise self._error
+        chunk, blocks, self._chunk = self._chunk, self._blocks, None
+        self._steps_left -= len(chunk)
+        self._start(live)
+        return chunk, blocks
 
 
 def _block_streams(seed: int, domain: int, n_paths: int) -> list:
@@ -299,42 +369,42 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
         recorded = np.zeros(n)
 
     step = 0
-    while step < n_steps and ids.size:
-        blocks = np.unique(ids // _BLOCK)
-        noise = _draw_noise([gens[b] for b in blocks], n_steps - step, dim,
-                            root_dt)
-        # column of each live path in the chunk; all columns live is the
-        # identity map, and the chunk rows are used without a gather
-        cols = np.searchsorted(blocks, ids // _BLOCK) * _BLOCK \
-            + ids % _BLOCK
-        for k in range(len(noise)):
-            m = ids.size
-            nz = noise[k] if m == noise.shape[1] \
-                else np.take(noise[k], cols, axis=0)
-            diff = _pair_step(field, z, cfg.mu, cfg.dt, const_sigma,
-                              nz[:, :dim], nz[:, dim:])
-            if step + k == k_record:
-                recorded[ids] = _norms(diff)
-            if not np.isfinite(z).all():
-                bad = ~np.isfinite(z).all(axis=1)
-                raise SimulationBlowUp(
-                    "non-finite state in coupled pair",
-                    path_index=int(ids[np.flatnonzero(bad[:m] | bad[m:])[0]]),
-                    time=(step + k + 1) * cfg.dt)
-            hit = _segment_min_distance(diff, z[:m] - z[m:]) \
-                <= cfg.couple_radius
-            far = _beyond(z, esc_radius)
-            done = hit | far[:m] | far[m:]
-            if done.any():
-                couple_time[ids[hit]] = (step + k + 1) * cfg.dt
-                escaped[ids[done & ~hit]] = True
-                keep = ~done
-                ids, cols = ids[keep], cols[keep]
-                z = z[np.concatenate([keep, keep])]
-                if not ids.size:
-                    break
-        step += len(noise)
-        noise = nz = None  # free the chunk before the next one is drawn
+    with _NoiseFeed(gens, n_steps, dim, root_dt) as feed:
+        while step < n_steps and ids.size:
+            noise, blocks = feed.take(np.unique(ids // _BLOCK))
+            # column of each live path in the chunk; all columns live is the
+            # identity map, and the chunk rows are used without a gather
+            cols = np.searchsorted(blocks, ids // _BLOCK) * _BLOCK \
+                + ids % _BLOCK
+            for k in range(len(noise)):
+                m = ids.size
+                nz = noise[k] if m == noise.shape[1] \
+                    else np.take(noise[k], cols, axis=0)
+                diff = _pair_step(field, z, cfg.mu, cfg.dt, const_sigma,
+                                  nz[:, :dim], nz[:, dim:])
+                if step + k == k_record:
+                    recorded[ids] = _norms(diff)
+                if not np.isfinite(z).all():
+                    bad = ~np.isfinite(z).all(axis=1)
+                    raise SimulationBlowUp(
+                        "non-finite state in coupled pair",
+                        path_index=int(
+                            ids[np.flatnonzero(bad[:m] | bad[m:])[0]]),
+                        time=(step + k + 1) * cfg.dt)
+                hit = _segment_min_distance(diff, z[:m] - z[m:]) \
+                    <= cfg.couple_radius
+                far = _beyond(z, esc_radius)
+                done = hit | far[:m] | far[m:]
+                if done.any():
+                    couple_time[ids[hit]] = (step + k + 1) * cfg.dt
+                    escaped[ids[done & ~hit]] = True
+                    keep = ~done
+                    ids, cols = ids[keep], cols[keep]
+                    z = z[np.concatenate([keep, keep])]
+                    if not ids.size:
+                        break
+            step += len(noise)
+            noise = nz = None  # at most two chunks live: this and the next
     if k_record == n_steps:
         m = ids.size
         recorded[ids] = _norms(z[:m] - z[m:])
@@ -386,28 +456,29 @@ def simulate_pair_trajectory(field: CoefficientField,
     merged = False
     noise = np.empty((0, 2 * dim))
     start = 0
-    for k in range(n_steps):
-        if k == start + len(noise):
-            start, noise = k, _draw_noise(gens, n_steps - k, dim,
-                                          math.sqrt(cfg.dt))[:, 0]
-        dB = noise[None, k - start, :dim]
-        dW = noise[None, k - start, dim:]
-        if merged:
-            _euler_step(field, z[:1], cfg.mu, cfg.dt, const_sigma, dB, dW)
-        else:
-            diff = _pair_step(field, z, cfg.mu, cfg.dt, const_sigma, dB, dW)
-            merged = _segment_min_distance(diff, z[:1] - z[1:])[0] \
-                <= cfg.couple_radius
-        if merged:
-            z[1] = z[0]
-        if not np.isfinite(z).all():
-            raise SimulationBlowUp("non-finite state in pair trajectory",
-                                   path_index=0, time=(k + 1) * cfg.dt)
-        if _beyond(z, esc_radius).any():
-            break
-        if (k + 1) % stride == 0 or k == n_steps - 1:
-            times.append((k + 1) * cfg.dt)
-            states.append(z.copy())
+    with _NoiseFeed(gens, n_steps, dim, math.sqrt(cfg.dt)) as feed:
+        for k in range(n_steps):
+            if k == start + len(noise):
+                start, noise = k, feed.take([0])[0][:, 0]
+            dB = noise[None, k - start, :dim]
+            dW = noise[None, k - start, dim:]
+            if merged:
+                _euler_step(field, z[:1], cfg.mu, cfg.dt, const_sigma, dB, dW)
+            else:
+                diff = _pair_step(field, z, cfg.mu, cfg.dt, const_sigma, dB,
+                                  dW)
+                merged = _segment_min_distance(diff, z[:1] - z[1:])[0] \
+                    <= cfg.couple_radius
+            if merged:
+                z[1] = z[0]
+            if not np.isfinite(z).all():
+                raise SimulationBlowUp("non-finite state in pair trajectory",
+                                       path_index=0, time=(k + 1) * cfg.dt)
+            if _beyond(z, esc_radius).any():
+                break
+            if (k + 1) % stride == 0 or k == n_steps - 1:
+                times.append((k + 1) * cfg.dt)
+                states.append(z.copy())
     t = np.array(times)
     X, Y = np.stack(states, axis=1)
     return t, X, Y, np.linalg.norm(X - Y, axis=1)
@@ -439,19 +510,21 @@ def martingale_check(field: CoefficientField, bounds: EllipticityBounds,
     n = int(n_paths)
     gens = _block_streams(seed, _streams.DOMAIN_MARTINGALE, n)
     X = np.tile(x0, (n, 1))
+    every = range(len(gens))
     step = 0
-    while step < n_steps:
-        noise = _draw_noise(gens, n_steps - step, dim, root_dt)[:, :n]
-        for k in range(len(noise)):
-            _euler_step(field, X, mu, dt, const_sigma,
-                        noise[k, :, :dim], noise[k, :, dim:])
-            if not np.isfinite(X).all():
-                j = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
-                raise SimulationBlowUp("non-finite state in martingale paths",
-                                       path_index=j,
-                                       time=(step + k + 1) * dt)
-        step += len(noise)
-        noise = None  # free the chunk before the next one is drawn
+    with _NoiseFeed(gens, n_steps, dim, root_dt) as feed:
+        while step < n_steps:
+            noise = feed.take(every)[0][:, :n]
+            for k in range(len(noise)):
+                _euler_step(field, X, mu, dt, const_sigma,
+                            noise[k, :, :dim], noise[k, :, dim:])
+                if not np.isfinite(X).all():
+                    j = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
+                    raise SimulationBlowUp(
+                        "non-finite state in martingale paths", path_index=j,
+                        time=(step + k + 1) * dt)
+            step += len(noise)
+            noise = None  # at most two chunks live: this and the next
     try:
         vals = np.asarray(u(n_steps * dt, X), dtype=float)
         if vals.shape != (X.shape[0],):

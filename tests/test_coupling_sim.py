@@ -1,6 +1,9 @@
 """Reflection-coupled Euler scheme: kernel algebra, laws, martingale checks."""
 
+import hashlib
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -216,11 +219,11 @@ def test_diagonal_diffusion_below_the_shift_is_named(diffusion):
                               "smallest eigenvalue 0.2 (batch index 2)")
 
 
-@pytest.mark.parametrize("dim, error", [(1, ll.SimulationBlowUp),
-                                        (2, ll.EigenFailure)])
-def test_nan_diffusion_keeps_its_error(dim, error):
-    # a NaN diagonal bypasses the shortcut: in d = 1 the NaN sigma makes the
-    # state non-finite, in d > 1 the Jacobi sweeps never converge
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nan_diffusion_is_named(dim):
+    # a NaN diagonal bypasses the shortcut and is named before the Jacobi
+    # solver runs (in d = 1 it would turn the state non-finite, in d > 1
+    # the sweeps would never converge)
     def diffusion(points):
         q = np.broadcast_to(np.eye(dim), (len(points), dim, dim)).copy()
         q[points[:, 0] > 0.0, 0, 0] = np.nan
@@ -228,9 +231,10 @@ def test_nan_diffusion_keeps_its_error(dim, error):
 
     field = ll.CoefficientField(dim, np.zeros_like, diffusion, 1.0, "nan-q")
     cfg = ll.CouplingConfig(mu=0.5, t_max=0.1, n_paths=4, dt=1e-3, seed=0)
-    with pytest.raises(error):
+    with pytest.raises(ll.CoefficientEvaluationError) as exc:
         ll.simulate_coupling(field, D1_BOUNDS, cfg, np.ones(dim),
                              -np.ones(dim))
+    assert str(exc.value) == f"diffusion is non-finite at x = {[1.0] * dim}"
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +341,94 @@ def test_block_noise_outcomes_do_not_depend_on_path_count_or_chunking(
     # a budget below one step's noise gives the shortest chunks, 16 steps
     monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", 1.0)
     np.testing.assert_array_equal(first_block_times(200), alone)
+
+
+# sha256 of the comma-joined float.hex of all 300 coupling times (zero
+# field, d = 1, x0 = -y0 = 0.02, mu 0.5, T = 1, dt 1e-3), recorded when each
+# chunk's noise was drawn for exactly the blocks live at its start
+DEAD_BLOCK_TIMES_SHA256 = {
+    6: "7fc4df6d318e0a0c500f729024006f0a18789445274b0dc324d6c2574a251916",
+    10: "926e652982340d72e08beef6a902fc8fec04f82eb0a98feff83c8dc644e5d0b9",
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1.0])
+@pytest.mark.parametrize("seed", sorted(DEAD_BLOCK_TIMES_SHA256))
+def test_outcomes_after_a_dead_block_match_recorded_bits(seed, budget,
+                                                         monkeypatch):
+    # a chunk covers the blocks live when the chunk before it began, so once
+    # a block dies the live paths of the blocks above it must be mapped
+    # past its columns; the 16-step chunks of a budget of 1 byte bring many
+    # chunk boundaries after the death
+    if budget is not None:
+        monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", budget)
+    field = ll.make_standard_fields("zero", 1)
+    cfg = ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=300, dt=1e-3,
+                            seed=seed)
+    times = ll.simulate_coupling(field, D1_BOUNDS, cfg, np.array([0.02]),
+                                 np.array([-0.02])).coupling_times
+    # a block is done well before the horizon while one above it runs on
+    live_at_end = [np.isnan(times[i:i + 64]).any() for i in range(0, 300, 64)]
+    assert any(not live and times[64 * b:64 * b + 64].max() < 0.9
+               and any(live_at_end[b + 1:])
+               for b, live in enumerate(live_at_end))
+    digest = hashlib.sha256(
+        ",".join(t.hex() for t in times.tolist()).encode()).hexdigest()
+    assert digest == DEAD_BLOCK_TIMES_SHA256[seed]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_no_noise_thread_outlives_a_call(monkeypatch):
+    # every draw is slowed down, so a worker still drawing when a simulator
+    # returns or raises would still be counted
+    draw = coupling_sim._draw_noise
+
+    def slow_draw(*args):
+        time.sleep(0.05)
+        return draw(*args)
+
+    monkeypatch.setattr(coupling_sim, "_draw_noise", slow_draw)
+    x0, y0 = np.array([3.0]), np.array([2.9])
+
+    def simulators(drift, escape_radius):
+        field = ll.field_from_expressions(1, [drift])
+        cfg = ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=100, dt=1e-3,
+                                seed=0, escape_radius=escape_radius)
+        return [
+            lambda: ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, y0),
+            lambda: ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg, x0, y0),
+            lambda: ll.martingale_check(
+                field, D1_BOUNDS, lambda t, x: 0.0, mu=0.5, x0=x0, t=1.0,
+                n_paths=100, dt=1e-3, seed=0),
+        ]
+
+    before = threading.active_count()
+    # every path escapes near t = 0.12, long before the horizon (the
+    # martingale paths, which never stop, run to it)
+    for run in simulators("10*x1", 10.0):
+        run()
+        assert threading.active_count() == before
+    # dX = X^3 dt from 3 blows up near t = 1/18, inside the first chunk
+    for run in simulators("x1^3", math.inf):
+        with pytest.raises(ll.SimulationBlowUp):
+            run()
+        assert threading.active_count() == before
+
+    # a draw that fails on the worker is raised again on the caller
+    calls = []
+
+    def failing_draw(*args):
+        calls.append(None)
+        if len(calls) > 1:
+            raise MemoryError("noise chunk")
+        return draw(*args)
+
+    monkeypatch.setattr(coupling_sim, "_draw_noise", failing_draw)
+    for run in simulators("0", math.inf):
+        calls.clear()
+        with pytest.raises(MemoryError, match="noise chunk"):
+            run()
+        assert threading.active_count() == before
 
 
 def test_coupling_deterministic():
@@ -452,7 +544,7 @@ def test_pair_trajectory_shapes_and_merge():
 @pytest.mark.parametrize("name, dim", [("zero", 1), ("ou", 2)])
 def test_pair_trajectory_couples_at_the_step_of_simulate_coupling(name, dim):
     # both simulators step path 0's stream through the same kernel; seeds 0-7
-    # couple early, after the first 256-step noise chunk, and not at all
+    # couple within the first 256 steps, after them, and not at all
     field = ll.make_standard_fields(name, dim)
     x0 = 0.5 * np.eye(dim)[0]
     cases = set()
