@@ -8,8 +8,11 @@ Subcommands::
     liouville-lab couple     --seed 0 [...]      coupling experiment only
     liouville-lab full       --seed 0 [...]      pipeline + oracle + coupling
 
-Every option mirrors a config-file key; ``--config FILE`` loads the flat
-key-value format first and explicitly given flags win on conflict.
+Every option mirrors a config-file key (see ``config.RunConfig``);
+``--config FILE`` loads the flat key-value format first, explicitly given
+flags win on conflict, and keys neither sets get the subcommand's
+defaults: ``criterion`` runs neither the oracle nor the coupling, ``full``
+runs the oracle when d = 1 and the coupling.
 
 Exit codes: 0 success; 2 configuration/usage errors; 3 numerical
 failures (stderr names the failing stage); 4 a Contradiction verdict
@@ -20,128 +23,62 @@ harmonic function — emitted to disk first, then flagged).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from . import report as report_mod
 from .coefficients import CATALOGUE, estimate_ellipticity
-from .config import RunConfig, config_from_entries, parse_config
-from .coupling_sim import CouplingConfig, simulate_coupling, \
-    simulate_pair_trajectory
+from .config import RunConfig, config_entries, config_from_entries
+from .coupling_sim import simulate_coupling, simulate_pair_trajectory
 from .errors import CatalogueError, ConfigError, LiouvilleLabError
 from .harmonic_oracle import harmonic_1d
 from .report import (CONTRADICTION, VerdictBundle, annotate_stage,
-                     build_field, emit, run)
-
-_THREADS_ENV = "LIOUVILLE_LAB_THREADS"
-
-# option name -> (config key, value kind for canonical string form)
-_OPTIONS = {
-    "--field": ("field.name", "value"),
-    "--dim": ("field.dim", "value"),
-    "--params": ("field.params", "value"),
-    "--drift": ("field.drift", "value"),
-    "--diffusion": ("field.diffusion", "value"),
-    "--window-radius": ("window.radius", "value"),
-    "--radii-min": ("radii.min", "value"),
-    "--radii-max": ("radii.max", "value"),
-    "--radii-points": ("radii.points", "value"),
-    "--pairs": ("dispersion.pairs", "value"),
-    "--tail-fraction": ("dispersion.tail_fraction", "value"),
-    "--ellipticity-samples": ("ellipticity.samples", "value"),
-    "--mu-grid": ("mu.grid", "value"),
-    "--modulus-points": ("modulus.points", "value"),
-    "--modulus-pairs": ("modulus.pairs", "value"),
-    "--modulus-s-min": ("modulus.s_min", "value"),
-    "--escape-r-max": ("escape.r_max", "value"),
-    "--oracle-x-max": ("oracle.x_max", "value"),
-    "--oracle-tol": ("oracle.tol", "value"),
-    "--mu": ("coupling.mu", "value"),
-    "--t-max": ("coupling.t_max", "value"),
-    "--dt": ("coupling.dt", "value"),
-    "--n-paths": ("coupling.n_paths", "value"),
-    "--couple-radius": ("coupling.couple_radius", "value"),
-    "--coupling-escape-radius": ("coupling.escape_radius", "value"),
-    "--x0": ("coupling.x0", "value"),
-    "--y0": ("coupling.y0", "value"),
-    "--seed": ("seed", "value"),
-    "--threads": ("threads", "value"),
-    "--output": ("output.dir", "value"),
-}
-_FLAG_OPTIONS = {
-    "--linear-radii": ("radii.log", "false"),
-    "--count-escaped": ("coupling.count_escaped", "true"),
-    "--oracle": ("oracle.enabled", "true"),
-    "--no-oracle": ("oracle.enabled", "false"),
-    "--couple": ("coupling.enabled", "true"),
-    "--no-couple": ("coupling.enabled", "false"),
-}
+                     build_field, coupling_stage, coupling_summary, emit,
+                     run, write_profile, write_trajectory)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="flat key-value config file; explicit flags "
                              "override its entries")
-    for opt, (key, _) in _OPTIONS.items():
-        parser.add_argument(opt, dest=key.replace(".", "__"),
-                            default=argparse.SUPPRESS, metavar="V",
-                            help=f"sets {key}")
-    for opt, (key, value) in _FLAG_OPTIONS.items():
-        parser.add_argument(opt, dest=key.replace(".", "__") + "__" + value,
-                            default=argparse.SUPPRESS, action="store_true",
-                            help=f"sets {key} = {value}")
+    for f in dataclasses.fields(RunConfig):
+        key, flag = f.metadata["key"], f.metadata["flag"]
+        if flag is not None:
+            parser.add_argument(flag, dest=f.name, default=argparse.SUPPRESS,
+                                metavar="V", help=f"sets {key}")
+        for switch, value in f.metadata["switches"]:
+            parser.add_argument(switch, dest=f.name, action="store_const",
+                                const=value, default=argparse.SUPPRESS,
+                                help=f"sets {key} = {value}")
 
 
-def _entries_from_args(args: argparse.Namespace) -> Dict[str, str]:
+def _entries(args: argparse.Namespace) -> Dict[str, str]:
+    """The config file's entries, overridden by the flags given."""
     entries: Dict[str, str] = {}
-    if getattr(args, "config", None):
-        text = Path(args.config).read_text(encoding="utf-8")
-        file_cfg = parse_config(text)  # validates keys and the seed
-        from .config import _ATTR_TO_KEY, _KEYS, _format_value
-        for attr, key in _ATTR_TO_KEY.items():
-            entries[key] = _format_value(_KEYS[key][1],
-                                         getattr(file_cfg, attr))
-            if entries[key].startswith('"'):
-                entries[key] = entries[key][1:-1]
-    flag_entries: Dict[str, str] = {}
-    for name, value in vars(args).items():
-        if name in ("config", "command") or value is argparse.SUPPRESS:
-            continue
-        parts = name.split("__")
-        if len(parts) == 2:
-            flag_entries[".".join(parts) if parts[1] else parts[0]] = \
-                str(value)
-        elif len(parts) == 3 and value is True:
-            flag_entries[f"{parts[0]}.{parts[1]}"] = parts[2]
-        elif len(parts) == 1 and name in ("seed", "threads"):
-            flag_entries[name] = str(value)
-    # picking a field by flag resets stale params unless also given
-    if "field.name" in flag_entries and "field.params" not in flag_entries:
-        flag_entries["field.params"] = ""
-    entries.update(flag_entries)
-    return entries
+    if args.config:
+        entries = config_entries(Path(args.config).read_text(encoding="utf-8"))
+        config_from_entries(entries)  # the file must be a config by itself
+    given = [f for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)]
+    flags = {f.metadata["key"]: getattr(args, f.name) for f in given}
+    for f in given:
+        # picking a field by flag drops the file's params for the old one
+        if f.metadata["resets"] is not None:
+            flags.setdefault(f.metadata["resets"], "")
+    return {**entries, **flags}
 
 
-def _build_config(args: argparse.Namespace,
-                  forced: Optional[Dict[str, str]] = None) -> RunConfig:
-    entries = _entries_from_args(args)
-    if forced:
-        entries.update(forced)
-    cfg = config_from_entries(entries)
-    env = os.environ.get(_THREADS_ENV)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"{_THREADS_ENV} must be an integer")
-        if cap < 1:
-            raise ConfigError(f"{_THREADS_ENV} must be >= 1")
-        if cfg.threads > cap:
-            cfg = RunConfig(**{**cfg.__dict__, "threads": cap})
-    return cfg
+def _writes_files(args: argparse.Namespace) -> bool:
+    """harmonic1d and couple write files only if --output or --config is
+    given."""
+    return hasattr(args, "output_dir") or bool(args.config)
+
+
+def _write_artifact(cfg: RunConfig, writer, result) -> None:
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    print(f"wrote: {writer(out, result)}")
 
 
 def _print_bundle_summary(bundle: VerdictBundle) -> None:
@@ -186,29 +123,27 @@ def _cmd_catalogue(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_criterion(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, forced={"oracle.enabled": "false",
-                                      "coupling.enabled": "false"})
+def _emit_bundle(cfg: RunConfig) -> VerdictBundle:
     bundle = run(cfg)
     paths = emit(bundle, cfg.output_dir)
     _print_bundle_summary(bundle)
     print("wrote: " + ", ".join(str(p) for p in paths))
+    return bundle
+
+
+def _cmd_criterion(args: argparse.Namespace) -> int:
+    _emit_bundle(config_from_entries({**_entries(args),
+                                      "oracle.enabled": "false",
+                                      "coupling.enabled": "false"}))
     return 0
 
 
 def _cmd_full(args: argparse.Namespace) -> int:
-    entries = _entries_from_args(args)
+    entries = _entries(args)
+    cfg = config_from_entries({"coupling.enabled": "true", **entries})
     if "oracle.enabled" not in entries:
-        dim = int(entries.get("field.dim", "1"))
-        entries["oracle.enabled"] = "true" if dim == 1 else "false"
-    if "coupling.enabled" not in entries:
-        entries["coupling.enabled"] = "true"
-    cfg = config_from_entries(entries)
-    bundle = run(cfg)
-    paths = emit(bundle, cfg.output_dir)
-    _print_bundle_summary(bundle)
-    print("wrote: " + ", ".join(str(p) for p in paths))
-    if bundle.consistency == CONTRADICTION:
+        cfg = dataclasses.replace(cfg, oracle_enabled=cfg.field_dim == 1)
+    if _emit_bundle(cfg).consistency == CONTRADICTION:
         print("error in stage consistency: criterion guarantees the "
               "Liouville property but the oracle found a bounded "
               "nonconstant harmonic function", file=sys.stderr)
@@ -217,7 +152,7 @@ def _cmd_full(args: argparse.Namespace) -> int:
 
 
 def _cmd_harmonic1d(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = config_from_entries(_entries(args))
     with annotate_stage("field"):
         field = build_field(cfg)
     if field.dim != 1:
@@ -235,69 +170,29 @@ def _cmd_harmonic1d(args: argparse.Namespace) -> int:
           f"u(-inf) = {profile.u_minus_limit:.6g}")
     for note in profile.notes:
         print(f"  note: {note}")
-    if getattr(args, "output__dir", None) is not None \
-            or getattr(args, "config", None):
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        from .report import _csv_text
-        path = out / "profile.csv"
-        path.write_text(_csv_text(["x", "u", "du"],
-                                  [profile.x, profile.u, profile.du]),
-                        encoding="utf-8")
-        print(f"wrote: {path}")
+    if _writes_files(args):
+        _write_artifact(cfg, write_profile, profile)
     return 0
 
 
 def _cmd_couple(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = config_from_entries(_entries(args))
     with annotate_stage("field"):
         field = build_field(cfg)
     bounds = estimate_ellipticity(field, cfg.window_radius,
                                   cfg.ellipticity_samples, cfg.seed)
-    mu = cfg.coupling_mu if cfg.coupling_mu is not None \
-        else 0.5 * bounds.lambda0
-    x0, y0 = cfg.coupling_x0, cfg.coupling_y0
-    if x0 is None or y0 is None:
-        x0, y0 = report_mod._default_endpoints(field.dim)
-    if len(x0) != field.dim or len(y0) != field.dim:
-        raise ConfigError("coupling.x0/y0 length must equal field.dim")
-    try:
-        with annotate_stage("coupling"):
-            ccfg = CouplingConfig(
-                mu=mu, t_max=cfg.coupling_t_max,
-                n_paths=cfg.coupling_n_paths, dt=cfg.coupling_dt,
-                couple_radius=cfg.coupling_couple_radius,
-                escape_radius=cfg.coupling_escape_radius, seed=cfg.seed,
-                count_escaped_as_coupled=cfg.coupling_count_escaped)
-            stats = simulate_coupling(field, bounds, ccfg, x0, y0)
-    except ValueError as exc:
-        raise ConfigError(f"coupling setup: {exc}") from exc
-    doc = {
-        "n_paths": stats.n_paths, "n_coupled": stats.n_coupled,
-        "n_escaped": stats.n_escaped,
-        "p_couple": stats.p_couple, "ci_halfwidth": stats.ci_halfwidth,
-        "coupling_time_quantiles": report_mod._reals(
-            stats.coupling_time_quantiles),
-        "mu": mu, "t_max": ccfg.t_max, "dt": ccfg.dt,
-    }
-    print(json.dumps(doc, sort_keys=True, indent=2))
-    if getattr(args, "output__dir", None) is not None \
-            or getattr(args, "config", None):
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        stride = max(1, ccfg.n_steps() // 1000)
-        with annotate_stage("coupling"):
-            t, X, Y, dist = simulate_pair_trajectory(field, bounds, ccfg,
-                                                     x0, y0, stride=stride)
-        from .report import _csv_text
-        dim = X.shape[1]
-        header = (["t"] + [f"x{i+1}" for i in range(dim)]
-                  + [f"y{i+1}" for i in range(dim)] + ["dist"])
-        cols = [t] + [X[:, i] for i in range(dim)] \
-            + [Y[:, i] for i in range(dim)] + [dist]
-        path = out / "coupling.csv"
-        path.write_text(_csv_text(header, cols), encoding="utf-8")
-        print(f"wrote: {path}")
+    trajectory = None
+    with coupling_stage(cfg, field, 0.5 * bounds.lambda0) as (params, x0, y0,
+                                                              stride):
+        stats = simulate_coupling(field, bounds, params, x0, y0)
+        # printed before the trajectory runs, so a blow-up there keeps them
+        print(json.dumps(coupling_summary(stats, params), sort_keys=True,
+                         indent=2))
+        if _writes_files(args):
+            trajectory = simulate_pair_trajectory(field, bounds, params,
+                                                  x0, y0, stride=stride)
+    if trajectory is not None:
+        _write_artifact(cfg, write_trajectory, trajectory)
     return 0
 
 

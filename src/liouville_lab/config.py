@@ -8,9 +8,14 @@ Grammar (one entry per line)::
 Values are typed per key: integers, reals, booleans (``true``/``false``),
 ``none`` for optional entries, comma-separated reals for vectors, and
 strings.  Strings containing spaces or '#' must be double-quoted;
-multiple expressions inside one string are separated by ';'.  The
-emitter writes keys in a fixed canonical order with round-trippable
-value formatting, so ``parse_config(emit_config(cfg)) == cfg`` exactly.
+multiple expressions inside one string are separated by ';'.  No string
+may hold a double quote or a line break.  The emitter writes keys in a
+fixed canonical order with round-trippable value formatting, so
+``parse_config(emit_config(cfg)) == cfg`` exactly.
+
+Each knob is declared once, on its RunConfig field: config key, value
+kind, command-line flag and on/off switches, and its range check.  The
+parser, the emitter and the command-line front end all read that table.
 
 The seed is mandatory: there is no wall-clock fallback anywhere, a
 config without an explicit seed is rejected.
@@ -19,163 +24,155 @@ config without an explicit seed is rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Dict, Optional, Tuple
 
 from .errors import ConfigError
 
 _CONSISTENT_DEFAULT_FIELD = "log_example"
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_POSITIVE_FINITE = (lambda v: v is None or (v > 0 and math.isfinite(v)),
+                    "must be positive and finite")
+
+
+def _knob(key: str, kind: str, flag: Optional[str] = None, *,
+          default=MISSING, switches: Tuple[Tuple[str, str], ...] = (),
+          check=None, resets: Optional[str] = None):
+    """A RunConfig field with its config ``key``, value ``kind``, value
+    ``flag``, on/off ``switches`` as (flag, value) pairs and range
+    ``check`` as (predicate, phrase).  A ``resets`` key is cleared when
+    this knob's flag is given without that key's own flag."""
+    return field(default=default, metadata={
+        "key": key, "kind": kind, "flag": flag, "switches": switches,
+        "check": check, "resets": resets})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline run depends on, in one frozen record."""
 
-    seed: int
-    field_name: str = _CONSISTENT_DEFAULT_FIELD
-    field_dim: int = 1
-    field_params: Tuple[float, ...] = (0.25,)
-    field_drift: Optional[Tuple[str, ...]] = None
-    field_diffusion: Optional[Tuple[str, ...]] = None
-    window_radius: float = 100.0
-    radii_min: float = 1.0
-    radii_max: float = 1e5
-    radii_points: int = 48
-    radii_log: bool = True
-    dispersion_pairs: int = 32
-    tail_fraction: float = 0.2
-    ellipticity_samples: int = 20000
-    mu_grid: int = 99
-    modulus_points: int = 48
-    modulus_pairs: int = 16
-    modulus_s_min: float = 1e-6
-    escape_r_max: float = 1e6
-    oracle_enabled: bool = False
-    oracle_x_max: float = 1e6
-    oracle_tol: float = 1e-10
-    coupling_enabled: bool = False
-    coupling_mu: Optional[float] = None     # None = derive from the run
-    coupling_t_max: float = 10.0
-    coupling_dt: float = 1e-3
-    coupling_n_paths: int = 1000
-    coupling_couple_radius: float = 1e-3
-    coupling_escape_radius: Optional[float] = None
-    coupling_x0: Optional[Tuple[float, ...]] = None
-    coupling_y0: Optional[Tuple[float, ...]] = None
-    coupling_count_escaped: bool = False
-    threads: int = 1
-    output_dir: str = "liouville-out"
+    seed: int = _knob("seed", "int", "--seed", check=(
+        lambda v: int(v) == v, "must be an integer"))
+    field_name: str = _knob("field.name", "str", "--field",
+                            default=_CONSISTENT_DEFAULT_FIELD,
+                            resets="field.params")
+    field_dim: int = _knob("field.dim", "int", "--dim", default=1, check=(
+        lambda v: v >= 1 and int(v) == v, "must be a positive integer"))
+    field_params: Tuple[float, ...] = _knob("field.params", "floats",
+                                            "--params", default=(0.25,))
+    field_drift: Optional[Tuple[str, ...]] = _knob(
+        "field.drift", "opt_strs", "--drift", default=None, check=(
+            lambda v: v is None or len(v) > 0, "must not be empty when given"))
+    field_diffusion: Optional[Tuple[str, ...]] = _knob(
+        "field.diffusion", "opt_strs", "--diffusion", default=None)
+    window_radius: float = _knob("window.radius", "float", "--window-radius",
+                                 default=100.0, check=_POSITIVE)
+    radii_min: float = _knob("radii.min", "float", "--radii-min", default=1.0)
+    radii_max: float = _knob("radii.max", "float", "--radii-max", default=1e5)
+    radii_points: int = _knob(
+        "radii.points", "int", "--radii-points", default=48, check=(
+            lambda v: v >= 10, "must be at least 10 (the dispersion tail "
+                               "estimate needs a usable tail)"))
+    radii_log: bool = _knob("radii.log", "bool", default=True,
+                            switches=(("--linear-radii", "false"),))
+    n_pairs: int = _knob("dispersion.pairs", "int", "--pairs", default=32,
+                         check=_POSITIVE)
+    tail_fraction: float = _knob(
+        "dispersion.tail_fraction", "float", "--tail-fraction", default=0.2,
+        check=(lambda v: 0 < v <= 1, "must lie in (0, 1]"))
+    ellipticity_samples: int = _knob(
+        "ellipticity.samples", "int", "--ellipticity-samples", default=20000,
+        check=_POSITIVE)
+    mu_grid: int = _knob("mu.grid", "int", "--mu-grid", default=99,
+                         check=_POSITIVE)
+    modulus_points: int = _knob("modulus.points", "int", "--modulus-points",
+                                default=48, check=(lambda v: v >= 4,
+                                                   "must be at least 4"))
+    modulus_pairs: int = _knob("modulus.pairs", "int", "--modulus-pairs",
+                               default=16, check=_POSITIVE)
+    modulus_s_min: float = _knob("modulus.s_min", "float", "--modulus-s-min",
+                                 default=1e-6, check=_POSITIVE)
+    escape_r_max: float = _knob("escape.r_max", "float", "--escape-r-max",
+                                default=1e6, check=_POSITIVE)
+    oracle_enabled: bool = _knob("oracle.enabled", "bool", default=False,
+                                 switches=(("--oracle", "true"),
+                                           ("--no-oracle", "false")))
+    oracle_x_max: float = _knob("oracle.x_max", "float", "--oracle-x-max",
+                                default=1e6, check=(lambda v: v > 1e-2,
+                                                    "too small"))
+    oracle_tol: float = _knob("oracle.tol", "float", "--oracle-tol",
+                              default=1e-10, check=_POSITIVE)
+    coupling_enabled: bool = _knob("coupling.enabled", "bool", default=False,
+                                   switches=(("--couple", "true"),
+                                             ("--no-couple", "false")))
+    # None = derive from the run
+    coupling_mu: Optional[float] = _knob("coupling.mu", "opt_float", "--mu",
+                                         default=None,
+                                         check=_POSITIVE_FINITE)
+    coupling_t_max: float = _knob("coupling.t_max", "float", "--t-max",
+                                  default=10.0)
+    coupling_dt: float = _knob("coupling.dt", "float", "--dt", default=1e-3)
+    coupling_n_paths: int = _knob("coupling.n_paths", "int", "--n-paths",
+                                  default=1000)
+    coupling_couple_radius: float = _knob(
+        "coupling.couple_radius", "float", "--couple-radius", default=1e-3)
+    coupling_escape_radius: Optional[float] = _knob(
+        "coupling.escape_radius", "opt_float", "--coupling-escape-radius",
+        default=None, check=_POSITIVE_FINITE)
+    coupling_x0: Optional[Tuple[float, ...]] = _knob(
+        "coupling.x0", "opt_floats", "--x0", default=None)
+    coupling_y0: Optional[Tuple[float, ...]] = _knob(
+        "coupling.y0", "opt_floats", "--y0", default=None)
+    coupling_count_escaped: bool = _knob(
+        "coupling.count_escaped", "bool", default=False,
+        switches=(("--count-escaped", "true"),))
+    output_dir: str = _knob("output.dir", "str", "--output",
+                            default="liouville-out")
 
     def __post_init__(self) -> None:
-        def bad(msg: str) -> ConfigError:
-            return ConfigError(msg)
-
-        if int(self.seed) != self.seed:
-            raise bad("seed must be an integer")
-        if self.field_dim < 1 or int(self.field_dim) != self.field_dim:
-            raise bad("field.dim must be a positive integer")
+        for f in fields(self):
+            key, kind = f.metadata["key"], f.metadata["kind"]
+            value = getattr(self, f.name)
+            if f.metadata["check"] is not None:
+                holds, phrase = f.metadata["check"]
+                if not holds(value):
+                    raise ConfigError(f"{key} {phrase}")
+            texts = [value] if kind == "str" else \
+                list(value or ()) if kind == "opt_strs" else []
+            if not all(_fits_one_line(s) for s in texts):
+                raise ConfigError(f"{key} must not contain double quotes "
+                                  "or line breaks")
         if not (0 < self.radii_min < self.radii_max):
-            raise bad("need 0 < radii.min < radii.max")
-        if self.radii_points < 10:
-            raise bad("radii.points must be at least 10 (the dispersion "
-                      "tail estimate needs a usable tail)")
-        if self.dispersion_pairs < 1:
-            raise bad("dispersion.pairs must be positive")
-        if not (0 < self.tail_fraction <= 1):
-            raise bad("dispersion.tail_fraction must lie in (0, 1]")
-        if self.ellipticity_samples < 1:
-            raise bad("ellipticity.samples must be positive")
-        if self.mu_grid < 1:
-            raise bad("mu.grid must be positive")
-        if self.modulus_points < 4:
-            raise bad("modulus.points must be at least 4")
-        if self.modulus_pairs < 1:
-            raise bad("modulus.pairs must be positive")
-        if not (self.modulus_s_min > 0):
-            raise bad("modulus.s_min must be positive")
-        if not (self.escape_r_max > 0):
-            raise bad("escape.r_max must be positive")
-        if not (self.window_radius > 0):
-            raise bad("window.radius must be positive")
-        if not (self.oracle_x_max > 1e-2):
-            raise bad("oracle.x_max too small")
-        if not (self.oracle_tol > 0):
-            raise bad("oracle.tol must be positive")
-        if self.threads < 1 or int(self.threads) != self.threads:
-            raise bad("threads must be a positive integer")
-        if self.field_drift is not None and len(self.field_drift) == 0:
-            raise bad("field.drift must not be empty when given")
-        for opt, name in ((self.coupling_mu, "coupling.mu"),
-                          (self.coupling_escape_radius,
-                           "coupling.escape_radius")):
-            if opt is not None and not (opt > 0 and math.isfinite(opt)):
-                raise bad(f"{name} must be positive and finite")
+            raise ConfigError("need 0 < radii.min < radii.max")
 
 
-# key -> (dataclass attribute, value kind)
-_KEYS = {
-    "field.name": ("field_name", "str"),
-    "field.dim": ("field_dim", "int"),
-    "field.params": ("field_params", "floats"),
-    "field.drift": ("field_drift", "opt_strs"),
-    "field.diffusion": ("field_diffusion", "opt_strs"),
-    "window.radius": ("window_radius", "float"),
-    "radii.min": ("radii_min", "float"),
-    "radii.max": ("radii_max", "float"),
-    "radii.points": ("radii_points", "int"),
-    "radii.log": ("radii_log", "bool"),
-    "dispersion.pairs": ("dispersion_pairs", "int"),
-    "dispersion.tail_fraction": ("tail_fraction", "float"),
-    "ellipticity.samples": ("ellipticity_samples", "int"),
-    "mu.grid": ("mu_grid", "int"),
-    "modulus.points": ("modulus_points", "int"),
-    "modulus.pairs": ("modulus_pairs", "int"),
-    "modulus.s_min": ("modulus_s_min", "float"),
-    "escape.r_max": ("escape_r_max", "float"),
-    "oracle.enabled": ("oracle_enabled", "bool"),
-    "oracle.x_max": ("oracle_x_max", "float"),
-    "oracle.tol": ("oracle_tol", "float"),
-    "coupling.enabled": ("coupling_enabled", "bool"),
-    "coupling.mu": ("coupling_mu", "opt_float"),
-    "coupling.t_max": ("coupling_t_max", "float"),
-    "coupling.dt": ("coupling_dt", "float"),
-    "coupling.n_paths": ("coupling_n_paths", "int"),
-    "coupling.couple_radius": ("coupling_couple_radius", "float"),
-    "coupling.escape_radius": ("coupling_escape_radius", "opt_float"),
-    "coupling.x0": ("coupling_x0", "opt_floats"),
-    "coupling.y0": ("coupling_y0", "opt_floats"),
-    "coupling.count_escaped": ("coupling_count_escaped", "bool"),
-    "seed": ("seed", "int"),
-    "threads": ("threads", "int"),
-    "output.dir": ("output_dir", "str"),
-}
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
+def _fits_one_line(s: str) -> bool:
+    """Whether a quoted string value survives one config line."""
+    return '"' not in s and s.splitlines() in ([], [s])
 
 
-def _parse_scalar(key: str, kind: str, raw: str):
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
+
+
+def _parse_value(key: str, kind: str, raw: str):
     raw = raw.strip()
+    if kind.startswith("opt_"):
+        if raw == "none":
+            return None
+        kind = kind[len("opt_"):]
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw in ("true", "false"):
-                return raw == "true"
-            raise ValueError
-        if kind == "opt_float":
-            return None if raw == "none" else float(raw)
+        if kind == "bool" and raw in ("true", "false"):
+            return raw == "true"
         if kind == "floats":
             return tuple(float(p) for p in raw.split(",")) if raw else ()
-        if kind == "opt_floats":
-            if raw == "none":
-                return None
-            return tuple(float(p) for p in raw.split(","))
         if kind == "str":
             return raw
-        if kind == "opt_strs":
-            if raw == "none":
-                return None
+        if kind == "strs":
             return tuple(p.strip() for p in raw.split(";"))
     except ValueError:
         pass
@@ -204,31 +201,36 @@ def _split_line(line: str, lineno: int) -> Optional[Tuple[str, str]]:
     return key, value
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse the flat key-value format into a validated RunConfig."""
-    entries = {}
+def config_entries(text: str) -> Dict[str, str]:
+    """The raw string entries of a config text, keyed by config key."""
+    entries: Dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         kv = _split_line(line, lineno)
         if kv is None:
             continue
         key, value = kv
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
-    return config_from_entries(entries)
+    return entries
 
 
-def config_from_entries(entries: dict) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
+    """Parse the flat key-value format into a validated RunConfig."""
+    return config_from_entries(config_entries(text))
+
+
+def config_from_entries(entries: Dict[str, str]) -> RunConfig:
     """Build a RunConfig from raw string entries (config file and/or
     command-line overrides, already merged — overrides win upstream)."""
     kwargs = {}
     for key, raw in entries.items():
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
-        attr, kind = _KEYS[key]
-        kwargs[attr] = _parse_scalar(key, kind, raw)
+        f = _FIELDS[key]
+        kwargs[f.name] = _parse_value(key, f.metadata["kind"], raw)
     if "seed" not in kwargs:
         raise ConfigError("seed is mandatory (set 'seed = <integer>'; "
                           "there is no wall-clock default)")
@@ -236,30 +238,18 @@ def config_from_entries(entries: dict) -> RunConfig:
 
 
 def _format_value(kind: str, value) -> str:
+    if value is None:
+        return "none"
+    kind = kind[len("opt_"):] if kind.startswith("opt_") else kind
     if kind == "int":
         return str(int(value))
     if kind == "float":
         return repr(float(value))
     if kind == "bool":
         return "true" if value else "false"
-    if kind == "opt_float":
-        return "none" if value is None else repr(float(value))
     if kind == "floats":
         return ", ".join(repr(float(v)) for v in value)
-    if kind == "opt_floats":
-        return "none" if value is None \
-            else ", ".join(repr(float(v)) for v in value)
-    if kind == "str":
-        return _quote_if_needed(str(value))
-    if kind == "opt_strs":
-        return "none" if value is None \
-            else _quote_if_needed("; ".join(value))
-    raise AssertionError(kind)
-
-
-def _quote_if_needed(s: str) -> str:
-    if '"' in s:
-        raise ConfigError("double quotes are not allowed inside strings")
+    s = value if kind == "str" else "; ".join(value)
     if s == "" or s != s.split("#")[0].strip() or s == "none" \
             or any(c.isspace() for c in s):
         return f'"{s}"'
@@ -270,7 +260,6 @@ def emit_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(emit_config(cfg)) == cfg."""
     lines = ["# liouville-lab run configuration"]
     for f in fields(RunConfig):
-        key = _ATTR_TO_KEY[f.name]
-        _, kind = _KEYS[key]
-        lines.append(f"{key} = {_format_value(kind, getattr(cfg, f.name))}")
+        value = _format_value(f.metadata["kind"], getattr(cfg, f.name))
+        lines.append(f"{f.metadata['key']} = {value}")
     return "\n".join(lines) + "\n"

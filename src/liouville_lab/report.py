@@ -77,18 +77,6 @@ def build_field(cfg: RunConfig) -> CoefficientField:
                                 cfg.field_params)
 
 
-def _criterion_config(cfg: RunConfig) -> CriterionConfig:
-    return CriterionConfig(
-        window_radius=cfg.window_radius,
-        radii_min=cfg.radii_min, radii_max=cfg.radii_max,
-        radii_points=cfg.radii_points, radii_log=cfg.radii_log,
-        n_pairs=cfg.dispersion_pairs, tail_fraction=cfg.tail_fraction,
-        ellipticity_samples=cfg.ellipticity_samples, mu_grid=cfg.mu_grid,
-        modulus_points=cfg.modulus_points, modulus_pairs=cfg.modulus_pairs,
-        modulus_s_min=cfg.modulus_s_min, escape_r_max=cfg.escape_r_max,
-        seed=cfg.seed)
-
-
 def _consistency(criterion_verdict: str,
                  oracle_verdict: Optional[bool]) -> str:
     if criterion_verdict == VERDICT_GUARANTEED and oracle_verdict is False:
@@ -96,13 +84,6 @@ def _consistency(criterion_verdict: str,
     if criterion_verdict == VERDICT_INCONCLUSIVE and oracle_verdict is True:
         return CRITERION_CONSERVATIVE
     return CONSISTENT
-
-
-def _default_endpoints(dim: int) -> Tuple[Tuple[float, ...],
-                                          Tuple[float, ...]]:
-    x0 = (0.5,) + (0.0,) * (dim - 1)
-    y0 = (-0.5,) + (0.0,) * (dim - 1)
-    return x0, y0
 
 
 @contextlib.contextmanager
@@ -116,6 +97,35 @@ def annotate_stage(stage: str):
         raise
 
 
+@contextlib.contextmanager
+def coupling_stage(cfg: RunConfig, field: CoefficientField,
+                   derived_mu: float):
+    """Set up the coupling experiment of ``cfg`` and run the block as
+    stage ``coupling``; yields (CouplingConfig, x0, y0, trajectory stride).
+
+    ``derived_mu`` is used unless coupling.mu is set; the endpoints
+    default to (+-0.5, 0, ..., 0).  A ValueError from the setup or the
+    block is a configuration error.
+    """
+    x0, y0 = cfg.coupling_x0, cfg.coupling_y0
+    if x0 is None or y0 is None:
+        x0 = (0.5,) + (0.0,) * (field.dim - 1)
+        y0 = (-0.5,) + (0.0,) * (field.dim - 1)
+    if len(x0) != field.dim or len(y0) != field.dim:
+        raise ConfigError("coupling.x0/y0 length must equal field.dim")
+    try:
+        with annotate_stage("coupling"):
+            params = CouplingConfig(
+                mu=derived_mu if cfg.coupling_mu is None else cfg.coupling_mu,
+                t_max=cfg.coupling_t_max, n_paths=cfg.coupling_n_paths,
+                dt=cfg.coupling_dt, couple_radius=cfg.coupling_couple_radius,
+                escape_radius=cfg.coupling_escape_radius, seed=cfg.seed,
+                count_escaped_as_coupled=cfg.coupling_count_escaped)
+            yield params, x0, y0, max(1, params.n_steps() // 1000)
+    except ValueError as exc:
+        raise ConfigError(f"coupling setup: {exc}") from exc
+
+
 def run(cfg: RunConfig) -> VerdictBundle:
     """Execute criterion -> oracle -> coupling per the configuration."""
     with annotate_stage("field"):
@@ -124,7 +134,9 @@ def run(cfg: RunConfig) -> VerdictBundle:
         raise ConfigError("oracle.enabled requires a one-dimensional field")
 
     with annotate_stage("criterion"):
-        report = evaluate_liouville_criterion(field, _criterion_config(cfg))
+        report = evaluate_liouville_criterion(field, CriterionConfig(**{
+            f.name: getattr(cfg, f.name)
+            for f in dataclasses.fields(CriterionConfig)}))
 
     oracle_profile = None
     oracle_verdict = None
@@ -145,31 +157,14 @@ def run(cfg: RunConfig) -> VerdictBundle:
     coupling_params = None
     trajectory = None
     if cfg.coupling_enabled:
-        mu = cfg.coupling_mu
-        if mu is None:
-            mu = report.constants.mu if report.constants is not None \
-                else 0.5 * report.bounds.lambda0
-        x0, y0 = cfg.coupling_x0, cfg.coupling_y0
-        if x0 is None or y0 is None:
-            x0, y0 = _default_endpoints(field.dim)
-        if len(x0) != field.dim or len(y0) != field.dim:
-            raise ConfigError("coupling.x0/y0 length must equal field.dim")
-        try:
-            with annotate_stage("coupling"):
-                coupling_params = CouplingConfig(
-                    mu=mu, t_max=cfg.coupling_t_max,
-                    n_paths=cfg.coupling_n_paths, dt=cfg.coupling_dt,
-                    couple_radius=cfg.coupling_couple_radius,
-                    escape_radius=cfg.coupling_escape_radius, seed=cfg.seed,
-                    count_escaped_as_coupled=cfg.coupling_count_escaped)
-                coupling_stats = simulate_coupling(field, report.bounds,
-                                                   coupling_params, x0, y0)
-                stride = max(1, coupling_params.n_steps() // 1000)
-                trajectory = simulate_pair_trajectory(
-                    field, report.bounds, coupling_params, x0, y0,
-                    stride=stride)
-        except ValueError as exc:
-            raise ConfigError(f"coupling setup: {exc}") from exc
+        mu = report.constants.mu if report.constants is not None \
+            else 0.5 * report.bounds.lambda0
+        with coupling_stage(cfg, field, mu) as (coupling_params, x0, y0,
+                                                 stride):
+            coupling_stats = simulate_coupling(field, report.bounds,
+                                               coupling_params, x0, y0)
+            trajectory = simulate_pair_trajectory(
+                field, report.bounds, coupling_params, x0, y0, stride=stride)
 
     return VerdictBundle(
         config=cfg, criterion=report,
@@ -277,20 +272,27 @@ def _report_doc(bundle: VerdictBundle) -> dict:
             })
         doc["oracle"] = entry
     if bundle.coupling is not None:
-        st = bundle.coupling
         p = bundle.coupling_params
         doc["coupling"] = {
-            "n_paths": st.n_paths,
-            "n_coupled": st.n_coupled,
-            "n_escaped": st.n_escaped,
-            "p_couple": _real(st.p_couple),
-            "ci_halfwidth": _real(st.ci_halfwidth),
-            "coupling_time_quantiles": _reals(st.coupling_time_quantiles),
-            "mu": _real(p.mu), "t_max": _real(p.t_max), "dt": _real(p.dt),
+            **coupling_summary(bundle.coupling, p),
             "couple_radius": _real(p.couple_radius),
             "count_escaped_as_coupled": p.count_escaped_as_coupled,
         }
     return doc
+
+
+def coupling_summary(stats: CouplingStats, params: CouplingConfig) -> dict:
+    """The coupling outcome as JSON-safe values, as ``couple`` prints it."""
+    return {
+        "n_paths": stats.n_paths,
+        "n_coupled": stats.n_coupled,
+        "n_escaped": stats.n_escaped,
+        "p_couple": _real(stats.p_couple),
+        "ci_halfwidth": _real(stats.ci_halfwidth),
+        "coupling_time_quantiles": _reals(stats.coupling_time_quantiles),
+        "mu": _real(params.mu), "t_max": _real(params.t_max),
+        "dt": _real(params.dt),
+    }
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -335,24 +337,34 @@ def emit(bundle: VerdictBundle, output_dir) -> List[Path]:
         written.append(mod_path)
 
     if bundle.oracle_profile is not None:
-        prof = bundle.oracle_profile
-        prof_path = out / "profile.csv"
-        _write_text(prof_path, _csv_text(["x", "u", "du"],
-                                         [prof.x, prof.u, prof.du]))
-        written.append(prof_path)
+        written.append(write_profile(out, bundle.oracle_profile))
 
     if bundle.coupling_trajectory is not None:
-        t, X, Y, dist = bundle.coupling_trajectory
-        dim = X.shape[1]
-        header = (["t"] + [f"x{i+1}" for i in range(dim)]
-                  + [f"y{i+1}" for i in range(dim)] + ["dist"])
-        cols = [t] + [X[:, i] for i in range(dim)] \
-            + [Y[:, i] for i in range(dim)] + [dist]
-        traj_path = out / "coupling.csv"
-        _write_text(traj_path, _csv_text(header, cols))
-        written.append(traj_path)
+        written.append(write_trajectory(out, bundle.coupling_trajectory))
 
     return written
+
+
+def write_profile(out: Path, profile: HarmonicProfile) -> Path:
+    """Write the oracle's harmonic profile to ``out``/profile.csv."""
+    path = out / "profile.csv"
+    _write_text(path, _csv_text(["x", "u", "du"],
+                                [profile.x, profile.u, profile.du]))
+    return path
+
+
+def write_trajectory(out: Path, trajectory: Tuple[np.ndarray, ...]) -> Path:
+    """Write a recorded pair trajectory (t, X, Y, dist) to
+    ``out``/coupling.csv."""
+    t, X, Y, dist = trajectory
+    dim = X.shape[1]
+    header = (["t"] + [f"x{i+1}" for i in range(dim)]
+              + [f"y{i+1}" for i in range(dim)] + ["dist"])
+    cols = [t] + [X[:, i] for i in range(dim)] \
+        + [Y[:, i] for i in range(dim)] + [dist]
+    path = out / "coupling.csv"
+    _write_text(path, _csv_text(header, cols))
+    return path
 
 
 def read_report(path) -> dict:

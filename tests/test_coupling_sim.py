@@ -543,23 +543,28 @@ def test_pair_trajectory_shapes_and_merge():
 
 @pytest.mark.parametrize("name, dim", [("zero", 1), ("ou", 2)])
 def test_pair_trajectory_couples_at_the_step_of_simulate_coupling(name, dim):
-    # both simulators step path 0's stream through the same kernel; seeds 0-7
-    # couple within the first 256 steps, after them, and not at all
+    # both simulators step path 0's stream through the same kernel; over
+    # seeds 0-7 and two start distances, pairs couple inside the first
+    # 128-step noise chunk, after it, and not at all
     field = ll.make_standard_fields(name, dim)
-    x0 = 0.5 * np.eye(dim)[0]
     cases = set()
-    for seed in range(8):
-        cfg = ll.CouplingConfig(mu=0.5, t_max=2.0, n_paths=1, dt=1e-3, seed=seed)
-        stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
-        t, _, _, dist = ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg, x0, -x0)
-        merged = t[dist == 0.0]
-        assert stats.n_coupled == int(merged.size > 0)
-        if merged.size:
-            assert merged[0] == stats.coupling_time_quantiles[0]
-            cases.add("early" if merged[0] <= 256 * cfg.dt else "late")
-        else:
-            cases.add("none")
-    assert cases == {"early", "late", "none"}
+    for scale in (0.5, 0.05):
+        x0 = scale * np.eye(dim)[0]
+        for seed in range(8):
+            cfg = ll.CouplingConfig(mu=0.5, t_max=2.0, n_paths=1, dt=1e-3,
+                                    seed=seed)
+            stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
+            t, _, _, dist = ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg,
+                                                        x0, -x0)
+            merged = t[dist == 0.0]
+            assert stats.n_coupled == int(merged.size > 0)
+            if merged.size:
+                assert merged[0] == stats.coupling_time_quantiles[0]
+                step = round(merged[0] / cfg.dt)
+                cases.add("first chunk" if step <= 128 else "later")
+            else:
+                cases.add("never")
+    assert cases == {"first chunk", "later", "never"}
 
 
 def test_pair_trajectory_stride():

@@ -59,7 +59,6 @@ def test_config_round_trip_exotic_values():
             "coupling.y0": "-0.5, -0.5",
             "coupling.escape_radius": "250",
             "output.dir": "out dir with spaces",
-            "threads": "4",
         }
     )
     text = ll.emit_config(cfg)
@@ -86,6 +85,7 @@ def test_config_comments_and_blank_lines():
     "text",
     [
         "seed = 1\nnot.a.key = 2",          # unknown key
+        "seed = 1\nthreads = 1",            # deleted key, see the README
         "seed = 1\nseed = 2",               # duplicate
         "seed = banana",                    # bad int
         "field.name = log_example",         # seed missing
@@ -97,6 +97,14 @@ def test_config_comments_and_blank_lines():
 def test_config_errors(text):
     with pytest.raises(ll.ConfigError):
         ll.parse_config(text)
+
+
+@pytest.mark.parametrize("key", ["output.dir", "field.name", "field.drift",
+                                 "field.diffusion"])
+@pytest.mark.parametrize("text", ['q"x', "o\nx", "o\rx", "o\u2028x"])
+def test_config_rejects_strings_a_config_line_cannot_hold(key, text):
+    with pytest.raises(ll.ConfigError, match=f"{key} must not contain"):
+        config_from_entries({"seed": "0", key: text})
 
 
 def test_config_seed_is_mandatory():
@@ -509,6 +517,57 @@ def test_cli_full_flags_override_config(tmp_path, capsys):
     assert doc["criterion"]["verdict"] == ll.VERDICT_INCONCLUSIVE
 
 
+def test_cli_full_config_file_keeps_full_defaults(tmp_path, capsys):
+    # keys the file leaves unset get full's defaults (oracle on in d = 1,
+    # coupling on), exactly as when the same values are given as flags
+    sizes = {"radii.points": "24", "dispersion.pairs": "16",
+             "ellipticity.samples": "2000", "modulus.points": "24",
+             "modulus.pairs": "8", "coupling.n_paths": "50",
+             "coupling.t_max": "0.5"}
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed = 0\n"
+                        + "".join(f"{k} = {v}\n" for k, v in sizes.items())
+                        + f"output.dir = {tmp_path / 'file'}\n")
+    assert run_cli(["full", "--config", str(cfg_file)]) == 0
+    assert run_cli(["full", "--seed", "0", "--radii-points", "24",
+                    "--pairs", "16", "--ellipticity-samples", "2000",
+                    "--modulus-points", "24", "--modulus-pairs", "8",
+                    "--n-paths", "50", "--t-max", "0.5",
+                    "--output", str(tmp_path / "flags")]) == 0
+    capsys.readouterr()
+    for run_dir in ("file", "flags"):
+        names = sorted(p.name for p in (tmp_path / run_dir).iterdir())
+        assert names == ["coupling.csv", "dispersion.csv", "modulus.csv",
+                         "profile.csv", "report.json"]
+    configs = [ll.parse_config(json.loads(
+        (tmp_path / d / "report.json").read_text())["config_text"])
+        for d in ("file", "flags")]
+    assert dataclasses.replace(configs[0], output_dir="") \
+        == dataclasses.replace(configs[1], output_dir="")
+
+
+@pytest.mark.parametrize("dim", ["abc", "2.5"])
+def test_cli_full_bad_dim_is_a_configuration_error(dim, capsys):
+    assert run_cli(["full", "--seed", "0", "--dim", dim]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: bad value for field.dim: {dim!r}"]
+
+
+@pytest.mark.parametrize("output", ['q"x', "o\nx"])
+def test_cli_output_the_config_text_cannot_hold_is_rejected_first(
+        output, tmp_path, capsys, monkeypatch):
+    # rejected while the config is built: no stage runs, nothing is written
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(["criterion", "--field", "zero", "--dim", "1", "--seed",
+                    "0", "--radii-points", "12", "--pairs", "4",
+                    "--ellipticity-samples", "500", "--output", output])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: output.dir must not contain double quotes "
+        "or line breaks"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_field_flag_resets_catalogue_params(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
@@ -546,27 +605,6 @@ def test_cli_contradiction_exit_4(tmp_path, capsys, monkeypatch):
     assert "consistency" in err
     # the report is still written for post-mortem inspection
     assert (tmp_path / "x" / "report.json").exists()
-
-
-def test_cli_threads_env_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LIOUVILLE_LAB_THREADS", "2")
-    code = run_cli(
-        ["criterion", "--field", "zero", "--dim", "1", "--seed", "0",
-         "--radii-points", "24", "--pairs", "4",
-         "--ellipticity-samples", "500", "--threads", "8",
-         "--output", str(tmp_path / "t")]
-    )
-    assert code == 0
-    capsys.readouterr()
-    doc = json.loads((tmp_path / "t" / "report.json").read_text())
-    assert "threads = 2" in doc["config_text"]
-
-
-def test_cli_threads_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("LIOUVILLE_LAB_THREADS", "zero")
-    code = run_cli(["criterion", "--field", "zero", "--dim", "1", "--seed", "0"])
-    assert code == 2
-    assert "LIOUVILLE_LAB_THREADS" in capsys.readouterr().err
 
 
 def test_cli_unwritable_output_exit_2(tmp_path, capsys):
