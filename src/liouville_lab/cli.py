@@ -111,15 +111,15 @@ def _print_bundle_summary(bundle: VerdictBundle) -> None:
 
 def _cmd_catalogue(_args: argparse.Namespace) -> int:
     print("built-in coefficient fields:")
-    for name in sorted(CATALOGUE):
-        lo, hi, desc = CATALOGUE[name]
+    for name, entry in sorted(CATALOGUE.items()):
+        lo, hi = list(entry.params.values()).count(None), len(entry.params)
         if hi == 0:
             params = "no params"
         elif lo == hi:
             params = f"{hi} param(s)"
         else:
             params = f"{lo}-{hi} params"
-        print(f"  {name:16s} [{params}] {desc}")
+        print(f"  {name:16s} [{params}] {entry.description}")
     return 0
 
 

@@ -9,18 +9,16 @@ field built from numpy expressions costs one vectorized pass per stage.
 ``eval_drift``/``eval_diffusion`` are the validating single-point entry
 points.
 
-Fields come from two sources:
-
-* the built-in catalogue (``make_standard_fields`` / ``make_log_example``),
-  which carries the reference examples the test-suite leans on, and
-* a small expression sub-language (``field_from_expressions``) so config
-  files can define coefficients without writing Python.  Grammar:
-  ``+ - * / ^`` (or ``**``), unary minus, parentheses, the functions
-  ``log exp sin cos tanh sqrt abs``, the constants ``pi`` and ``e``, the
-  coordinates ``x1 .. xd`` and the radius ``normx`` (``|x|`` is accepted
-  and rewritten).  Anything else is rejected with ExpressionError before
-  evaluation; the compiled expression is evaluated with an empty builtins
-  table.
+Fields are written in a small expression sub-language
+(``field_from_expressions``); the built-in catalogue of reference examples
+(``make_standard_fields`` / ``make_log_example``) is a table of its
+templates.  Grammar: ``+ - * / ^`` (or ``**``), unary minus, parentheses,
+``log exp sin cos tanh sqrt abs``, ``pi``, ``e``, the coordinates
+``x1 .. xd`` and the radius ``normx`` or ``|x|``; anything else raises
+ExpressionError before evaluation.  A field's drift, and its diffusion,
+compile into one function with an empty builtins table.  ``|x|`` takes
+np.linalg.norm's arithmetic, sqrt(add.reduce(x*x)); ``|x|^2`` is the
+einsum sum of squares, not the square of that root.
 
 Ellipticity bounds (lambda0, Lambda0) are *estimated*, not proved: the
 true constants are global, the artifact can only certify a window.
@@ -33,10 +31,12 @@ earlier draws as a prefix, so bounds can only widen as the sample grows.
 from __future__ import annotations
 
 import ast
+import collections
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,15 +140,6 @@ def eval_diffusion(field: CoefficientField, x) -> np.ndarray:
     return q
 
 
-def _constant_matrix_fn(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    mat = np.asarray(mat, dtype=float)
-
-    def diffusion(points: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(mat, (points.shape[0],) + mat.shape).copy()
-
-    return diffusion
-
-
 def _growth_bound(drift: Callable[[np.ndarray], np.ndarray], dim: int,
                   radius: float = _DEFAULT_WINDOW) -> float:
     # Deterministic probe: each axis plus the main diagonal, through 0.
@@ -169,6 +160,81 @@ def _growth_bound(drift: Callable[[np.ndarray], np.ndarray], dim: int,
     return max(1.0, float(ratio.max()))
 
 
+class CatalogueEntry(NamedTuple):
+    """A built-in field as data: ``params`` maps names to defaults (None:
+    required); drift component i takes template i, the last one standing
+    for all later ones and naming i ``{i}``; ``dim`` is the one dimension
+    the field exists in (None: any); params must exceed ``param_floor``."""
+
+    description: str
+    params: Dict[str, Optional[float]]
+    drift: Tuple[str, ...]
+    diffusion: Tuple[str, ...] = ("1",)
+    dim: Optional[int] = None
+    param_floor: float = -math.inf
+
+
+#: name -> CatalogueEntry; the CLI `catalogue` subcommand prints the
+#: descriptions verbatim.
+CATALOGUE = {
+    "zero": CatalogueEntry("b = 0, q = I", {}, ("0",)),
+    "ou": CatalogueEntry("b(x) = -x, q = I (Ornstein-Uhlenbeck)", {},
+                         ("-x{i}",)),
+    "var_q_const_b": CatalogueEntry(
+        "b = e1, q(x) = (1 + a*sin^2|x|) I; params: [a], default a = 0.5 "
+        "(constant drift, variable diffusion)",
+        {"a": 0.5}, ("1", "0"), ("1.0 + {a}*sin(|x|)^2",), param_floor=-1.0),
+    "radial_expand": CatalogueEntry(
+        "b(x) = c*x/(1+|x|^2), q = I; params: [c], default c = 1 (outward "
+        "drift decaying like 1/|x|)",
+        {"c": 1.0}, ("{c}*x{i}/(1.0 + |x|^2)",)),
+    "log_example": CatalogueEntry(
+        "d = 1 only; b(x) = x/(2+x^2)(delta + 2/log(2+x^2)), q = 1; "
+        "params: [delta]",
+        {"delta": None},
+        ("x1/(2.0 + x1*x1)*({delta} + 2.0/log(2.0 + x1*x1))",), dim=1),
+}
+
+
+def make_standard_fields(name: str, dim: int, params: Sequence[float] = ()
+                         ) -> CoefficientField:
+    """A catalogue field from its templates, each param substituted as
+    ``(repr(float(p)))``; a bad name, dim or param vector: CatalogueError."""
+    if name not in CATALOGUE:
+        known = ", ".join(sorted(CATALOGUE))
+        raise CatalogueError(f"unknown field {name!r}; catalogue: {known}")
+    entry = CATALOGUE[name]
+    defaults = list(entry.params.values())
+    lo, hi = defaults.count(None), len(defaults)
+    params = [float(p) for p in params]
+    if not (lo <= len(params) <= hi):
+        raise CatalogueError(
+            f"field {name!r} takes between {lo} and {hi} params, "
+            f"got {len(params)}")
+    dim = int(dim)  # field_from_expressions rejects dim < 1
+    if entry.dim not in (None, dim):
+        raise CatalogueError(f"{name} is {entry.dim}-dimensional")
+    values = dict(zip(entry.params, params + defaults[len(params):]))
+    for p, v in values.items():
+        if not math.isfinite(v):
+            raise CatalogueError(f"field {name!r} param {p} must be finite, "
+                                 f"got {v}")
+        if v <= entry.param_floor:
+            raise CatalogueError(
+                f"{name} needs {p} > {entry.param_floor:g} for positive "
+                f"definiteness, got {v}")
+    subs = {p: f"({v!r})" for p, v in values.items()}
+    drift = [entry.drift[min(i, len(entry.drift)) - 1].format(i=i, **subs)
+             for i in range(1, dim + 1)]
+    diffusion = [t.format(**subs) for t in entry.diffusion]
+    label = ([] if entry.dim else [f"d={dim}"]) + [
+        f"{p}={v:g}" for p, v in values.items()]
+    field = field_from_expressions(dim, drift, diffusion,
+                                   label=f"{name}({', '.join(label)})")
+    # the catalogue uses |x| only in sin(|x|)^2 and |x|^2, both smooth
+    return dataclasses.replace(field, smoothness_note=None)
+
+
 def make_log_example(delta: float) -> CoefficientField:
     """The 1D operator 1/2 d2/dx2 + x/(2+x^2) (delta + 2/log(2+x^2)) d/dx.
 
@@ -176,109 +242,7 @@ def make_log_example(delta: float) -> CoefficientField:
     delta >= 1/2, which makes this family the sharpness probe for the
     whole laboratory.
     """
-    delta = float(delta)
-    if not math.isfinite(delta):
-        raise ValueError("delta must be finite")
-
-    def drift(points: np.ndarray) -> np.ndarray:
-        x = points[:, 0]
-        w = 2.0 + x * x
-        return (x / w * (delta + 2.0 / np.log(w)))[:, None]
-
-    return CoefficientField(
-        dim=1,
-        drift=drift,
-        diffusion=_constant_matrix_fn(np.eye(1)),
-        growth_bound=_growth_bound(drift, 1),
-        label=f"log_example(delta={delta:g})",
-        constant_diffusion=True,
-    )
-
-
-#: name -> (min_params, max_params, one-line description); the CLI
-#: `catalogue` subcommand prints this table verbatim.
-CATALOGUE = {
-    "zero": (0, 0, "b = 0, q = I"),
-    "ou": (0, 0, "b(x) = -x, q = I (Ornstein-Uhlenbeck)"),
-    "var_q_const_b": (0, 1,
-                      "b = e1, q(x) = (1 + a*sin^2|x|) I; params: [a], "
-                      "default a = 0.5 (constant drift, variable diffusion)"),
-    "radial_expand": (0, 1,
-                      "b(x) = c*x/(1+|x|^2), q = I; params: [c], default "
-                      "c = 1 (outward drift decaying like 1/|x|)"),
-    "log_example": (1, 1,
-                    "d = 1 only; b(x) = x/(2+x^2)(delta + 2/log(2+x^2)), "
-                    "q = 1; params: [delta]"),
-}
-
-
-def make_standard_fields(name: str, dim: int, params: Sequence[float] = ()
-                         ) -> CoefficientField:
-    """Build a catalogue field by name; unknown names raise CatalogueError."""
-    if name not in CATALOGUE:
-        known = ", ".join(sorted(CATALOGUE))
-        raise CatalogueError(f"unknown field {name!r}; catalogue: {known}")
-    lo, hi, _ = CATALOGUE[name]
-    params = [float(p) for p in params]
-    if not (lo <= len(params) <= hi):
-        raise CatalogueError(
-            f"field {name!r} takes between {lo} and {hi} params, "
-            f"got {len(params)}")
-    dim = int(dim)
-    if dim < 1:
-        raise CatalogueError("dim must be a positive integer")
-    eye = np.eye(dim)
-
-    if name == "log_example":
-        if dim != 1:
-            raise CatalogueError("log_example is one-dimensional")
-        return make_log_example(params[0])
-
-    if name == "zero":
-        def drift(points: np.ndarray) -> np.ndarray:
-            return np.zeros_like(points)
-
-        return CoefficientField(dim, drift, _constant_matrix_fn(eye), 1.0,
-                                f"zero(d={dim})", constant_diffusion=True)
-
-    if name == "ou":
-        def drift(points: np.ndarray) -> np.ndarray:
-            return -points
-
-        return CoefficientField(dim, drift, _constant_matrix_fn(eye),
-                                _growth_bound(drift, dim),
-                                f"ou(d={dim})", constant_diffusion=True)
-
-    if name == "var_q_const_b":
-        a = params[0] if params else 0.5
-        if a <= -1.0:
-            raise CatalogueError(
-                f"var_q_const_b needs a > -1 for positive definiteness, got {a}")
-        e1 = np.zeros(dim)
-        e1[0] = 1.0
-
-        def drift(points: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(e1, points.shape).copy()
-
-        def diffusion(points: np.ndarray) -> np.ndarray:
-            r = np.linalg.norm(points, axis=1)
-            fac = 1.0 + a * np.sin(r) ** 2
-            return fac[:, None, None] * eye
-
-        return CoefficientField(dim, drift, diffusion, 1.0,
-                                f"var_q_const_b(d={dim}, a={a:g})")
-
-    # radial_expand
-    c = params[0] if params else 1.0
-
-    def drift(points: np.ndarray) -> np.ndarray:
-        r2 = np.einsum("ij,ij->i", points, points)
-        return c * points / (1.0 + r2)[:, None]
-
-    return CoefficientField(dim, drift, _constant_matrix_fn(eye),
-                            _growth_bound(drift, dim),
-                            f"radial_expand(d={dim}, c={c:g})",
-                            constant_diffusion=True)
+    return make_standard_fields("log_example", 1, [delta])
 
 
 # --------------------------------------------------------------------------
@@ -290,38 +254,23 @@ _CONSTS = {"pi": math.pi, "e": math.e}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARYOPS = (ast.USub, ast.UAdd)
 _COORD_RE = re.compile(r"^x([1-9][0-9]*)$")
+_PRELUDE = ("normx = sqrt(_sum(points * points, axis=1))",
+            "_r2 = _einsum('ij,ij->i', points, points)")
+_SQUARED_NORM = ast.dump(ast.parse("normx**2", mode="eval").body)
 
 
 @dataclass(frozen=True)
 class CompiledExpr:
-    """A validated coefficient expression, evaluable on (n, d) blocks."""
+    """A validated coefficient expression (an AST, not yet compiled)."""
 
     text: str
-    dim: int
-    code: object
+    tree: ast.expr
     names: frozenset
     uses_abs: bool
 
     @property
     def is_constant(self) -> bool:
         return not any(_COORD_RE.match(n) or n == "normx" for n in self.names)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        env = {}
-        for name in self.names:
-            if name == "normx":
-                env[name] = np.sqrt(np.einsum("ij,ij->i", points, points))
-            elif name in _CONSTS:
-                env[name] = _CONSTS[name]
-            elif name in _FUNCS:
-                env[name] = _FUNCS[name]
-            else:
-                env[name] = points[:, int(_COORD_RE.match(name).group(1)) - 1]
-        out = eval(self.code, {"__builtins__": {}}, env)  # whitelisted AST
-        arr = np.asarray(out, dtype=float)
-        if arr.ndim == 0:
-            return np.full(points.shape[0], float(arr))
-        return arr
 
 
 def compile_expression(text: str, dim: int) -> CompiledExpr:
@@ -336,10 +285,8 @@ def compile_expression(text: str, dim: int) -> CompiledExpr:
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
     names = set()
-    uses_abs = "normx" in source
 
     def visit(node):
-        nonlocal uses_abs
         if isinstance(node, ast.Expression):
             visit(node.body)
         elif isinstance(node, ast.Constant):
@@ -359,8 +306,6 @@ def compile_expression(text: str, dim: int) -> CompiledExpr:
             if len(node.args) != 1 or node.keywords:
                 raise ExpressionError(
                     f"{node.func.id} takes exactly one argument in {text!r}")
-            if node.func.id == "abs":
-                uses_abs = True
             names.add(node.func.id)
             visit(node.args[0])
         elif isinstance(node, ast.Name):
@@ -378,9 +323,66 @@ def compile_expression(text: str, dim: int) -> CompiledExpr:
                 f"disallowed syntax {type(node).__name__} in {text!r}")
 
     visit(tree)
-    return CompiledExpr(text=text, dim=dim,
-                        code=compile(tree, "<coefficient-expression>", "eval"),
-                        names=frozenset(names), uses_abs=uses_abs)
+    return CompiledExpr(text=text, tree=tree.body, names=frozenset(names),
+                        uses_abs="abs" in names or "normx" in names)
+
+
+def _as_block(n: int, *values) -> np.ndarray:
+    """The (n, k) block of k values, each an (n,) array or a number; a
+    lone (n,) array becomes a column view, not a copy."""
+    if len(values) == 1 and np.shape(values[0]) == (n,):
+        return np.asarray(values[0], dtype=float)[:, None]
+    out = np.empty((n, len(values)))
+    for j, value in enumerate(values):
+        out[:, j] = value
+    return out
+
+
+def _block_function(parts: Sequence[CompiledExpr], dim: int
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    """One function from an (n, d) block of points to the (n, k) block of
+    the expressions' values.  Coordinates are column views; ``|x|``
+    (np.linalg.norm's arithmetic), ``|x|^2`` (the einsum sum of squares)
+    and each repeated subtree are computed once a call, into locals."""
+    seen, stack = collections.Counter(), [p.tree for p in parts]
+    while stack:
+        node = stack.pop()
+        seen[ast.dump(node)] += 1
+        if seen[ast.dump(node)] == 1:  # a repeat is computed once, whole
+            stack.extend(ast.iter_child_nodes(node))
+    names, body = {_SQUARED_NORM: "_r2"}, []
+
+    def rewrite(node):
+        key = ast.dump(node)
+        if key in names:
+            return ast.Name(names[key], ast.Load())
+        if isinstance(node, ast.BinOp):
+            node = ast.BinOp(rewrite(node.left), node.op, rewrite(node.right))
+        elif isinstance(node, ast.UnaryOp):
+            node = ast.UnaryOp(node.op, rewrite(node.operand))
+        elif isinstance(node, ast.Call):
+            node = ast.Call(node.func, [rewrite(node.args[0])], [])
+        if seen[key] < 2 or isinstance(node, (ast.Name, ast.Constant)):
+            return node
+        names[key] = f"_t{len(names)}"
+        body.append(ast.Assign([ast.Name(names[key], ast.Store())], node))
+        return ast.Name(names[key], ast.Load())
+
+    ret = ast.parse("return _as_block(points.shape[0])").body[0]
+    ret.value.args += [rewrite(p.tree) for p in parts]  # body gets locals
+    body.append(ret)
+    used = {n.id for s in body for n in ast.walk(s) if isinstance(n, ast.Name)}
+    lines = [f"x{k} = points[:, {k - 1}]" for k in range(1, dim + 1)]
+    module = ast.parse("def _block(points):\n    pass\n")
+    module.body[0].body = [ast.parse(line).body[0] for line in
+                           lines + list(_PRELUDE) if line.split()[0] in used]
+    module.body[0].body += body
+    namespace = {"__builtins__": {}, **_FUNCS, **_CONSTS,  # no builtins
+                 "_sum": np.add.reduce, "_einsum": np.einsum,
+                 "_as_block": _as_block}
+    exec(compile(ast.fix_missing_locations(module),  # whitelisted AST
+                 "<coefficient-expression>", "exec"), namespace)
+    return namespace["_block"]
 
 
 def field_from_expressions(dim: int, drift_exprs: Sequence[str],
@@ -400,45 +402,36 @@ def field_from_expressions(dim: int, drift_exprs: Sequence[str],
         raise ExpressionError(
             f"need {dim} drift expressions, got {len(drift_exprs)}")
     b_parts = [compile_expression(t, dim) for t in drift_exprs]
-
-    def drift(points: np.ndarray) -> np.ndarray:
-        return np.stack([p(points) for p in b_parts], axis=1)
-
-    uses_abs = any(p.uses_abs for p in b_parts)
-    if diffusion_exprs is None:
-        diffusion = _constant_matrix_fn(np.eye(dim))
-        constant_q = True
+    q_parts = [compile_expression(t, dim) for t in (
+        ["1"] if diffusion_exprs is None else diffusion_exprs)]
+    drift = _block_function(b_parts, dim)
+    q_block = _block_function(q_parts, dim)
+    eye = np.eye(dim)
+    if len(q_parts) == 1:
+        def diffusion(points: np.ndarray) -> np.ndarray:
+            return q_block(points)[:, :, None] * eye
+    elif len(q_parts) == dim:
+        def diffusion(points: np.ndarray) -> np.ndarray:
+            out = np.zeros((points.shape[0], dim, dim))
+            # every (dim + 1)-th entry of a row-major matrix: its diagonal
+            out.reshape(-1, dim * dim)[:, ::dim + 1] = q_block(points)
+            return out
+    elif len(q_parts) == dim * dim:
+        def diffusion(points: np.ndarray) -> np.ndarray:
+            out = q_block(points).reshape(-1, dim, dim)
+            if float(np.max(np.abs(out - np.transpose(out, (0, 2, 1))))) \
+                    > _SYM_TOL:
+                raise CoefficientEvaluationError(
+                    "diffusion expressions evaluate to a non-symmetric "
+                    "matrix")
+            return out
     else:
-        q_parts = [compile_expression(t, dim) for t in diffusion_exprs]
-        uses_abs = uses_abs or any(p.uses_abs for p in q_parts)
-        constant_q = all(p.is_constant for p in q_parts)
-        eye = np.eye(dim)
-        if len(q_parts) == 1:
-            def diffusion(points: np.ndarray) -> np.ndarray:
-                return q_parts[0](points)[:, None, None] * eye
-        elif len(q_parts) == dim:
-            def diffusion(points: np.ndarray) -> np.ndarray:
-                out = np.zeros((points.shape[0], dim, dim))
-                for i, part in enumerate(q_parts):
-                    out[:, i, i] = part(points)
-                return out
-        elif len(q_parts) == dim * dim:
-            def diffusion(points: np.ndarray) -> np.ndarray:
-                vals = np.stack([p(points) for p in q_parts], axis=1)
-                out = vals.reshape(points.shape[0], dim, dim)
-                if float(np.max(np.abs(out - np.transpose(out, (0, 2, 1))))) \
-                        > _SYM_TOL:
-                    raise CoefficientEvaluationError(
-                        "diffusion expressions evaluate to a non-symmetric "
-                        "matrix")
-                return out
-        else:
-            raise ExpressionError(
-                f"diffusion takes 1, {dim} or {dim * dim} expressions, "
-                f"got {len(q_parts)}")
+        raise ExpressionError(
+            f"diffusion takes 1, {dim} or {dim * dim} expressions, "
+            f"got {len(q_parts)}")
 
     note = None
-    if uses_abs:
+    if any(p.uses_abs for p in b_parts + q_parts):
         note = ("coefficients use |.| and are treated as continuous only; "
                 "simulator strong-solution accuracy is unquantified")
     return CoefficientField(
@@ -447,7 +440,7 @@ def field_from_expressions(dim: int, drift_exprs: Sequence[str],
         diffusion=diffusion,
         growth_bound=_growth_bound(drift, dim),
         label=label,
-        constant_diffusion=constant_q,
+        constant_diffusion=all(p.is_constant for p in q_parts),
         smoothness_note=note,
     )
 

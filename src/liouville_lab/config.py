@@ -110,13 +110,16 @@ class RunConfig:
     coupling_mu: Optional[float] = _knob("coupling.mu", "opt_float", "--mu",
                                          default=None,
                                          check=_POSITIVE_FINITE)
-    coupling_t_max: float = _knob("coupling.t_max", "float", "--t-max",
-                                  default=10.0)
-    coupling_dt: float = _knob("coupling.dt", "float", "--dt", default=1e-3)
+    coupling_t_max: float = _knob(
+        "coupling.t_max", "float", "--t-max", default=10.0, check=(
+            lambda v: 0 <= v < math.inf, "must be finite and nonnegative"))
+    coupling_dt: float = _knob("coupling.dt", "float", "--dt", default=1e-3,
+                               check=_POSITIVE_FINITE)
     coupling_n_paths: int = _knob("coupling.n_paths", "int", "--n-paths",
-                                  default=1000)
+                                  default=1000, check=_POSITIVE)
     coupling_couple_radius: float = _knob(
-        "coupling.couple_radius", "float", "--couple-radius", default=1e-3)
+        "coupling.couple_radius", "float", "--couple-radius", default=1e-3,
+        check=_POSITIVE_FINITE)
     coupling_escape_radius: Optional[float] = _knob(
         "coupling.escape_radius", "opt_float", "--coupling-escape-radius",
         default=None, check=_POSITIVE_FINITE)

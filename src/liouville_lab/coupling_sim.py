@@ -306,8 +306,8 @@ def _block_streams(seed: int, domain: int, n_paths: int) -> list:
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row: np.linalg.norm's arithmetic, overflow
-    to inf included, without its per-call overhead."""
+    """Row norms as sqrt of the einsum sum of squares: inf on overflow, as
+    np.linalg.norm, but not its bits in d >= 3, and without its overhead."""
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 

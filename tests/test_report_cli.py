@@ -92,6 +92,7 @@ def test_config_comments_and_blank_lines():
         "seed = 1\nradii.points = 3",       # out of documented range
         'seed = 1\noutput.dir = "open',     # unterminated quote
         "seed = 1\nradii.min = 10\nradii.max = 1",
+        "seed = 1\ncoupling.t_max = nan",   # NaN != NaN: no round trip
     ],
 )
 def test_config_errors(text):
@@ -360,6 +361,37 @@ def test_cli_field_construction_failure_names_stage(command, capsys):
     )
     assert code == 3
     assert "error in stage field:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, param", [
+    ("log_example", "nan", "delta"), ("radial_expand", "inf", "c"),
+    ("var_q_const_b", "nan", "a")])
+def test_cli_non_finite_catalogue_param_is_a_configuration_error(
+        field, value, param, tmp_path, capsys):
+    code = run_cli(["criterion", "--field", field, "--params", value,
+                    "--seed", "0", "--output", str(tmp_path / "o")])
+    assert code == 2
+    assert (f"configuration error: field {field!r} param {param} must be "
+            f"finite, got {value}") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--n-paths", "0", "coupling.n_paths"), ("--dt", "-1", "coupling.dt"),
+    ("--t-max", "nan", "coupling.t_max"),
+    ("--couple-radius", "inf", "coupling.couple_radius")])
+def test_cli_bad_coupling_knob_fails_before_any_stage(
+        flag, value, key, tmp_path, capsys, monkeypatch):
+    def no_stage(_cfg):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(ll_cli, "run", no_stage)
+    code = run_cli(["full", "--field", "radial_expand", "--dim", "3",
+                    "--seed", "0", flag, value,
+                    "--output", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {key} ")
+    assert not (tmp_path / "o").exists()
 
 
 def _cli_child(*argv):
@@ -632,3 +664,11 @@ def test_readme_quick_start_transcript(tmp_path, capsys):
     for line in transcript.split("\nwrote:")[0].splitlines():
         if line.strip() != "...":
             assert line in printed, line
+
+
+def test_readme_catalogue_block_is_the_catalogue_output(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Built-in fields")[1]
+    block = re.findall(r"```\n(.*?)```", section, re.S)[0]
+    assert run_cli(["catalogue"]) == 0
+    assert capsys.readouterr().out == block
