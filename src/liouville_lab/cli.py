@@ -104,8 +104,9 @@ def _print_bundle_summary(bundle: VerdictBundle) -> None:
     if bundle.coupling is not None:
         st = bundle.coupling
         print(f"coupling: p = {st.p_couple:.4f} +- {st.ci_halfwidth:.4f} "
-              f"({st.n_coupled}/{st.n_paths} coupled, "
-              f"{st.n_escaped} escaped)")
+              "(bridge-corrected)")
+        print(f"  grid hits: {st.n_coupled}/{st.n_paths} (p_discrete = "
+              f"{st.p_discrete:.4f}), {st.n_escaped} escaped")
     print(f"consistency: {bundle.consistency}")
 
 

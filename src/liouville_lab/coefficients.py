@@ -231,7 +231,8 @@ def make_standard_fields(name: str, dim: int, params: Sequence[float] = ()
         f"{p}={v:g}" for p, v in values.items()]
     field = field_from_expressions(dim, drift, diffusion,
                                    label=f"{name}({', '.join(label)})")
-    # the catalogue uses |x| only in sin(|x|)^2 and |x|^2, both smooth
+    # the catalogue uses |x| only in |x|^2, which is not flagged, and in
+    # sin(|x|)^2, which is smooth although its |x| is flagged
     return dataclasses.replace(field, smoothness_note=None)
 
 
@@ -261,7 +262,8 @@ _SQUARED_NORM = ast.dump(ast.parse("normx**2", mode="eval").body)
 
 @dataclass(frozen=True)
 class CompiledExpr:
-    """A validated coefficient expression (an AST, not yet compiled)."""
+    """A validated coefficient expression (an AST, not yet compiled);
+    uses_abs: it calls abs or uses |x| other than as |x|^2."""
 
     text: str
     tree: ast.expr
@@ -285,12 +287,17 @@ def compile_expression(text: str, dim: int) -> CompiledExpr:
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
     names = set()
+    rough = []  # abs(...) calls and |x| outside |x|^2: not smooth at 0
 
     def visit(node):
         if isinstance(node, ast.Expression):
             visit(node.body)
+        elif ast.dump(node) == _SQUARED_NORM:
+            names.add("normx")
         elif isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
+            # bool is an int, so True and False are named here
+            if isinstance(node.value, bool) \
+                    or not isinstance(node.value, (int, float)):
                 raise ExpressionError(
                     f"only numeric literals allowed, got {node.value!r}")
         elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
@@ -307,6 +314,8 @@ def compile_expression(text: str, dim: int) -> CompiledExpr:
                 raise ExpressionError(
                     f"{node.func.id} takes exactly one argument in {text!r}")
             names.add(node.func.id)
+            if node.func.id == "abs":
+                rough.append(node)
             visit(node.args[0])
         elif isinstance(node, ast.Name):
             m = _COORD_RE.match(node.id)
@@ -315,7 +324,9 @@ def compile_expression(text: str, dim: int) -> CompiledExpr:
                 if k > dim:
                     raise ExpressionError(
                         f"coordinate x{k} exceeds dimension {dim} in {text!r}")
-            elif node.id not in _CONSTS and node.id != "normx":
+            elif node.id == "normx":
+                rough.append(node)
+            elif node.id not in _CONSTS:
                 raise ExpressionError(f"unknown name {node.id!r} in {text!r}")
             names.add(node.id)
         else:
@@ -324,7 +335,7 @@ def compile_expression(text: str, dim: int) -> CompiledExpr:
 
     visit(tree)
     return CompiledExpr(text=text, tree=tree.body, names=frozenset(names),
-                        uses_abs="abs" in names or "normx" in names)
+                        uses_abs=bool(rough))
 
 
 def _as_block(n: int, *values) -> np.ndarray:

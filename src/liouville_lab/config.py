@@ -27,6 +27,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
+from .coupling_sim import DEFAULT_DT
 from .errors import ConfigError
 
 _CONSISTENT_DEFAULT_FIELD = "log_example"
@@ -113,8 +114,8 @@ class RunConfig:
     coupling_t_max: float = _knob(
         "coupling.t_max", "float", "--t-max", default=10.0, check=(
             lambda v: 0 <= v < math.inf, "must be finite and nonnegative"))
-    coupling_dt: float = _knob("coupling.dt", "float", "--dt", default=1e-3,
-                               check=_POSITIVE_FINITE)
+    coupling_dt: float = _knob("coupling.dt", "float", "--dt",
+                               default=DEFAULT_DT, check=_POSITIVE_FINITE)
     coupling_n_paths: int = _knob("coupling.n_paths", "int", "--n-paths",
                                   default=1000, check=_POSITIVE)
     coupling_couple_radius: float = _knob(

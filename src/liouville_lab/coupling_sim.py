@@ -12,23 +12,37 @@ increment is mirrored across the hyperplane orthogonal to X - Y:
 with e = (X-Y)/|X-Y|.  The difference process then feels twice the
 reflected noise along e, which is what drives the pair together.
 
-One kernel, _euler_step, moves stacked points by b dt + sigma dB +
-sqrt(mu) dW; _pair_step builds the reflected dW and moves [X; Y] with
-it.  Every simulator, coupled_step included, steps through these two.
-sigma comes from one of three routes: a field with constant diffusion has
-its sigma computed once; a step whose whole batch of q is diagonal (seen
-in the values: a finite diagonal and no nonzero entry off it) takes
-sigma = diag(sqrt(q_ii - mu)), which is what the eigen-solver returns for
-such a batch, to the bit; any other batch goes through the batched
-Jacobi square root.
+Paired steps go through one fused kernel, _PairKernel: it builds the
+reflected dW, moves [X; Y], and decides in the same pass which pairs hit
+the couple radius, which escaped and how likely each surviving pair was
+to meet between the grid times.  Unpaired points (the martingale check,
+a recorded pair after it merged) take _euler_step, b dt + sigma dB +
+sqrt(mu) dW, with the same arithmetic.  sigma comes from one of three
+routes (_sigma): a field with constant diffusion has its sigma computed
+once; a step whose whole batch of q is diagonal (seen in the values: a
+finite diagonal and no nonzero entry off it) takes sigma =
+diag(sqrt(q_ii - mu)), which is what the eigen-solver returns for such a
+batch, to the bit; any other batch goes through the batched Jacobi
+square root.
 
-Conventions: coupling is declared at a positive radius (exact hitting is
-a null event under discretization); the reflection direction is frozen
-within a step, and a step whose straight-line segment would cross the
-origin of X - Y is treated as coupled at that step (clamping avoids a
-spurious flip of e).  Escaped paths (either endpoint beyond the escape
-radius) count as not coupled unless configured otherwise, and are
-reported separately.
+Conventions: coupling is declared at a positive radius r (exact hitting
+is a null event under discretization); the reflection direction is
+frozen within a step, and a step whose straight-line segment would cross
+the origin of X - Y, or pass within r of it, is a grid hit at that step
+(clamping avoids a spurious flip of e).  Escaped paths (either endpoint
+beyond the escape radius) count as not coupled unless configured
+otherwise, and are reported separately.
+
+The fraction of paths with a grid hit, p_discrete, misses every meeting
+that happens between grid times, a bias of order sqrt(dt) (Gobet 2000,
+Stoch. Proc. Appl. 87).  p_couple removes it with Brownian-bridge
+weights (Broadie, Glasserman & Kou 1997, Math. Finance 7): a path
+without a grid hit contributes the probability 1 - W that its bridges
+crossed r, where W is the product over its steps of the survival factor
+1 - exp(-2 (d0 - r)(d1 - r)/(v dt)) between the distances d0 and d1 at
+the ends of each step (v: the variance rate of |X - Y| along e).  In the
+driftless closed form this brings the estimate within noise of the exact
+law at dt = 1e-2, hence DEFAULT_DT.
 
 Noise comes in blocks of 64 consecutive path indices: path i reads the
 Philox substream (seed, path-domain, i // 64), laid out step-major as 64
@@ -64,6 +78,8 @@ _STEP_CAP = 10_000_000
 _NOISE_BUDGET_BYTES = 3e7  # per chunk, and _NoiseFeed holds two
 _BLOCK = 64  # paths per noise stream; see the module docstring
 _TINY = np.finfo(float).tiny
+#: the Euler step of a coupling run unless one is given (coupling.dt)
+DEFAULT_DT = 1e-2
 
 
 @dataclass(frozen=True)
@@ -78,7 +94,7 @@ class CouplingConfig:
     mu: float
     t_max: float
     n_paths: int
-    dt: float = 1e-3
+    dt: float = DEFAULT_DT
     couple_radius: float = 1e-3
     escape_radius: Optional[float] = None
     seed: int = 0
@@ -117,11 +133,17 @@ class CouplingConfig:
 class CouplingStats:
     """Aggregated outcome of simulate_coupling.
 
-    coupling_time_quantiles holds the (25%, 50%, 90%) quantiles of the
-    coupling times among coupled paths (NaN when no path coupled), and
-    coupling_times each path's coupling time (NaN where it did not
-    couple).  recorded_distances is test instrumentation: the |X-Y|
-    sample frozen at a requested time, 0.0 for already-coupled paths.
+    p_couple is the bridge-corrected estimate with its 95% CI halfwidth
+    1.96 sd/sqrt(n) over the per-path contributions (simulate_coupling);
+    p_discrete is the fraction of paths that hit the couple radius on the
+    time grid (escapes included when counted), whose bias is O(sqrt(dt)).
+    survival holds each path's bridge survival weight, 0 where it hit (or
+    escaped and escapes are counted), so p_couple = mean(1 - survival).
+    coupling_time_quantiles holds the (25%, 50%, 90%) quantiles of the grid
+    hit times (NaN when no path hit), and coupling_times each path's hit
+    time (NaN where it did not hit).  recorded_distances is test
+    instrumentation: the |X-Y| sample frozen at a requested time, 0.0 for
+    paths that already hit.
     """
 
     n_paths: int
@@ -129,8 +151,10 @@ class CouplingStats:
     n_escaped: int
     p_couple: float
     ci_halfwidth: float
+    p_discrete: float
     coupling_time_quantiles: Tuple[float, float, float]
     coupling_times: np.ndarray
+    survival: np.ndarray
     recorded_distances: Optional[np.ndarray] = None
 
 
@@ -156,54 +180,170 @@ def _const_sigma(field: CoefficientField, mu: float) -> Optional[np.ndarray]:
     return _shifted_sqrt_batch(q0[None], mu)[0]
 
 
+def _sigma(field: CoefficientField, pts: np.ndarray, mu: float,
+           const_sigma: Optional[np.ndarray]) -> Tuple[str, np.ndarray]:
+    """sigma at every row of pts as (form, value): ("const", the (d, d)
+    matrix), ("diag", the (n, d) diagonals) or ("full", an (n, d, d)
+    batch from the Jacobi square root)."""
+    if const_sigma is not None:
+        return "const", const_sigma
+    q = np.asarray(field.diffusion(pts), dtype=float)
+    diag = np.diagonal(q, axis1=1, axis2=2)
+    if np.isfinite(diag).all() \
+            and np.count_nonzero(q) == np.count_nonzero(diag):
+        # Jacobi does no rotation on a diagonal q and v is a permutation,
+        # so sigma = diag(sqrt(q_ii - mu)) to the bit
+        _check_shift(diag.min(axis=1), mu)
+        return "diag", np.sqrt(diag - mu)
+    bad = ~np.isfinite(q).all(axis=(1, 2))
+    if bad.any():
+        raise CoefficientEvaluationError(
+            "diffusion is non-finite at x = "
+            f"{pts[np.flatnonzero(bad)[0]].tolist()}")
+    return "full", _shifted_sqrt_batch(q, mu)
+
+
+def _sigma_dB(form: str, sigma: np.ndarray, dB: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """sigma dB row by row, for sigma as _sigma returns it."""
+    if form == "const":
+        # one product dB sigma^T: np.dot hands it to threaded BLAS, whose
+        # wake-up costs milliseconds per step at 10^4 rows
+        return np.einsum("nj,ij->ni", dB, sigma, out=out)
+    if form == "diag":
+        return np.multiply(sigma, dB, out=out)
+    return np.einsum("nij,nj->ni", sigma, dB, out=out)
+
+
 def _euler_step(field: CoefficientField, pts: np.ndarray, mu: float,
                 dt: float, const_sigma: Optional[np.ndarray],
                 dB: np.ndarray, dW: np.ndarray) -> None:
-    """The Euler step of every simulator, in place over stacked points:
+    """The Euler step of unpaired points, in place:
     pts += b(pts) dt + sigma(pts) dB + sqrt(mu) dW."""
     with np.errstate(all="ignore"):  # a non-finite state raises downstream
         drift = np.asarray(field.drift(pts), dtype=float)
-    if const_sigma is not None:
-        # one product dB sigma^T, row by row: np.dot hands it to threaded
-        # BLAS, whose wake-up costs milliseconds per step at 10^4 rows
-        sig_dB = np.einsum("nj,ij->ni", dB, const_sigma)
-    else:
-        q = np.asarray(field.diffusion(pts), dtype=float)
-        diag = np.diagonal(q, axis1=1, axis2=2)
-        if np.isfinite(diag).all() \
-                and np.count_nonzero(q) == np.count_nonzero(diag):
-            # Jacobi does no rotation on a diagonal q and v is a permutation,
-            # so sigma = diag(sqrt(q_ii - mu)) to the bit
-            _check_shift(diag.min(axis=1), mu)
-            sig_dB = np.sqrt(diag - mu) * dB
-        else:
-            bad = ~np.isfinite(q).all(axis=(1, 2))
-            if bad.any():
-                raise CoefficientEvaluationError(
-                    "diffusion is non-finite at x = "
-                    f"{pts[np.flatnonzero(bad)[0]].tolist()}")
-            sig_dB = np.einsum("nij,nj->ni", _shifted_sqrt_batch(q, mu), dB)
+    sig_dB = _sigma_dB(*_sigma(field, pts, mu, const_sigma), dB)
     pts += drift * dt
     pts += sig_dB
     pts += math.sqrt(mu) * dW
 
 
-def _pair_step(field: CoefficientField, z: np.ndarray, mu: float, dt: float,
-               const_sigma: Optional[np.ndarray], dB: np.ndarray,
-               dW: np.ndarray) -> np.ndarray:
-    """Reflection-coupled step, in place, of the stacked pairs z = [x; y].
+def _rowdot(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row dot products into out.  In d = 1 it is one product, einsum's
+    0 + a*b but for the sign of a zero, at half of einsum's call cost."""
+    if a.shape[1] == 1:
+        return np.multiply(a[:, 0], b[:, 0], out=out)
+    return np.einsum("ij,ij->i", a, b, out=out)
 
-    Both halves share dB; y gets dW mirrored across the hyperplane
-    orthogonal to x - y.  One Euler step moves the whole stack.  Returns
-    the pre-step differences x - y.
+
+class _PairKernel:
+    """The reflection-coupled Euler step of stacked pairs z = [X; Y], fused
+    with everything a step decides: the grid-hit test, the escape test and
+    the Brownian-bridge survival factor.
+
+    step() moves the m pairs of z in place, y by dW mirrored across the
+    hyperplane orthogonal to x - y, with the arithmetic of _euler_step on
+    the stack.  A pair hits when the straight segment of x - y over the
+    step passes within the couple radius r of the origin.  Between the two
+    grid times the distance |x - y| is taken as a Brownian bridge from d0
+    to d1 with variance v = 4 mu + |(sigma(x) - sigma(y))^T e|^2 per unit
+    time along e = (x - y)/d0, frozen at the start of the step; it stays
+    above r with probability 1 - exp(-2 (d0 - r)(d1 - r)/(v dt)).  The
+    callers enter np.errstate(all="ignore") around it once per noise
+    chunk, not once per step.  It works in buffers that reserve() sizes
+    for the live pairs at a chunk's start; a step on fewer pairs uses
+    their leading rows.
     """
-    m = len(z) // 2
-    diff = z[:m] - z[m:]
-    proj = np.einsum("ij,ij->i", diff, dW) / np.einsum("ij,ij->i", diff, diff)
-    refl = dW - diff * (2.0 * proj)[:, None]
-    _euler_step(field, z, mu, dt, const_sigma, np.concatenate([dB, dB]),
-                np.concatenate([dW, refl]))
-    return diff
+
+    def __init__(self, field: CoefficientField, mu: float, dt: float,
+                 couple_radius: float, escape_radius: float):
+        self.field, self.mu, self.dt = field, mu, dt
+        self.radius, self.escape_radius = couple_radius, escape_radius
+        self.const_sigma = _const_sigma(field, mu)
+        self.root_mu = math.sqrt(mu)
+
+    def reserve(self, rows: int) -> None:
+        # per pair: x - y before the step; x - y after it (until then the
+        # scratch of each term added to x and y); y's reflected increment
+        # (then the segment's closest point); and three scalars
+        self._pairs = np.empty((3, rows, self.field.dim))
+        self._rows = np.empty((3, rows))
+
+    def step(self, z: np.ndarray, dB: np.ndarray, dW: np.ndarray,
+             survival: Optional[np.ndarray] = None,
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One step of the pairs of z, with dB, dW and survival each of
+        one row per pair.  Multiplies survival, if given, by each pair's
+        bridge factor and returns (d0, hit, done): |x - y| before the
+        step, the pairs that hit, and those that hit or have an endpoint
+        beyond the escape radius.  A state that turned non-finite is left
+        for the caller to name."""
+        m = len(z) // 2
+        x, y = z[:m], z[m:]
+        diff0, diff1, inc = self._pairs[:, :m]
+        proj, sq0, expo = self._rows[:, :m]
+        np.subtract(x, y, out=diff0)
+        np.divide(_rowdot(diff0, dW, proj), _rowdot(diff0, diff0, sq0),
+                  out=proj)
+        np.multiply(proj, 2.0, out=proj)
+        np.subtract(dW, np.multiply(diff0, proj[:, None], out=inc), out=inc)
+
+        # z += b dt, then sigma dB, then sqrt(mu) dW: _euler_step's order
+        drift = np.asarray(self.field.drift(z), dtype=float)
+        form, sigma = _sigma(self.field, z, self.mu, self.const_sigma)
+        x += np.multiply(drift[:m], self.dt, out=diff1)
+        y += np.multiply(drift[m:], self.dt, out=diff1)
+        drift = None  # its memory serves the temporaries below
+        if form == "const":
+            x += _sigma_dB(form, sigma, dB, diff1)
+            y += diff1
+        else:
+            x += _sigma_dB(form, sigma[:m], dB, diff1)
+            y += _sigma_dB(form, sigma[m:], dB, diff1)
+        x += np.multiply(dW, self.root_mu, out=diff1)
+        y += np.multiply(inc, self.root_mu, out=inc)
+        np.subtract(x, y, out=diff1)
+
+        # the point of the segment diff0 -> diff1 closest to the origin;
+        # where delta = 0 the numerator is 0 too, and alpha = 0/tiny = 0
+        delta = np.subtract(diff1, diff0, out=inc)
+        alpha = _rowdot(diff0, delta, proj)
+        np.divide(alpha, np.negative(np.maximum(
+            _rowdot(delta, delta, expo), _TINY, out=expo), out=expo),
+            out=alpha)
+        np.minimum(np.maximum(alpha, 0.0, out=alpha), 1.0, out=alpha)
+        closest = np.add(diff0, np.multiply(delta, alpha[:, None], out=inc),
+                         out=inc)
+        hit = np.sqrt(_rowdot(closest, closest, expo), out=expo) \
+            <= self.radius
+        far = _beyond(z, self.escape_radius)
+        done = hit | far[:m] | far[m:]
+
+        d0 = np.sqrt(sq0, out=sq0)
+        if survival is None:
+            return d0, hit, done
+        d1 = np.sqrt(_rowdot(diff1, diff1, proj), out=proj)
+        np.multiply(np.subtract(d0, self.radius, out=expo),
+                    np.subtract(d1, self.radius, out=d1), out=expo)
+        # an endpoint at or below r, which the hit test can miss by a
+        # rounding, survives with probability 0
+        np.maximum(expo, 0.0, out=expo)
+        if form == "const":
+            np.multiply(expo, -2.0 / (4.0 * self.mu * self.dt), out=expo)
+        else:
+            # 4 mu + |(sigma(x) - sigma(y))^T e|^2; where |x - y| overflowed,
+            # e = diff0/d0 is 0 or NaN, and v falls back to 4 mu
+            e = np.divide(diff0, d0[:, None], out=inc)
+            s_diff = sigma[:m] - sigma[m:]
+            u = s_diff * e if form == "diag" \
+                else np.einsum("nji,nj->ni", s_diff, e)
+            var = _rowdot(u, u, proj)
+            np.fmax(np.add(var, 4.0 * self.mu, out=var), 4.0 * self.mu,
+                    out=var)
+            np.divide(expo, np.multiply(var, -0.5 * self.dt, out=var),
+                      out=expo)
+        survival *= np.negative(np.expm1(expo, out=expo), out=expo)
+        return d0, hit, done
 
 
 def coupled_step(field: CoefficientField, bounds: EllipticityBounds,
@@ -220,7 +360,10 @@ def coupled_step(field: CoefficientField, bounds: EllipticityBounds,
         raise ValueError("coupled_step needs x != y")
     dB, dW = (np.asarray(a, dtype=float).reshape(1, -1) for a in noise)
     z = np.stack([x, y])
-    _pair_step(field, z, mu, dt, _const_sigma(field, mu), dB, dW)
+    kernel = _PairKernel(field, mu, dt, _TINY, math.inf)
+    kernel.reserve(1)
+    with np.errstate(all="ignore"):
+        kernel.step(z, dB, dW)
     return z[0], z[1]
 
 
@@ -312,10 +455,14 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _beyond(rows: np.ndarray, radius: float) -> np.ndarray:
-    """Which finite rows lie farther than radius from the origin.  Rows
-    flagged on the first pass are measured again with their largest entry
-    scaled out, so that a squared norm that overflows (|row| above about
-    1.3e154) is not taken for an escape; other steps pay nothing."""
+    """Which finite rows lie farther than radius from the origin.  When
+    the largest entry shows that no row can be that far, no norm is
+    taken.  Rows flagged on the first pass are measured again with their
+    largest entry scaled out, so that a squared norm that overflows (|row|
+    above about 1.3e154) is not taken for an escape."""
+    if rows.size and np.abs(rows).max() * math.sqrt(rows.shape[1]) \
+            * (1.0 + 1e-9) <= radius:
+        return np.zeros(len(rows), dtype=bool)
     far = _norms(rows) > radius
     if far.any():
         big = rows[far]
@@ -324,26 +471,19 @@ def _beyond(rows: np.ndarray, radius: float) -> np.ndarray:
     return far
 
 
-def _segment_min_distance(diff0: np.ndarray, diff1: np.ndarray) -> np.ndarray:
-    """Min of |diff0 + a*(diff1-diff0)| over a in [0,1], per row."""
-    delta = diff1 - diff0
-    # where delta = 0 the numerator is 0 too, and alpha = 0/tiny = 0
-    alpha = np.einsum("ij,ij->i", diff0, delta) / -np.maximum(
-        np.einsum("ij,ij->i", delta, delta), _TINY)
-    np.minimum(np.maximum(alpha, 0.0, out=alpha), 1.0, out=alpha)
-    closest = diff0 + alpha[:, None] * delta
-    return _norms(closest)
-
-
 def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
                       cfg: CouplingConfig, x0, y0, *,
                       record_distance_at: Optional[float] = None,
                       ) -> CouplingStats:
     """Estimate the coupling probability from n_paths independent pairs.
 
-    Each path stops at the first of: coupling (|X-Y| dips to the couple
-    radius, segment-crossing counted), escape (either endpoint beyond
-    the escape radius), or the horizon.  Deterministic given cfg.seed.
+    Each path stops at the first of: a grid hit (the segment of X - Y over
+    a step passes within the couple radius), escape (either endpoint
+    beyond the escape radius), or the horizon.  Until then its survival
+    weight W collects the Brownian-bridge factor of every step without a
+    hit (_PairKernel).  p_couple is the mean over paths of 1 for a grid hit
+    or a counted escape and 1 - W otherwise; p_discrete counts the grid
+    hits (and counted escapes) alone.  Deterministic given cfg.seed.
     """
     x0, y0 = _start_points(field, bounds, cfg.mu, x0, y0)
     if not np.linalg.norm(x0 - y0) > cfg.couple_radius:
@@ -351,16 +491,17 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
                          "couple radius")
     n = int(cfg.n_paths)
     dim = field.dim
-    esc_radius = cfg.resolved_escape_radius(x0, y0)
     n_steps = cfg.n_steps()
-    const_sigma = _const_sigma(field, cfg.mu)
-    root_dt = math.sqrt(cfg.dt)
+    kernel = _PairKernel(field, cfg.mu, cfg.dt, cfg.couple_radius,
+                         cfg.resolved_escape_radius(x0, y0))
 
     gens = _block_streams(cfg.seed, _streams.DOMAIN_PATHS, n)
     z = np.concatenate([np.tile(x0, (n, 1)), np.tile(y0, (n, 1))])
     ids = np.arange(n)
     escaped = np.zeros(n, dtype=bool)
     couple_time = np.full(n, np.nan)
+    survival = np.ones(n)
+    live_survival = np.ones(n)
     recorded = k_record = None
     if record_distance_at is not None:
         k_record = int(round(record_distance_at / cfg.dt))
@@ -369,42 +510,43 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
         recorded = np.zeros(n)
 
     step = 0
-    with _NoiseFeed(gens, n_steps, dim, root_dt) as feed:
+    with _NoiseFeed(gens, n_steps, dim, math.sqrt(cfg.dt)) as feed:
         while step < n_steps and ids.size:
             noise, blocks = feed.take(np.unique(ids // _BLOCK))
             # column of each live path in the chunk; all columns live is the
             # identity map, and the chunk rows are used without a gather
             cols = np.searchsorted(blocks, ids // _BLOCK) * _BLOCK \
                 + ids % _BLOCK
-            for k in range(len(noise)):
-                m = ids.size
-                nz = noise[k] if m == noise.shape[1] \
-                    else np.take(noise[k], cols, axis=0)
-                diff = _pair_step(field, z, cfg.mu, cfg.dt, const_sigma,
-                                  nz[:, :dim], nz[:, dim:])
-                if step + k == k_record:
-                    recorded[ids] = _norms(diff)
-                if not np.isfinite(z).all():
-                    bad = ~np.isfinite(z).all(axis=1)
-                    raise SimulationBlowUp(
-                        "non-finite state in coupled pair",
-                        path_index=int(
-                            ids[np.flatnonzero(bad[:m] | bad[m:])[0]]),
-                        time=(step + k + 1) * cfg.dt)
-                hit = _segment_min_distance(diff, z[:m] - z[m:]) \
-                    <= cfg.couple_radius
-                far = _beyond(z, esc_radius)
-                done = hit | far[:m] | far[m:]
-                if done.any():
-                    couple_time[ids[hit]] = (step + k + 1) * cfg.dt
-                    escaped[ids[done & ~hit]] = True
-                    keep = ~done
-                    ids, cols = ids[keep], cols[keep]
-                    z = z[np.concatenate([keep, keep])]
-                    if not ids.size:
-                        break
+            kernel.reserve(ids.size)
+            with np.errstate(all="ignore"):
+                for k in range(len(noise)):
+                    m = ids.size
+                    nz = noise[k] if m == noise.shape[1] \
+                        else np.take(noise[k], cols, axis=0)
+                    d0, hit, done = kernel.step(z, nz[:, :dim], nz[:, dim:],
+                                                live_survival)
+                    if step + k == k_record:
+                        recorded[ids] = d0
+                    if not np.isfinite(z).all():
+                        bad = ~np.isfinite(z).all(axis=1)
+                        raise SimulationBlowUp(
+                            "non-finite state in coupled pair",
+                            path_index=int(
+                                ids[np.flatnonzero(bad[:m] | bad[m:])[0]]),
+                            time=(step + k + 1) * cfg.dt)
+                    if done.any():
+                        couple_time[ids[hit]] = (step + k + 1) * cfg.dt
+                        escaped[ids[done & ~hit]] = True
+                        survival[ids[done]] = live_survival[done]
+                        keep = ~done
+                        ids, cols = ids[keep], cols[keep]
+                        live_survival = live_survival[keep]
+                        z = z[np.concatenate([keep, keep])]
+                        if not ids.size:
+                            break
             step += len(noise)
             noise = nz = None  # at most two chunks live: this and the next
+    survival[ids] = live_survival
     if k_record == n_steps:
         m = ids.size
         recorded[ids] = _norms(z[:m] - z[m:])
@@ -412,9 +554,9 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
     coupled = ~np.isnan(couple_time)
     n_coupled = int(coupled.sum())
     n_escaped = int(escaped.sum())
-    successes = n_coupled + (n_escaped if cfg.count_escaped_as_coupled else 0)
-    p = successes / n
-    ci = 1.96 * math.sqrt(p * (1.0 - p) / n)
+    succeeded = coupled | (escaped & cfg.count_escaped_as_coupled)
+    survival[succeeded] = 0.0
+    contribution = 1.0 - survival
     times = couple_time[coupled]
     if times.size:
         q = np.quantile(times, [0.25, 0.5, 0.9])
@@ -423,9 +565,11 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
         quantiles = (math.nan, math.nan, math.nan)
     return CouplingStats(
         n_paths=n, n_coupled=n_coupled, n_escaped=n_escaped,
-        p_couple=p, ci_halfwidth=ci,
+        p_couple=float(contribution.mean()),
+        ci_halfwidth=1.96 * float(contribution.std()) / math.sqrt(n),
+        p_discrete=int(succeeded.sum()) / n,
         coupling_time_quantiles=quantiles, coupling_times=couple_time,
-        recorded_distances=recorded,
+        survival=survival, recorded_distances=recorded,
     )
 
 
@@ -438,9 +582,9 @@ def simulate_pair_trajectory(field: CoefficientField,
     """One recorded pair trajectory for the CSV dump.
 
     Returns (t, X, Y, dist) sampled every `stride` steps (plus the final
-    state).  After coupling the pair moves as a single merged path
+    state).  After a grid hit the pair moves as a single merged path
     (Y := X); escape truncates the record.  Uses path index 0's stream,
-    so it follows path 0 of simulate_coupling up to the coupling step.
+    so it follows path 0 of simulate_coupling up to the hit.
     """
     if int(stride) != stride or stride < 1:
         raise ValueError("stride must be a positive integer")
@@ -448,7 +592,9 @@ def simulate_pair_trajectory(field: CoefficientField,
     dim = field.dim
     esc_radius = cfg.resolved_escape_radius(z[0], z[1])
     n_steps = cfg.n_steps()
-    const_sigma = _const_sigma(field, cfg.mu)
+    # escape is tested below, after a hit merges the pair
+    kernel = _PairKernel(field, cfg.mu, cfg.dt, cfg.couple_radius, math.inf)
+    kernel.reserve(1)
     gens = _block_streams(cfg.seed, _streams.DOMAIN_PATHS, 1)
 
     times = [0.0]
@@ -456,19 +602,18 @@ def simulate_pair_trajectory(field: CoefficientField,
     merged = False
     noise = np.empty((0, 2 * dim))
     start = 0
-    with _NoiseFeed(gens, n_steps, dim, math.sqrt(cfg.dt)) as feed:
+    with _NoiseFeed(gens, n_steps, dim, math.sqrt(cfg.dt)) as feed, \
+            np.errstate(all="ignore"):
         for k in range(n_steps):
             if k == start + len(noise):
                 start, noise = k, feed.take([0])[0][:, 0]
             dB = noise[None, k - start, :dim]
             dW = noise[None, k - start, dim:]
             if merged:
-                _euler_step(field, z[:1], cfg.mu, cfg.dt, const_sigma, dB, dW)
+                _euler_step(field, z[:1], cfg.mu, cfg.dt, kernel.const_sigma,
+                            dB, dW)
             else:
-                diff = _pair_step(field, z, cfg.mu, cfg.dt, const_sigma, dB,
-                                  dW)
-                merged = _segment_min_distance(diff, z[:1] - z[1:])[0] \
-                    <= cfg.couple_radius
+                merged = bool(kernel.step(z, dB, dW)[1][0])
             if merged:
                 z[1] = z[0]
             if not np.isfinite(z).all():

@@ -289,6 +289,7 @@ def coupling_summary(stats: CouplingStats, params: CouplingConfig) -> dict:
         "n_escaped": stats.n_escaped,
         "p_couple": _real(stats.p_couple),
         "ci_halfwidth": _real(stats.ci_halfwidth),
+        "p_discrete": _real(stats.p_discrete),
         "coupling_time_quantiles": _reals(stats.coupling_time_quantiles),
         "mu": _real(params.mu), "t_max": _real(params.t_max),
         "dt": _real(params.dt),

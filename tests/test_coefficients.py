@@ -458,6 +458,24 @@ def test_expression_norm_flags_smoothness():
     assert smooth.smoothness_note is None
 
 
+@pytest.mark.parametrize("drift, rough", [
+    ("x1/(1 + |x|^2)", False), ("exp(-|x|^2)*x1", False),
+    ("|x|", True), ("abs(x1)", True), ("sin(|x|)", True),
+    ("|x|^2 + |x|", True), ("|x|^3", True)])
+def test_smoothness_note_only_for_non_smooth_norms(drift, rough):
+    # |x|^2 is the smooth sum of squares; any other |x| and every abs(...)
+    # is only continuous at the origin
+    field = ll.field_from_expressions(1, [drift])
+    assert (field.smoothness_note is not None) is rough
+
+
+@pytest.mark.parametrize("literal", ["True", "False"])
+def test_boolean_literals_are_rejected(literal):
+    # bool is an int, so the literal check names them explicitly
+    with pytest.raises(ll.ExpressionError, match=literal):
+        ll.field_from_expressions(1, [f"{literal} + x1"])
+
+
 def test_expression_diffusion_entries():
     field = ll.field_from_expressions(
         2, ["0", "0"], ["1.2", "0.3", "0.3", "1.0"]

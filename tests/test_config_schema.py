@@ -84,3 +84,13 @@ def test_each_flag_sets_its_key(f, option, const, data):
     assert entries[key] == raw
     assert getattr(config_from_entries(entries), f.name) \
         == getattr(expected, f.name)
+
+
+def test_coupling_dt_default_is_the_simulator_default():
+    # coupling.dt and CouplingConfig.dt both read one declared constant
+    from liouville_lab.coupling_sim import DEFAULT_DT
+
+    run_default = next(f.default for f in FIELDS if f.name == "coupling_dt")
+    sim_default = next(f.default for f in dataclasses.fields(ll.CouplingConfig)
+                       if f.name == "dt")
+    assert run_default == sim_default == DEFAULT_DT

@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liouville_lab as ll
 from liouville_lab import coupling_sim
@@ -299,23 +301,115 @@ def test_coupling_dt_halving_stability():
     assert abs(q[1e-3].p_couple - q[5e-4].p_couple) < 2.0 * q[1e-3].ci_halfwidth
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_default_step_matches_the_closed_form(dim):
+    # driftless, sigma constant: X - Y stays on the line through its start
+    # and |X - Y| is a Brownian motion of variance 4 mu t, which reaches r
+    # from d0 by time T with probability erfc((d0 - r)/sqrt(8 mu T)); the
+    # grid hits alone read 10-20 se low here, the bridge weights within 3
+    field = ll.make_standard_fields("zero", dim)
+    x0 = 0.5 * np.eye(dim)[0]
+    for k, horizon in enumerate((0.25, 1.0, 4.0)):
+        cfg = ll.CouplingConfig(mu=0.5, t_max=horizon, n_paths=50_000,
+                                seed=k + 3 * (dim - 1))
+        assert cfg.dt == 1e-2
+        stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
+        exact = math.erfc((1.0 - cfg.couple_radius) / math.sqrt(
+            8.0 * cfg.mu * horizon))
+        se = stats.ci_halfwidth / 1.96
+        assert abs(stats.p_couple - exact) <= 3.0 * se, (horizon, stats.p_couple,
+                                                          exact, se)
+
+
+@pytest.mark.parametrize("name, dim, x0", [
+    ("log_example", 1, [1.0]), ("var_q_const_b", 2, [0.5, 0.0])],
+    ids=["log_example-1", "var_q_const_b-2"])
+def test_default_step_agrees_with_a_five_times_finer_step(name, dim, x0):
+    # with drift (the quick-start field, horizon 10) and with variable sigma
+    # (the bridge variance then carries (sigma(x) - sigma(y))^T e)
+    field = ll.make_standard_fields(name, dim, [0.25] if dim == 1 else [])
+    bounds = ll.EllipticityBounds(1.0, 1.5, 10.0, 1)
+    horizon = 10.0 if dim == 1 else 1.0
+    p, se = {}, {}
+    for dt in (1e-2, 2e-3):
+        cfg = ll.CouplingConfig(mu=0.5, t_max=horizon, n_paths=10_000, dt=dt,
+                                seed=7)
+        stats = ll.simulate_coupling(field, bounds, cfg, np.array(x0),
+                                     -np.array(x0))
+        p[dt], se[dt] = stats.p_couple, stats.ci_halfwidth / 1.96
+    assert abs(p[1e-2] - p[2e-3]) <= 3.0 * math.hypot(se[1e-2], se[2e-3]), p
+
+
 def test_zero_horizon_means_no_coupling():
     field = ll.make_standard_fields("zero", 1)
     cfg = ll.CouplingConfig(mu=0.5, t_max=0.0, n_paths=50, dt=1e-3, seed=0)
     stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, np.array([1.0]), np.array([-1.0]))
     assert stats.n_coupled == 0
     assert stats.p_couple == 0.0
+    assert stats.p_discrete == 0.0
+    assert stats.ci_halfwidth == 0.0
+    assert np.array_equal(stats.survival, np.ones(50))
     assert all(math.isnan(qt) for qt in stats.coupling_time_quantiles)
+
+
+ESTIMATOR_CASES = {
+    "zero-1": (lambda: ll.make_standard_fields("zero", 1), None),
+    "ou-2": (lambda: ll.make_standard_fields("ou", 2), None),
+    "outward-1": (lambda: ll.field_from_expressions(1, ["2*x1"]), 1.2),
+    "var_q-2": (lambda: ll.make_standard_fields("var_q_const_b", 2, [0.9]),
+                None),
+    "full_q-2": (lambda: ll.field_from_expressions(
+        2, ["-x1", "x2"], ["2 + sin(x1)", "0.3*x2", "0.3*x2", "2"]), 8.0),
+}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(case=st.sampled_from(sorted(ESTIMATOR_CASES)),
+       seed=st.integers(0, 10**6), count_escaped=st.booleans(),
+       dt=st.sampled_from([1e-2, 2.5e-3]),
+       scale=st.sampled_from([0.05, 0.5]))
+def test_estimator_properties(case, seed, count_escaped, dt, scale):
+    # p_discrete counts grid hits (and escapes when they count); p_couple
+    # adds the bridge probability of the rest, so it is never below it
+    make, escape_radius = ESTIMATOR_CASES[case]
+    field = make()
+    x0 = scale * np.eye(field.dim)[0]
+    cfg = ll.CouplingConfig(mu=0.5, t_max=0.5, n_paths=100, dt=dt, seed=seed,
+                            escape_radius=escape_radius,
+                            count_escaped_as_coupled=count_escaped)
+    st_ = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
+    successes = st_.n_coupled + (st_.n_escaped if count_escaped else 0)
+    assert st_.p_discrete == successes / 100
+    assert st_.p_couple >= st_.p_discrete
+    assert 0.0 <= st_.survival.min() and st_.survival.max() <= 1.0
+    assert not st_.survival[~np.isnan(st_.coupling_times)].any()
+    assert st_.p_couple == (1.0 - st_.survival).mean() <= 1.0
+
+
+def test_no_runtime_warning_when_distances_overflow_before_a_blowup():
+    # dX = X^3 dt from 3 and 2.9: on seed 0, |X - Y|^2 overflows (inf/inf
+    # in the reflection) a step before the state turns non-finite; the
+    # suite turns any RuntimeWarning into an error
+    cubic = ll.field_from_expressions(1, ["x1^3"], label="cubic")
+    cfg = ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=4, dt=1e-3, seed=0,
+                            escape_radius=math.inf)
+    with pytest.raises(ll.SimulationBlowUp):
+        ll.simulate_coupling(cubic, D1_BOUNDS, cfg, np.array([3.0]),
+                             np.array([2.9]))
 
 
 def test_coupling_stats_consistency():
     field = ll.make_standard_fields("ou", 2)
     cfg = ll.CouplingConfig(mu=0.5, t_max=2.0, n_paths=400, dt=1e-3, seed=5)
     st = ll.simulate_coupling(field, D1_BOUNDS, cfg, np.array([0.5, 0.0]), np.array([-0.5, 0.0]))
-    assert st.p_couple == st.n_coupled / st.n_paths
-    assert 0.0 <= st.p_couple <= 1.0
-    p = st.p_couple
-    assert st.ci_halfwidth == pytest.approx(1.96 * math.sqrt(p * (1 - p) / 400), rel=1e-12)
+    assert st.p_discrete == st.n_coupled / st.n_paths
+    assert 0.0 <= st.p_discrete <= 1.0
+    # p_couple and its CI are the mean and 1.96 sd/sqrt(n) of the per-path
+    # contributions 1 - survival
+    contribution = 1.0 - st.survival
+    assert st.p_couple == contribution.mean()
+    assert st.ci_halfwidth == pytest.approx(
+        1.96 * contribution.std() / math.sqrt(400), rel=1e-12)
     q25, q50, q90 = st.coupling_time_quantiles
     assert 0 < q25 <= q50 <= q90 <= 2.0
 
@@ -450,14 +544,14 @@ def test_escaped_paths_counted_separately():
     )
     st = ll.simulate_coupling(outward, D1_BOUNDS, cfg, x0, y0)
     assert st.n_escaped > 0
-    assert st.p_couple == st.n_coupled / 100  # escaped NOT counted by default
+    assert st.p_discrete == st.n_coupled / 100  # escaped NOT counted by default
     flagged = ll.CouplingConfig(
         mu=0.5, t_max=4.0, n_paths=100, dt=1e-3, seed=1, escape_radius=10.0,
         count_escaped_as_coupled=True,
     )
     st2 = ll.simulate_coupling(outward, D1_BOUNDS, flagged, x0, y0)
     assert st2.n_escaped == st.n_escaped
-    assert st2.p_couple == (st.n_coupled + st.n_escaped) / 100
+    assert st2.p_discrete == (st.n_coupled + st.n_escaped) / 100
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -480,6 +574,20 @@ def test_simulation_blowup_reported_with_path_and_time():
             run()
         assert exc.value.path_index in path_indices
         assert exc.value.time is not None and 0 < exc.value.time <= 1.0
+
+
+def test_overflowed_distances_keep_the_bridge_weight_finite():
+    # dX = 10 X dt: by t = 40 the pair is some 1e170 apart, finite but
+    # beyond a finite squared norm, and inside the escape radius; with
+    # variable sigma the bridge variance must not turn into inf/inf
+    field = ll.field_from_expressions(1, ["10*x1"], ["2 + sin(x1)"])
+    cfg = ll.CouplingConfig(mu=0.5, t_max=40.0, n_paths=4, seed=0,
+                            escape_radius=1e300)
+    stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg,
+                                 np.array([3.0]), np.array([2.9]))
+    assert stats.n_escaped == 0
+    assert 0.0 <= stats.survival.min() and stats.survival.max() <= 1.0
+    assert stats.p_couple == (1.0 - stats.survival).mean()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

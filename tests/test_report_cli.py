@@ -444,8 +444,8 @@ def test_cli_trajectory_blowup_names_stage(tmp_path, capsys):
         [
             "couple", "--dim", "1", "--drift", "x1^3", "--x0", "1.1",
             "--y0", "1.05", "--t-max", "2", "--n-paths", "1", "--seed", "0",
-            "--coupling-escape-radius", "1e300", "--ellipticity-samples",
-            "500", "--output", str(tmp_path),
+            "--dt", "1e-3", "--coupling-escape-radius", "1e300",
+            "--ellipticity-samples", "500", "--output", str(tmp_path),
         ]
     )
     assert code == 3
@@ -458,7 +458,8 @@ def test_cli_trajectory_blowup_prints_only_the_error(capfd, tmp_path):
     # named blow-up is the only line on stderr
     proc = _cli_child("couple", "--dim", "1", "--drift", "x1^3", "--x0",
                       "1.1", "--y0", "1.05", "--t-max", "2", "--n-paths",
-                      "1", "--seed", "0", "--coupling-escape-radius", "1e300",
+                      "1", "--seed", "0", "--dt", "1e-3",
+                      "--coupling-escape-radius", "1e300",
                       "--ellipticity-samples", "500", "--output",
                       str(tmp_path))
     assert proc.returncode == 3
