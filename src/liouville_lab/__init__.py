@@ -26,9 +26,9 @@ from .coefficients import (CATALOGUE, CoefficientField, EllipticityBounds,
                            field_from_expressions, make_log_example,
                            make_standard_fields)
 from .config import RunConfig, emit_config, parse_config
-from .coupling_sim import (CouplingConfig, CouplingStats, coupled_step,
-                           martingale_check, simulate_coupling,
-                           simulate_pair_trajectory, space_time_residual)
+from .coupling_sim import (CouplingConfig, CouplingStats, martingale_check,
+                           simulate_coupling, simulate_pair_trajectory,
+                           space_time_residual)
 from .criterion import (VERDICT_GUARANTEED, VERDICT_INCONCLUSIVE,
                         ClassicConditionReport, CriterionConfig,
                         CriterionConstants, CriterionReport,
@@ -70,7 +70,7 @@ __all__ = [
     "VERDICT_GUARANTEED", "VERDICT_INCONCLUSIVE", "VerdictBundle",
     "asymptotic_dispersion", "build_field", "build_g", "check_sigma_bounds",
     "choose_constants", "classic_condition_check", "compile_expression",
-    "coupled_step", "drift_dispersion", "emit", "emit_config",
+    "drift_dispersion", "emit", "emit_config",
     "escape_integral_divergent", "estimate_ellipticity", "eval_diffusion",
     "eval_drift", "evaluate_liouville_criterion", "field_from_expressions",
     "harmonic_1d", "hs_norm", "liouville_verdict_1d", "make_log_example",

@@ -180,8 +180,9 @@ def _cmd_couple(args: argparse.Namespace) -> int:
     cfg = config_from_entries(_entries(args))
     with annotate_stage("field"):
         field = build_field(cfg)
-    bounds = estimate_ellipticity(field, cfg.window_radius,
-                                  cfg.ellipticity_samples, cfg.seed)
+    with annotate_stage("ellipticity"):
+        bounds = estimate_ellipticity(field, cfg.window_radius,
+                                      cfg.ellipticity_samples, cfg.seed)
     trajectory = None
     with coupling_stage(cfg, field, 0.5 * bounds.lambda0) as (params, x0, y0,
                                                               stride):

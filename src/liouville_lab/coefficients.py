@@ -506,12 +506,17 @@ def estimate_ellipticity(field: CoefficientField, radius: float,
 
     def absorb(points: np.ndarray):
         nonlocal lo, hi, total
-        q = np.asarray(field.diffusion(points), dtype=float)
-        if q.shape != (points.shape[0], field.dim, field.dim) \
-                or not np.all(np.isfinite(q)):
+        with np.errstate(all="ignore"):  # a non-finite value raises below
+            q = np.asarray(field.diffusion(points), dtype=float)
+        if q.shape != (points.shape[0], field.dim, field.dim):
             raise CoefficientEvaluationError(
                 f"diffusion of field {field.label!r} returned bad values "
                 "during ellipticity sampling")
+        bad = ~np.isfinite(q).all(axis=(1, 2))
+        if bad.any():
+            raise CoefficientEvaluationError(
+                f"diffusion of field {field.label!r} is non-finite at x = "
+                f"{points[np.flatnonzero(bad)[0]].tolist()}")
         sym_defect = np.max(np.abs(q - np.transpose(q, (0, 2, 1))), initial=0.0)
         if float(sym_defect) > _SYM_TOL:
             raise CoefficientEvaluationError(

@@ -12,18 +12,23 @@ increment is mirrored across the hyperplane orthogonal to X - Y:
 with e = (X-Y)/|X-Y|.  The difference process then feels twice the
 reflected noise along e, which is what drives the pair together.
 
+All three simulators step their paths through one driver, _drive: it
+takes the noise chunks of _NoiseFeed, maps each live path to its column
+of the chunk, enters np.errstate once per chunk, raises SimulationBlowUp
+with the path and time of a state that turned non-finite, and drops the
+paths that finish.  What a step does is the caller's move function.
 Paired steps go through one fused kernel, _PairKernel: it builds the
 reflected dW, moves [X; Y], and decides in the same pass which pairs hit
 the couple radius, which escaped and how likely each surviving pair was
-to meet between the grid times.  Unpaired points (the martingale check,
-a recorded pair after it merged) take _euler_step, b dt + sigma dB +
-sqrt(mu) dW, with the same arithmetic.  sigma comes from one of three
-routes (_sigma): a field with constant diffusion has its sigma computed
-once; a step whose whole batch of q is diagonal (seen in the values: a
-finite diagonal and no nonzero entry off it) takes sigma =
-diag(sqrt(q_ii - mu)), which is what the eigen-solver returns for such a
-batch, to the bit; any other batch goes through the batched Jacobi
-square root.
+to meet between the grid times.  Unpaired points take _euler_step, b dt
++ sigma dB + sqrt(mu) dW, with the same arithmetic: martingale_check
+moves every path with it, and simulate_pair_trajectory its pair once it
+merged.  sigma comes from one of three routes (_sigma): a field with
+constant diffusion has its sigma computed once; a step whose whole batch
+of q is diagonal (seen in the values: a finite diagonal and no nonzero
+entry off it) takes sigma = diag(sqrt(q_ii - mu)), which is what the
+eigen-solver returns for such a batch, to the bit; any other batch goes
+through the batched Jacobi square root.
 
 Conventions: coupling is declared at a positive radius r (exact hitting
 is a null event under discretization); the reflection direction is
@@ -248,11 +253,11 @@ class _PairKernel:
     grid times the distance |x - y| is taken as a Brownian bridge from d0
     to d1 with variance v = 4 mu + |(sigma(x) - sigma(y))^T e|^2 per unit
     time along e = (x - y)/d0, frozen at the start of the step; it stays
-    above r with probability 1 - exp(-2 (d0 - r)(d1 - r)/(v dt)).  The
-    callers enter np.errstate(all="ignore") around it once per noise
-    chunk, not once per step.  It works in buffers that reserve() sizes
-    for the live pairs at a chunk's start; a step on fewer pairs uses
-    their leading rows.
+    above r with probability 1 - exp(-2 (d0 - r)(d1 - r)/(v dt)).  Its
+    callers step it inside _drive, whose np.errstate(all="ignore") covers
+    a whole noise chunk.  It works in buffers sized to the pairs of a step
+    and allocated again only when that count changes, so that no memory
+    stays held for pairs that finished.
     """
 
     def __init__(self, field: CoefficientField, mu: float, dt: float,
@@ -261,13 +266,7 @@ class _PairKernel:
         self.radius, self.escape_radius = couple_radius, escape_radius
         self.const_sigma = _const_sigma(field, mu)
         self.root_mu = math.sqrt(mu)
-
-    def reserve(self, rows: int) -> None:
-        # per pair: x - y before the step; x - y after it (until then the
-        # scratch of each term added to x and y); y's reflected increment
-        # (then the segment's closest point); and three scalars
-        self._pairs = np.empty((3, rows, self.field.dim))
-        self._rows = np.empty((3, rows))
+        self._pairs = self._rows = None
 
     def step(self, z: np.ndarray, dB: np.ndarray, dW: np.ndarray,
              survival: Optional[np.ndarray] = None,
@@ -279,9 +278,15 @@ class _PairKernel:
         beyond the escape radius.  A state that turned non-finite is left
         for the caller to name."""
         m = len(z) // 2
+        if self._rows is None or self._rows.shape[1] != m:
+            # per pair: x - y before the step; x - y after it (until then
+            # the scratch of each term added to x and y); y's reflected
+            # increment (then the segment's closest point); three scalars
+            self._pairs = np.empty((3, m, self.field.dim))
+            self._rows = np.empty((3, m))
         x, y = z[:m], z[m:]
-        diff0, diff1, inc = self._pairs[:, :m]
-        proj, sq0, expo = self._rows[:, :m]
+        diff0, diff1, inc = self._pairs
+        proj, sq0, expo = self._rows
         np.subtract(x, y, out=diff0)
         np.divide(_rowdot(diff0, dW, proj), _rowdot(diff0, diff0, sq0),
                   out=proj)
@@ -344,27 +349,6 @@ class _PairKernel:
                       out=expo)
         survival *= np.negative(np.expm1(expo, out=expo), out=expo)
         return d0, hit, done
-
-
-def coupled_step(field: CoefficientField, bounds: EllipticityBounds,
-                 x: np.ndarray, y: np.ndarray, mu: float, dt: float,
-                 noise: Tuple[np.ndarray, np.ndarray],
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One explicit Euler step of the coupled pair (a one-row kernel call).
-
-    noise = (dB, dW): two independent N(0, dt*I_d) increments.  Requires
-    x != y (the reflection direction is undefined at the diagonal).
-    """
-    x, y = _start_points(field, bounds, mu, x, y)
-    if not np.linalg.norm(x - y) > 0.0:
-        raise ValueError("coupled_step needs x != y")
-    dB, dW = (np.asarray(a, dtype=float).reshape(1, -1) for a in noise)
-    z = np.stack([x, y])
-    kernel = _PairKernel(field, mu, dt, _TINY, math.inf)
-    kernel.reserve(1)
-    with np.errstate(all="ignore"):
-        kernel.step(z, dB, dW)
-    return z[0], z[1]
 
 
 def _draw_noise(gens: Sequence[np.random.Generator], out: np.ndarray,
@@ -471,6 +455,55 @@ def _beyond(rows: np.ndarray, radius: float) -> np.ndarray:
     return far
 
 
+def _drive(z: np.ndarray, n: int, seed: int, domain: int, dt: float,
+           n_steps: int, move: Callable, what: str,
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """Step n paths up to n_steps times on the noise of their blocks in
+    the stream domain, and return the rows and the indices of the paths
+    still live.
+
+    z holds one row per path, or the pairs stacked as [X; Y].  Step k is
+    move(z, ids, k, dB, dW): it moves the live paths ids in place, with
+    dB and dW one row per path, and returns a mask of the paths that go
+    on, or None when they all do.  A state that turned non-finite raises
+    SimulationBlowUp "non-finite state in <what>", naming the path and the
+    time, before any path is dropped.
+    """
+    dim = z.shape[1]
+    rows = len(z) // n  # per path: 1, or 2 for a pair
+    ids = np.arange(n)
+    k = 0
+    with _NoiseFeed(_block_streams(seed, domain, n), n_steps, dim,
+                    math.sqrt(dt)) as feed:
+        while k < n_steps and ids.size:
+            noise, blocks = feed.take(np.unique(ids // _BLOCK))
+            # column of each live path in the chunk; while they are the
+            # leading columns the chunk rows are used without a gather
+            cols = np.searchsorted(blocks, ids // _BLOCK) * _BLOCK \
+                + ids % _BLOCK
+            with np.errstate(all="ignore"):
+                for chunk_row in noise:
+                    m = ids.size
+                    nz = chunk_row[:m] if cols[-1] == m - 1 \
+                        else np.take(chunk_row, cols, axis=0)
+                    keep = move(z, ids, k, nz[:, :dim], nz[:, dim:])
+                    k += 1
+                    if not np.isfinite(z).all():
+                        bad = ~np.isfinite(z).reshape(rows, m, dim).all(
+                            axis=(0, 2))
+                        raise SimulationBlowUp(
+                            f"non-finite state in {what}",
+                            path_index=int(ids[np.flatnonzero(bad)[0]]),
+                            time=k * dt)
+                    if keep is not None:
+                        ids, cols = ids[keep], cols[keep]
+                        z = z[np.tile(keep, rows)]
+                        if not ids.size:
+                            break
+            noise = chunk_row = nz = None  # at most two chunks live
+    return z, ids
+
+
 def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
                       cfg: CouplingConfig, x0, y0, *,
                       record_distance_at: Optional[float] = None,
@@ -490,14 +523,9 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
         raise ValueError("x0 and y0 must start farther apart than the "
                          "couple radius")
     n = int(cfg.n_paths)
-    dim = field.dim
     n_steps = cfg.n_steps()
     kernel = _PairKernel(field, cfg.mu, cfg.dt, cfg.couple_radius,
                          cfg.resolved_escape_radius(x0, y0))
-
-    gens = _block_streams(cfg.seed, _streams.DOMAIN_PATHS, n)
-    z = np.concatenate([np.tile(x0, (n, 1)), np.tile(y0, (n, 1))])
-    ids = np.arange(n)
     escaped = np.zeros(n, dtype=bool)
     couple_time = np.full(n, np.nan)
     survival = np.ones(n)
@@ -509,43 +537,22 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
             raise ValueError("record_distance_at outside the horizon")
         recorded = np.zeros(n)
 
-    step = 0
-    with _NoiseFeed(gens, n_steps, dim, math.sqrt(cfg.dt)) as feed:
-        while step < n_steps and ids.size:
-            noise, blocks = feed.take(np.unique(ids // _BLOCK))
-            # column of each live path in the chunk; all columns live is the
-            # identity map, and the chunk rows are used without a gather
-            cols = np.searchsorted(blocks, ids // _BLOCK) * _BLOCK \
-                + ids % _BLOCK
-            kernel.reserve(ids.size)
-            with np.errstate(all="ignore"):
-                for k in range(len(noise)):
-                    m = ids.size
-                    nz = noise[k] if m == noise.shape[1] \
-                        else np.take(noise[k], cols, axis=0)
-                    d0, hit, done = kernel.step(z, nz[:, :dim], nz[:, dim:],
-                                                live_survival)
-                    if step + k == k_record:
-                        recorded[ids] = d0
-                    if not np.isfinite(z).all():
-                        bad = ~np.isfinite(z).all(axis=1)
-                        raise SimulationBlowUp(
-                            "non-finite state in coupled pair",
-                            path_index=int(
-                                ids[np.flatnonzero(bad[:m] | bad[m:])[0]]),
-                            time=(step + k + 1) * cfg.dt)
-                    if done.any():
-                        couple_time[ids[hit]] = (step + k + 1) * cfg.dt
-                        escaped[ids[done & ~hit]] = True
-                        survival[ids[done]] = live_survival[done]
-                        keep = ~done
-                        ids, cols = ids[keep], cols[keep]
-                        live_survival = live_survival[keep]
-                        z = z[np.concatenate([keep, keep])]
-                        if not ids.size:
-                            break
-            step += len(noise)
-            noise = nz = None  # at most two chunks live: this and the next
+    def move(z, ids, k, dB, dW):
+        nonlocal live_survival
+        d0, hit, done = kernel.step(z, dB, dW, live_survival)
+        if k == k_record:
+            recorded[ids] = d0
+        if not done.any():
+            return None
+        couple_time[ids[hit]] = (k + 1) * cfg.dt
+        escaped[ids[done & ~hit]] = True
+        survival[ids[done]] = live_survival[done]
+        live_survival = live_survival[~done]
+        return ~done
+
+    z, ids = _drive(np.repeat(np.stack([x0, y0]), n, axis=0), n, cfg.seed,
+                    _streams.DOMAIN_PATHS, cfg.dt, n_steps, move,
+                    "coupled pair")
     survival[ids] = live_survival
     if k_record == n_steps:
         m = ids.size
@@ -589,41 +596,33 @@ def simulate_pair_trajectory(field: CoefficientField,
     if int(stride) != stride or stride < 1:
         raise ValueError("stride must be a positive integer")
     z = np.stack(_start_points(field, bounds, cfg.mu, x0, y0))
-    dim = field.dim
-    esc_radius = cfg.resolved_escape_radius(z[0], z[1])
     n_steps = cfg.n_steps()
-    # escape is tested below, after a hit merges the pair
-    kernel = _PairKernel(field, cfg.mu, cfg.dt, cfg.couple_radius, math.inf)
-    kernel.reserve(1)
-    gens = _block_streams(cfg.seed, _streams.DOMAIN_PATHS, 1)
-
+    kernel = _PairKernel(field, cfg.mu, cfg.dt, cfg.couple_radius,
+                         cfg.resolved_escape_radius(z[0], z[1]))
     times = [0.0]
     states = [z.copy()]
     merged = False
-    noise = np.empty((0, 2 * dim))
-    start = 0
-    with _NoiseFeed(gens, n_steps, dim, math.sqrt(cfg.dt)) as feed, \
-            np.errstate(all="ignore"):
-        for k in range(n_steps):
-            if k == start + len(noise):
-                start, noise = k, feed.take([0])[0][:, 0]
-            dB = noise[None, k - start, :dim]
-            dW = noise[None, k - start, dim:]
-            if merged:
-                _euler_step(field, z[:1], cfg.mu, cfg.dt, kernel.const_sigma,
-                            dB, dW)
-            else:
-                merged = bool(kernel.step(z, dB, dW)[1][0])
-            if merged:
-                z[1] = z[0]
-            if not np.isfinite(z).all():
-                raise SimulationBlowUp("non-finite state in pair trajectory",
-                                       path_index=0, time=(k + 1) * cfg.dt)
-            if _beyond(z, esc_radius).any():
-                break
-            if (k + 1) % stride == 0 or k == n_steps - 1:
-                times.append((k + 1) * cfg.dt)
-                states.append(z.copy())
+
+    def move(z, ids, k, dB, dW):
+        nonlocal merged
+        if merged:
+            _euler_step(field, z[:1], cfg.mu, cfg.dt, kernel.const_sigma,
+                        dB, dW)
+        else:
+            _, hit, done = kernel.step(z, dB, dW)
+            merged = bool(hit[0])
+        if merged:  # Y := X, and X alone decides an escape
+            z[1] = z[0]
+            done = _beyond(z[:1], kernel.escape_radius)
+        if done[0]:
+            return ~done
+        if (k + 1) % stride == 0 or k == n_steps - 1:
+            times.append((k + 1) * cfg.dt)
+            states.append(z.copy())
+        return None
+
+    _drive(z, 1, cfg.seed, _streams.DOMAIN_PATHS, cfg.dt, n_steps, move,
+           "pair trajectory")
     t = np.array(times)
     X, Y = np.stack(states, axis=1)
     return t, X, Y, np.linalg.norm(X - Y, axis=1)
@@ -642,34 +641,18 @@ def martingale_check(field: CoefficientField, bounds: EllipticityBounds,
     (x0,) = _start_points(field, bounds, mu, x0)
     if not t > 0:
         raise ValueError("t must be positive")
-    if not (dt > 0 and dt <= t):
-        raise ValueError("need 0 < dt <= t")
-    if t / dt > _STEP_CAP:
-        raise ValueError(f"t/dt exceeds the {_STEP_CAP} step cap")
-    if int(n_paths) != n_paths or n_paths < 2:
+    # checks dt against t and the step cap, and n_paths for an integer
+    cfg = CouplingConfig(mu=mu, t_max=t, n_paths=n_paths, dt=dt, seed=seed)
+    if n_paths < 2:
         raise ValueError("n_paths must be an integer >= 2")
-    dim = field.dim
-    n_steps = int(math.floor(t / dt + 1e-9))
+    n, n_steps = int(n_paths), cfg.n_steps()
     const_sigma = _const_sigma(field, mu)
-    root_dt = math.sqrt(dt)
-    n = int(n_paths)
-    gens = _block_streams(seed, _streams.DOMAIN_MARTINGALE, n)
-    X = np.tile(x0, (n, 1))
-    every = range(len(gens))
-    step = 0
-    with _NoiseFeed(gens, n_steps, dim, root_dt) as feed:
-        while step < n_steps:
-            noise = feed.take(every)[0][:, :n]
-            for k in range(len(noise)):
-                _euler_step(field, X, mu, dt, const_sigma,
-                            noise[k, :, :dim], noise[k, :, dim:])
-                if not np.isfinite(X).all():
-                    j = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
-                    raise SimulationBlowUp(
-                        "non-finite state in martingale paths", path_index=j,
-                        time=(step + k + 1) * dt)
-            step += len(noise)
-            noise = None  # at most two chunks live: this and the next
+
+    def move(X, ids, k, dB, dW):
+        _euler_step(field, X, mu, dt, const_sigma, dB, dW)
+
+    X, _ = _drive(np.tile(x0, (n, 1)), n, seed, _streams.DOMAIN_MARTINGALE,
+                  dt, n_steps, move, "martingale paths")
     try:
         vals = np.asarray(u(n_steps * dt, X), dtype=float)
         if vals.shape != (X.shape[0],):

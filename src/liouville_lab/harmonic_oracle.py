@@ -391,26 +391,20 @@ class HarmonicProfile:
     tail_fit_right: Optional[Tuple[float, float]]
     tail_fit_left: Optional[Tuple[float, float]]
     notes: Tuple[str, ...]
-    _eval_right: _ExactSide = dataclasses_field(repr=False, compare=False,
-                                                default=None)
-    _eval_left: _ExactSide = dataclasses_field(repr=False, compare=False,
-                                               default=None)
+    _eval_right: _ExactSide = dataclasses_field(repr=False, compare=False)
+    _eval_left: _ExactSide = dataclasses_field(repr=False, compare=False)
 
     def _dispatch(self, x, right_method: str) -> np.ndarray:
         xq = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(xq < self.x[0]) or np.any(xq > self.x[-1]):
             raise ValueError("query outside the profile grid")
-        if self._eval_right is None or self._eval_left is None:
-            col = self.u if right_method == "u_at" else self.du
-            out = np.interp(xq, self.x, col)
-        else:
-            out = np.empty(xq.shape)
-            pos = xq >= 0.0
-            if pos.any():
-                out[pos] = getattr(self._eval_right, right_method)(xq[pos])
-            if (~pos).any():
-                vals = getattr(self._eval_left, right_method)(-xq[~pos])
-                out[~pos] = -vals if right_method == "u_at" else vals
+        out = np.empty(xq.shape)
+        pos = xq >= 0.0
+        if pos.any():
+            out[pos] = getattr(self._eval_right, right_method)(xq[pos])
+        if (~pos).any():
+            vals = getattr(self._eval_left, right_method)(-xq[~pos])
+            out[~pos] = -vals if right_method == "u_at" else vals
         return out if np.ndim(x) else out[0]
 
     def u_at(self, x) -> np.ndarray:

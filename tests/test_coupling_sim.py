@@ -32,10 +32,20 @@ def test_reflection_matrix_involution_and_isometry(rng):
         assert abs(np.linalg.norm(r @ v) - np.linalg.norm(v)) <= 1e-12
 
 
+def _pair_step(field, x, y, mu, dt, noise):
+    # one reflection-coupled Euler step of the pair (x, y), noise = (dB, dW)
+    z = np.stack([x, y]).astype(float)
+    dB, dW = (np.reshape(a, (1, -1)) for a in noise)
+    kernel = coupling_sim._PairKernel(field, mu, dt, couple_radius=1e-300,
+                                      escape_radius=math.inf)
+    with np.errstate(all="ignore"):
+        kernel.step(z, dB, dW)
+    return z[0], z[1]
+
+
 def test_coupled_step_reflects_additive_noise(rng):
     # recover the reflected increment from the update and check the isometry
     field = ll.make_standard_fields("ou", 3)
-    bounds = ll.EllipticityBounds(1.0, 1.0, 10.0, 1)
     mu, dt = 0.5, 1e-3
     for _ in range(50):
         x = rng.uniform(-2, 2, 3)
@@ -43,7 +53,7 @@ def test_coupled_step_reflects_additive_noise(rng):
         if np.linalg.norm(x - y) < 1e-6:
             continue
         noise = (math.sqrt(dt) * rng.normal(size=3), math.sqrt(dt) * rng.normal(size=3))
-        xn, yn = ll.coupled_step(field, bounds, x, y, mu, dt, noise)
+        xn, yn = _pair_step(field, x, y, mu, dt, noise)
         sigma = ll.shifted_sqrt(np.eye(3), mu)
         refl = (yn - y - ll.eval_drift(field, y) * dt - sigma @ noise[0]) / math.sqrt(mu)
         assert abs(np.linalg.norm(refl) - np.linalg.norm(noise[1])) <= 1e-12
@@ -60,23 +70,14 @@ def test_coupled_step_synchronous_part_cancels_in_1d(rng):
         x = np.array([rng.uniform(0.5, 2.0)])
         y = np.array([rng.uniform(-2.0, -0.5)])
         noise = (math.sqrt(dt) * rng.normal(size=1), math.sqrt(dt) * rng.normal(size=1))
-        xn, yn = ll.coupled_step(field, D1_BOUNDS, x, y, mu, dt, noise)
+        xn, yn = _pair_step(field, x, y, mu, dt, noise)
         predicted = (x - y) + 2.0 * math.sqrt(mu) * noise[1]
         assert abs((xn - yn) - predicted)[0] <= 1e-12
 
 
-def test_coupled_step_rejects_equal_points():
-    field = ll.make_standard_fields("zero", 2)
-    x = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
-        ll.coupled_step(
-            field, D1_BOUNDS, x, x, 0.5, 1e-3, (np.zeros(2), np.zeros(2))
-        )
-
-
-def test_one_step_increment_covariance(var_q_field, var_q_bounds):
+def test_one_step_increment_covariance(var_q_field):
     # X-increment covariance is q(x)*dt; checked on 1e5 reconstructed draws
-    # plus exact agreement with coupled_step on a subsample
+    # plus exact agreement with the pair kernel on a subsample
     x0 = np.array([1.0, 0.5])
     y0 = np.array([-1.0, -0.5])
     mu, dt = 0.3, 1e-3
@@ -90,9 +91,7 @@ def test_one_step_increment_covariance(var_q_field, var_q_bounds):
     # cross-validate the reconstruction against the library kernel
     drift = ll.eval_drift(var_q_field, x0) * dt
     for i in range(40):
-        xn, _ = ll.coupled_step(
-            var_q_field, var_q_bounds, x0, y0, mu, dt, (db[i], dw[i])
-        )
+        xn, _ = _pair_step(var_q_field, x0, y0, mu, dt, (db[i], dw[i]))
         np.testing.assert_allclose(xn - x0, drift + inc[i], atol=1e-14)
     emp = inc.T @ inc / n
     target = q * dt
@@ -689,6 +688,30 @@ def test_pair_trajectory_stride():
     np.testing.assert_allclose(t5, t1[::5], rtol=1e-12)
 
 
+# the end of path 0's record at seed 0 (mu 0.5, dt 1e-3, escape radius 10):
+# (drift, x0, y0, T) -> (rows, last t, float.hex of the last X and Y)
+ESCAPE_ENDS = {
+    "before the merge": (("10*x1", 3.0, -3.0, 1.0), (
+        121, 0.12, "0x1.2f13c9ebb0967p+3", "-0x1.3bfc8947e2b5dp+3")),
+    "after the merge": (("2*x1", 1.01, 0.99, 3.0), (
+        1546, 1.545, "0x1.3e8eaaef20374p+3", "0x1.3e8eaaef20374p+3")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESCAPE_ENDS))
+def test_pair_trajectory_ends_at_the_step_before_an_escape(case):
+    (drift, x0, y0, horizon), (rows, last_t, x_end, y_end) = ESCAPE_ENDS[case]
+    field = ll.field_from_expressions(1, [drift])
+    cfg = ll.CouplingConfig(mu=0.5, t_max=horizon, n_paths=1, dt=1e-3,
+                            seed=0, escape_radius=10.0)
+    t, xs, ys, dist = ll.simulate_pair_trajectory(
+        field, D1_BOUNDS, cfg, np.array([x0]), np.array([y0]))
+    assert t.size == rows and t[-1] == last_t
+    assert (xs[-1, 0].hex(), ys[-1, 0].hex()) == (x_end, y_end)
+    assert (dist[-1] == 0.0) == (case == "after the merge")
+    assert np.abs(np.concatenate([xs, ys])).max() <= 10.0
+
+
 # ---------------------------------------------------------------------------
 # martingale_check / space_time_residual
 
@@ -741,6 +764,19 @@ def test_martingale_vectorized_and_scalar_u_agree():
     m2, s2 = ll.martingale_check(field, D1_BOUNDS, u_vec, **kwargs)
     assert m1 == pytest.approx(m2, rel=1e-12)
     assert s1 == pytest.approx(s2, rel=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(t=0.0), dict(t=-1.0), dict(dt=0.0), dict(dt=-1e-3), dict(dt=0.5),
+    dict(t=1e5, dt=1e-3), dict(n_paths=2.5), dict(n_paths=1),
+    dict(n_paths=0)], ids=["t=0", "t<0", "dt=0", "dt<0", "dt>t", "step cap",
+                           "n_paths=2.5", "n_paths=1", "n_paths=0"])
+def test_martingale_check_rejects_bad_arguments(kwargs):
+    field = ll.make_standard_fields("zero", 1)
+    args = dict(mu=0.5, x0=np.zeros(1), t=0.25, n_paths=64, dt=1e-3, seed=0)
+    with pytest.raises(ValueError):
+        ll.martingale_check(field, D1_BOUNDS, lambda t, x: 0.0,
+                            **{**args, **kwargs})
 
 
 def test_residual_constant_is_zero():

@@ -437,6 +437,29 @@ def test_cli_infinite_sup_is_inconclusive_without_warnings(capfd, tmp_path):
     assert "kappa_inf = inf" in out
 
 
+def test_cli_couple_names_the_ellipticity_stage(capfd):
+    proc = _cli_child("couple", "--dim", "1", "--drift", "0", "--diffusion",
+                      "x1", "--seed", "0", "--ellipticity-samples", "200")
+    assert proc.returncode == 3
+    assert capfd.readouterr().err.splitlines() == [
+        "error in stage ellipticity: q has a non-positive eigenvalue (-100) "
+        "at x=[-100.0]"]
+
+
+@pytest.mark.parametrize("command, stage", [("full", "criterion"),
+                                            ("couple", "ellipticity")])
+def test_cli_non_finite_diffusion_names_the_point(command, stage, capfd,
+                                                  tmp_path):
+    # 1/x1 divides by zero at the origin, the first lattice point: a named
+    # error, and no numpy warning ahead of it
+    proc = _cli_child(command, "--dim", "1", "--drift", "0", "--diffusion",
+                      "1/x1", "--seed", "0", "--output", str(tmp_path))
+    assert proc.returncode == 3
+    assert capfd.readouterr().err.splitlines() == [
+        f"error in stage {stage}: diffusion of field 'custom' is non-finite "
+        "at x = [0.0]"]
+
+
 def test_cli_trajectory_blowup_names_stage(tmp_path, capsys):
     # path 0 couples, then the merged trajectory that --output records
     # explodes under the cubic drift before it passes the escape radius
