@@ -32,11 +32,12 @@ from typing import Dict, List, Optional
 from .coefficients import CATALOGUE, estimate_ellipticity
 from .config import RunConfig, config_entries, config_from_entries
 from .coupling_sim import simulate_coupling, simulate_pair_trajectory
-from .errors import CatalogueError, ConfigError, LiouvilleLabError
+from .errors import (CatalogueError, ConfigError, LiouvilleLabError,
+                     annotate_stage)
 from .harmonic_oracle import harmonic_1d
-from .report import (CONTRADICTION, VerdictBundle, annotate_stage,
-                     build_field, coupling_stage, coupling_summary, emit,
-                     run, write_profile, write_trajectory)
+from .report import (CONTRADICTION, VerdictBundle, build_field,
+                     coupling_stage, coupling_summary, emit, run,
+                     write_profile, write_trajectory)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

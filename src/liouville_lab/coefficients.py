@@ -16,9 +16,11 @@ templates.  Grammar: ``+ - * / ^`` (or ``**``), unary minus, parentheses,
 ``log exp sin cos tanh sqrt abs``, ``pi``, ``e``, the coordinates
 ``x1 .. xd`` and the radius ``normx`` or ``|x|``; anything else raises
 ExpressionError before evaluation.  A field's drift, and its diffusion,
-compile into one function with an empty builtins table.  ``|x|`` takes
-np.linalg.norm's arithmetic, sqrt(add.reduce(x*x)); ``|x|^2`` is the
-einsum sum of squares, not the square of that root.
+compile into one function with an empty builtins table.  ``|x|`` is
+:func:`row_norms`, np.linalg.norm's value to the bit: for d < 8 the
+squares summed column by column, left to right, then the root; from d = 8
+np.linalg.norm itself, whose add.reduce then sums pairwise.  ``|x|^2`` is
+the einsum sum of squares, not the square of that root.
 
 Ellipticity bounds (lambda0, Lambda0) are *estimated*, not proved: the
 true constants are global, the artifact can only certify a window.
@@ -255,7 +257,7 @@ _CONSTS = {"pi": math.pi, "e": math.e}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARYOPS = (ast.USub, ast.UAdd)
 _COORD_RE = re.compile(r"^x([1-9][0-9]*)$")
-_PRELUDE = ("normx = sqrt(_sum(points * points, axis=1))",
+_PRELUDE = ("normx = _norm(points)",
             "_r2 = _einsum('ij,ij->i', points, points)")
 _SQUARED_NORM = ast.dump(ast.parse("normx**2", mode="eval").body)
 
@@ -338,6 +340,24 @@ def compile_expression(text: str, dim: int) -> CompiledExpr:
                         uses_abs=bool(rough))
 
 
+_PAIRWISE_WIDTH = 8  # np.add.reduce sums rows this long pairwise
+
+
+def row_norms(points: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of an (n, d) block, bit for bit
+    np.linalg.norm(points, axis=1).  That is sqrt(add.reduce(x*x)), and
+    for d < 8 add.reduce sums left to right, as the column sums here do
+    at a fraction of its cost; from d = 8 it sums pairwise, so it is
+    called itself."""
+    if points.shape[1] >= _PAIRWISE_WIDTH:
+        return np.linalg.norm(points, axis=1)
+    sq = np.square(points)
+    out = sq[:, 0].copy()
+    for j in range(1, points.shape[1]):
+        out += sq[:, j]
+    return np.sqrt(out, out=out)
+
+
 def _as_block(n: int, *values) -> np.ndarray:
     """The (n, k) block of k values, each an (n,) array or a number; a
     lone (n,) array becomes a column view, not a copy."""
@@ -353,7 +373,7 @@ def _block_function(parts: Sequence[CompiledExpr], dim: int
                     ) -> Callable[[np.ndarray], np.ndarray]:
     """One function from an (n, d) block of points to the (n, k) block of
     the expressions' values.  Coordinates are column views; ``|x|``
-    (np.linalg.norm's arithmetic), ``|x|^2`` (the einsum sum of squares)
+    (:func:`row_norms`), ``|x|^2`` (the einsum sum of squares)
     and each repeated subtree are computed once a call, into locals."""
     seen, stack = collections.Counter(), [p.tree for p in parts]
     while stack:
@@ -389,7 +409,7 @@ def _block_function(parts: Sequence[CompiledExpr], dim: int
                            lines + list(_PRELUDE) if line.split()[0] in used]
     module.body[0].body += body
     namespace = {"__builtins__": {}, **_FUNCS, **_CONSTS,  # no builtins
-                 "_sum": np.add.reduce, "_einsum": np.einsum,
+                 "_norm": row_norms, "_einsum": np.einsum,
                  "_as_block": _as_block}
     exec(compile(ast.fix_missing_locations(module),  # whitelisted AST
                  "<coefficient-expression>", "exec"), namespace)

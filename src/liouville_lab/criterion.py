@@ -47,9 +47,10 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _streams
-from .coefficients import CoefficientField, EllipticityBounds, estimate_ellipticity
+from .coefficients import (CoefficientField, EllipticityBounds,
+                           estimate_ellipticity, row_norms)
 from .errors import (CoefficientEvaluationError, ConstantMismatch,
-                     NoAdmissibleConstants)
+                     NoAdmissibleConstants, annotate_stage)
 
 VERDICT_GUARANTEED = "LiouvilleGuaranteed"
 VERDICT_INCONCLUSIVE = "Inconclusive"
@@ -61,13 +62,18 @@ _MAX_SWEEPS = 240
 # --------------------------------------------------------------------------
 # sup-estimation engine (shared by drift_dispersion and modulus)
 
-def _project_ball(points: np.ndarray, radius: float) -> np.ndarray:
-    norms = np.linalg.norm(points, axis=1)
+def _project_ball(points: np.ndarray, radius: float) -> None:
+    """Scale the rows of ``points`` outside the ball back onto it, in
+    place; a row inside is multiplied by 1.0, which leaves it exact."""
+    norms = row_norms(points)
     over = norms > radius
     if over.any():
-        points = points.copy()
-        points[over] *= (radius / norms[over])[:, None]
-    return points
+        points *= np.where(over, radius / norms, 1.0)[:, None]
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """An (n, d) array as an (n,) view of whole rows, for masked copies."""
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize)))[:, 0]
 
 
 def _multistart(seed: int, domain: int, index: int, n: int, dim: int,
@@ -99,8 +105,13 @@ def _multistart(seed: int, domain: int, index: int, n: int, dim: int,
 
 def _pair_points(m: np.ndarray, e: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The pairs x = m + (s/2)e over y = m - (s/2)e, one pair per row."""
-    half = (0.5 * s)[:, None]
-    return np.concatenate([m + half * e, m - half * e], axis=0)
+    k = m.shape[0]
+    out = np.empty((2 * k, m.shape[1]))
+    y = out[k:]
+    np.multiply((0.5 * s)[:, None], e, out=y)
+    np.add(m, y, out=out[:k])
+    np.subtract(m, y, out=y)
+    return out
 
 
 def _stacked_starts(seed: int, domain: int, n_radii: int, n: int, dim: int,
@@ -137,6 +148,12 @@ def _refine_sup(objective: Callable[[np.ndarray, np.ndarray, np.ndarray],
     used; _MAX_SWEEPS marks a radius stopped at the cap.  A NaN objective
     raises CoefficientEvaluationError naming the pair; +inf is a
     legitimate sup.
+
+    Each call allocates its own state (the flattened starts, the values,
+    the steps) and each move a fresh candidate block; an accepted move
+    copies whole rows under a mask, and nothing is kept between calls.
+    The objective's result is kept as the values, so it must be a new
+    array on every call.
     """
     n_radii, k, dim = m.shape
     m = m.reshape(-1, dim).copy()
@@ -147,54 +164,52 @@ def _refine_sup(objective: Callable[[np.ndarray, np.ndarray, np.ndarray],
     live = np.arange(n_radii)
     m_floor = 1e-12 * (1.0 + window_radius)
 
-    def evaluate(mc, ec):
+    def evaluate(mc, ec, best):
+        """The objective at (mc, ec), with ``best`` raised in place to
+        each radius's maximum of it."""
         fc = objective(mc, ec, rows_s)
-        if np.isnan(fc).any():
+        top = fc.reshape(-1, k).max(axis=1)  # NaN if any row is NaN
+        if np.isnan(top).any():
             i = int(np.flatnonzero(np.isnan(fc))[0])
             x, y = _pair_points(mc[i:i + 1], ec[i:i + 1], rows_s[i:i + 1])
             raise CoefficientEvaluationError(
                 f"sup-search objective is NaN at the pair x = {x.tolist()}, "
                 f"y = {y.tolist()} (separation {rows_s[i]:.6g})")
+        np.copyto(best, top, where=top > best)
         return fc
 
-    def raise_best(best, fc):
-        top = fc.reshape(-1, k).max(axis=1)
-        return np.where(top > best, top, best)
+    def accept(state, cand, fc):
+        """Move the rows where the candidate improves on f."""
+        take = fc > f
+        np.copyto(_rows(state), _rows(cand), where=take)
+        np.copyto(f, fc, where=take)
 
     # an infinite objective is a value (and inf - inf in the stall test
     # reads as progress); NaN objectives raise in evaluate
     with np.errstate(all="ignore"):
-        f = evaluate(m, e)
-        best = raise_best(np.full(n_radii, -np.inf), f)
+        best = np.full(n_radii, -np.inf)
+        f = evaluate(m, e, best)
         step_m = np.full(f.size, max(window_radius / 4.0, 1e-6))
         step_e = np.full(f.size, 0.5)
         for sweep in range(1, _MAX_SWEEPS + 1):
             f_start = f.copy()
             for axis in range(dim):
-                for sign in (1.0, -1.0):
+                for move in (np.add, np.subtract):
                     cand = m.copy()
-                    cand[:, axis] += sign * step_m
-                    cand = _project_ball(cand, window_radius)
-                    fc = evaluate(cand, e)
-                    best = raise_best(best, fc)
-                    take = fc > f
-                    if take.any():
-                        m[take] = cand[take]
-                        f[take] = fc[take]
+                    move(cand[:, axis], step_m, out=cand[:, axis])
+                    _project_ball(cand, window_radius)
+                    accept(m, cand, evaluate(cand, e, best))
                 if dim > 1:
-                    for sign in (1.0, -1.0):
+                    for move in (np.add, np.subtract):
                         cand = e.copy()
-                        cand[:, axis] += sign * step_e
-                        norms = np.linalg.norm(cand, axis=1)
+                        move(cand[:, axis], step_e, out=cand[:, axis])
+                        norms = row_norms(cand)
                         good = norms > 1e-14
-                        cand[good] /= norms[good, None]
-                        cand[~good] = e[~good]
-                        fc = evaluate(m, cand)
-                        best = raise_best(best, fc)
-                        take = fc > f
-                        if take.any():
-                            e[take] = cand[take]
-                            f[take] = fc[take]
+                        # a near-zero row is divided by 1.0, then put back
+                        cand /= np.where(good, norms, 1.0)[:, None]
+                        if not good.all():
+                            np.copyto(_rows(cand), _rows(e), where=~good)
+                        accept(e, cand, evaluate(m, cand, best))
             stalled = (f - f_start) < _IMPROVE_TOL
             step_m[stalled] *= 0.5
             step_e[stalled] *= 0.5
@@ -203,7 +218,7 @@ def _refine_sup(objective: Callable[[np.ndarray, np.ndarray, np.ndarray],
             if sweep == _MAX_SWEEPS:
                 done[:] = True
             if done.any():
-                values[live[done]] = raise_best(best, f)[done]
+                values[live[done]] = best[done]  # f's values are in best
                 sweeps[live[done]] = sweep
                 keep = np.repeat(~done, k)
                 live, best = live[~done], best[~done]
@@ -808,10 +823,12 @@ def evaluate_liouville_criterion(field: CoefficientField,
     if field.smoothness_note:
         notes.append(field.smoothness_note)
 
-    bounds = estimate_ellipticity(field, cfg.window_radius,
-                                  cfg.ellipticity_samples, cfg.seed)
-    curve = drift_dispersion(field, cfg.radii(), cfg.n_pairs, cfg.seed,
-                             window_radius=cfg.window_radius)
+    with annotate_stage("ellipticity"):
+        bounds = estimate_ellipticity(field, cfg.window_radius,
+                                      cfg.ellipticity_samples, cfg.seed)
+    with annotate_stage("dispersion"):
+        curve = drift_dispersion(field, cfg.radii(), cfg.n_pairs, cfg.seed,
+                                 window_radius=cfg.window_radius)
     kappa_inf = asymptotic_dispersion(curve, cfg.tail_fraction)
     threshold = theorem_threshold(bounds, field.dim)
     notes.extend(_cap_notes("dispersion", curve.sweeps))
@@ -844,10 +861,11 @@ def evaluate_liouville_criterion(field: CoefficientField,
     constants = None
     tried = []
     for cand in candidates[:_DINI_RETRIES]:
-        prof = modulus(field, cand.lam, cand.s0, cfg.modulus_pairs,
-                       cfg.modulus_points, cfg.seed,
-                       window_radius=cfg.window_radius,
-                       s_min=cfg.modulus_s_min)
+        with annotate_stage("modulus"):
+            prof = modulus(field, cand.lam, cand.s0, cfg.modulus_pairs,
+                           cfg.modulus_points, cfg.seed,
+                           window_radius=cfg.window_radius,
+                           s_min=cfg.modulus_s_min)
         tried.append(cand.mu)
         if prof.dini_ok:
             profile = prof

@@ -2,7 +2,23 @@
 
 Every failure mode that callers are expected to catch has its own class;
 anything else is a plain bug and surfaces as a built-in exception.
+``annotate_stage`` tags an exception with the pipeline stage it left.
 """
+
+import contextlib
+
+
+@contextlib.contextmanager
+def annotate_stage(stage: str):
+    """Tag an exception leaving the block with the stage it came from;
+    the innermost block's tag wins, and the CLI names that stage on a
+    numerical failure."""
+    try:
+        yield
+    except Exception as exc:
+        if not hasattr(exc, "stage"):
+            exc.stage = stage  # type: ignore[attr-defined]
+        raise
 
 
 class LiouvilleLabError(Exception):

@@ -40,7 +40,7 @@ from .coupling_sim import (CouplingConfig, CouplingStats,
 from .criterion import (VERDICT_GUARANTEED, VERDICT_INCONCLUSIVE,
                         CriterionConfig, CriterionReport,
                         evaluate_liouville_criterion)
-from .errors import ConfigError, NotApplicable
+from .errors import ConfigError, NotApplicable, annotate_stage
 from .harmonic_oracle import HarmonicProfile, harmonic_1d
 
 SCHEMA_VERSION = 1
@@ -84,17 +84,6 @@ def _consistency(criterion_verdict: str,
     if criterion_verdict == VERDICT_INCONCLUSIVE and oracle_verdict is True:
         return CRITERION_CONSERVATIVE
     return CONSISTENT
-
-
-@contextlib.contextmanager
-def annotate_stage(stage: str):
-    """Tag an exception leaving the block with the stage it came from;
-    the CLI names that stage on a numerical failure."""
-    try:
-        yield
-    except Exception as exc:
-        exc.stage = stage  # type: ignore[attr-defined]
-        raise
 
 
 @contextlib.contextmanager

@@ -524,6 +524,33 @@ def test_norm_takes_linalg_norm_bits_and_its_square_the_sum_of_squares():
     assert (np.linalg.norm(x, axis=1) ** 2 != r2).any()
 
 
+_NORM_ENTRIES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),  # squares overflow
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e-160, 1e155, 1.7e308]))
+
+
+@st.composite
+def _norm_blocks(draw):
+    dim = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(_NORM_ENTRIES, min_size=dim, max_size=dim),
+                         min_size=1, max_size=8))
+    # a zero row, a subnormal one and one whose squares overflow to inf
+    rows += [[0.0] * dim, [5e-324] * dim, [1e300] * dim]
+    return np.array(rows)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_norm_blocks())
+def test_row_norms_equal_linalg_norm_bit_for_bit(x):
+    # column sums below d = 8, np.linalg.norm itself from there; tiled so
+    # that long blocks are compared too
+    x = np.tile(x, (300, 1))
+    with np.errstate(over="ignore", under="ignore"):
+        assert coefficients.row_norms(x).tobytes() \
+            == np.linalg.norm(x, axis=1).tobytes()
+
+
 # the grammar over numpy: what an expression means, by direct evaluation
 FUNCTIONS = {"log": np.log, "exp": np.exp, "sin": np.sin, "cos": np.cos,
              "tanh": np.tanh, "sqrt": np.sqrt, "abs": np.abs}

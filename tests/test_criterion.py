@@ -515,12 +515,39 @@ SUP_SEARCH_BITS = {
         "0x1.06b017f827afcp-14", "0x1.9b64eb89e67abp-10", "0x1.32cb05070dd84p-5",
         "0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p-2",
     )),
+    # these two recorded from the batched engine before its moves became
+    # masked row copies and its row norms column sums: d = 1 makes no
+    # direction moves, and d = 8 takes the np.linalg.norm fallback (both
+    # stages stop some radii at the sweep cap)
+    ("log_example", 1, 0): ((
+        "0x1.350e12a0687cap+0", "0x1.b27923bd0b6acp+1", "0x1.9fddf00571c72p+2",
+        "0x1.0cc24ef60c604p+4", "0x1.75348d134c411p+5", "0x1.07c9c235547d3p+7",
+        "0x1.0473aa56344e8p+1", "0x1.a2495237bdf1fp+0", "0x1.863a843a5a1e4p+0",
+        "0x1.75728b90bc687p+0", "0x1.68ca04f27a533p+0", "0x1.5ea4989d347a0p+0",
+    ), (
+        "0x1.b944553473edbp-39", "0x1.5a3ac385237d6p-34", "0x1.0fa9261c52f9bp-29",
+        "0x1.aa4de08f4513ap-25", "0x1.4e7d475dc7bc2p-20", "0x1.0672c79639a1cp-15",
+        "0x1.9bd19f5a00cc2p-11", "0x1.428e904df0370p-6", "0x1.e4ba6f299dd44p-2",
+        "0x1.60241c64e45b0p+2", "0x1.efd4e550c7165p+3", "0x1.1cb9cada3a246p+6",
+    )),
+    ("radial_expand", 8, 0): ((
+        "0x1.999999999999dp-1", "0x1.56e6deb74b979p+1", "0x1.4b55eeaf068cep+2",
+        "0x1.9300dcd5f625bp+3", "0x1.0f4b7b988a09dp+5", "0x1.7ac8eaab33b29p+6",
+        "0x1.29d247a4bb980p+2", "0x1.0482a0ab388d1p+2", "0x1.008c2ef83eb0ep+2",
+        "0x1.0011400902d0ap+2", "0x1.0002204dcc9acp+2", "0x1.0000431a3849dp+2",
+    ), (
+        "0x1.19799812de53ep-39", "0x1.b9b489ab34355p-35", "0x1.5a92cd7b16ceep-30",
+        "0x1.0fee39eb13fb1p-25", "0x1.aaba445e88353p-21", "0x1.4ed220e5a3153p-16",
+        "0x1.06b17f7310216p-11", "0x1.9b9c51cf2ed3ap-7", "0x1.372e5b2c73acfp-2",
+        "0x1.fdcacef924aa5p+1", "0x1.85a955ff7f7f3p+3", "0x1.a051e3235a459p+5",
+    )),
 }
+SUP_SEARCH_PARAMS = {"log_example": [0.25]}
 
 
 @pytest.mark.parametrize("name, dim, seed", sorted(SUP_SEARCH_BITS))
 def test_sup_search_values_match_recorded_bits(name, dim, seed):
-    field = ll.make_standard_fields(name, dim)
+    field = ll.make_standard_fields(name, dim, SUP_SEARCH_PARAMS.get(name, ()))
     curve = ll.drift_dispersion(field, np.geomspace(1.0, 1e5, 12), n_pairs=4,
                                 seed=seed)
     prof = ll.modulus(field, 0.5, 50.0, n_pairs=4, grid_size=12, seed=seed)

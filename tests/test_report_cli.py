@@ -412,7 +412,7 @@ def test_cli_field_construction_failure_prints_only_the_error(capfd):
         "error in stage field: drift is non-finite on the probe grid"]
 
 
-def test_cli_nan_objective_is_a_criterion_stage_error(capfd, tmp_path):
+def test_cli_nan_objective_is_a_dispersion_stage_error(capfd, tmp_path):
     # finite on the probe grid, NaN where x1*x2 < -1: a named error, not a
     # NaN kappa_inf, and no numpy warnings on stderr
     proc = _cli_child("criterion", "--dim", "2", "--drift",
@@ -420,10 +420,27 @@ def test_cli_nan_objective_is_a_criterion_stage_error(capfd, tmp_path):
                       "--radii-points", "12", "--pairs", "4",
                       "--output", str(tmp_path))
     assert proc.returncode == 3
-    err = capfd.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error in stage criterion: sup-search "
-                             "objective is NaN at the pair x = ")
+    assert capfd.readouterr().err.splitlines() == [
+        "error in stage dispersion: sup-search objective is NaN at the pair "
+        "x = [4.979627214834835, -27.435004967622532], "
+        "y = [4.816571569786062, -26.44838809334066] (separation 1)"]
+
+
+@pytest.mark.parametrize("command", ["criterion", "full"])
+def test_cli_nan_modulus_objective_is_a_modulus_stage_error(command, capfd,
+                                                             tmp_path):
+    # q is finite on the ellipticity window |x| <= 100 and NaN just past
+    # it, where only the modulus pairs reach
+    proc = _cli_child(command, "--dim", "1", "--drift=-x1",
+                      "--diffusion", "1 + 0*sqrt(10000.01 - x1*x1)",
+                      "--seed", "0", "--radii-points", "12", "--pairs", "4",
+                      "--ellipticity-samples", "500", "--modulus-points", "8",
+                      "--modulus-pairs", "4", "--output", str(tmp_path))
+    assert proc.returncode == 3
+    assert capfd.readouterr().err.splitlines() == [
+        "error in stage modulus: sup-search objective is NaN at the pair "
+        "x = [-105.47065065154158], y = [-89.33478728343391] "
+        "(separation 16.1359)"]
 
 
 def test_cli_infinite_sup_is_inconclusive_without_warnings(capfd, tmp_path):
@@ -446,12 +463,14 @@ def test_cli_couple_names_the_ellipticity_stage(capfd):
         "at x=[-100.0]"]
 
 
-@pytest.mark.parametrize("command, stage", [("full", "criterion"),
-                                            ("couple", "ellipticity")])
+@pytest.mark.parametrize("command, stage", [("full", "ellipticity"),
+                                            ("couple", "ellipticity"),
+                                            ("criterion", "ellipticity")])
 def test_cli_non_finite_diffusion_names_the_point(command, stage, capfd,
                                                   tmp_path):
     # 1/x1 divides by zero at the origin, the first lattice point: a named
-    # error, and no numpy warning ahead of it
+    # error in the same stage whichever subcommand runs the estimate, and
+    # no numpy warning ahead of it
     proc = _cli_child(command, "--dim", "1", "--drift", "0", "--diffusion",
                       "1/x1", "--seed", "0", "--output", str(tmp_path))
     assert proc.returncode == 3
