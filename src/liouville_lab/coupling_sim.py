@@ -53,15 +53,18 @@ Noise comes in blocks of 64 consecutive path indices: path i reads the
 Philox substream (seed, path-domain, i // 64), laid out step-major as 64
 paths by 2*dim normals per step, so its increment at step k is entry
 [k, i % 64] of that stream.  _NoiseFeed hands out the noise in chunks of
-16..128 whole steps and draws chunk c+1 on one worker thread while the
-caller steps chunk c, so two chunks are in flight and the noise budget is
-split over them.  Chunk c+1 covers the blocks that still held a live path
-when chunk c began; a path that finishes mid-chunk leaves the rest of its
-entries unused, and a block with no live path left is not drawn again.
-Only the worker draws, one chunk after another, so each stream is read in
-order.  Each path's noise is a pure function of the seed and the path
-index, whatever n_paths, the chunk length or the set of live paths, and
-since every step acts row by row, so is its outcome.
+16..128 whole steps and starts drawing chunk c+1 on one worker thread
+while the caller steps chunk c, so two chunks are in flight and the noise
+budget is split over them.  Chunk c+1 covers the blocks that still held a
+live path when chunk c began; a path that finishes mid-chunk leaves the
+rest of its entries unused, and a block with no live path left is not
+drawn again.  When the caller needs chunk c+1 it draws the blocks the
+worker has not yet claimed.  Each block of a chunk is claimed by exactly
+one of the two threads, and chunk c+2 is started only once every block of
+chunk c+1 is drawn, so each stream is read in order.  Each path's noise
+is a pure function of the seed and the path index, whatever n_paths, the
+chunk length, the set of live paths or which thread drew it, and since
+every step acts row by row, so is its outcome.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _streams
-from .coefficients import CoefficientField, EllipticityBounds
+from .coefficients import CoefficientField, EllipticityBounds, take_rows
 from .errors import (CoefficientEvaluationError, ShiftTooLarge,
                      SimulationBlowUp)
 from .matrix_analysis import _check_shift, _shifted_sqrt_batch
@@ -352,31 +355,38 @@ class _PairKernel:
 
 
 def _draw_noise(gens: Sequence[np.random.Generator], out: np.ndarray,
-                root_dt: float) -> None:
-    """Fill out, shape (n_k, 64 * len(gens), 2*dim), with the increments
-    (dB, dW) of the next n_k steps of the path blocks whose streams are
-    gens, block j in columns 64j..64j+63."""
+                root_dt: float, claim: Callable[[], Optional[int]]) -> None:
+    """Fill the columns of out, shape (n_k, 64 * len(gens), 2*dim), of
+    every block j that claim() hands out, until it returns None, with the
+    increments (dB, dW) of the next n_k steps of the block's stream gens[j]
+    in columns 64j..64j+63.  Both threads of a _NoiseFeed call it on the
+    same chunk; claim gives each block to one of them."""
     block = np.empty((len(out), _BLOCK, out.shape[2]))
-    for j, gen in enumerate(gens):
-        gen.standard_normal(out=block)
+    for j in iter(claim, None):
+        gens[j].standard_normal(out=block)
         np.multiply(block, root_dt, out=out[:, j * _BLOCK:(j + 1) * _BLOCK])
 
 
 class _NoiseFeed:
     """The noise of a run's path blocks in chunks of 16..128 steps (never
-    past the horizon, within the per-chunk noise budget), each filled by
-    _draw_noise on a worker thread while the caller steps the one before.
+    past the horizon, within the per-chunk noise budget), each drawn by
+    _draw_noise on a worker thread while the caller steps the one before,
+    and by the caller itself once it needs the chunk.
 
-    take(live) waits for the chunk in flight, starts the next one for the
+    take(live) draws the blocks of the chunk in flight that the worker has
+    not claimed, waits for the worker, starts the next chunk for the
     blocks in live (those still holding a live path, a subset of the
     blocks of the chunk taken) and returns (chunk, blocks): block blocks[j]
-    is in columns 64j..64j+63.  Only the worker draws, and it draws one
-    chunk at a time, so every stream is read in order.  Chunks are
-    allocated on the caller's thread, so they come from its heap whatever
-    the thread timing, and a caller that drops each chunk before it takes
-    the next holds at most two.  Leaving the with block waits for the
-    worker, so no thread outlives the run, whether it reaches the horizon,
-    stops early or raises.
+    is in columns 64j..64j+63.  A lock-guarded counter hands out each
+    block of a chunk to one thread, and the next chunk starts only after
+    both threads are done with this one, so every stream is read in order.
+    Chunks are allocated on the caller's thread, so they come from its
+    heap whatever the thread timing, and a caller that drops each chunk
+    before it takes the next holds at most two.  take raises a draw that
+    failed on either thread.  Leaving the with block withdraws the
+    unclaimed blocks of the chunk in flight and waits for the worker, so
+    no thread outlives the run, whether it reaches the horizon, stops
+    early or raises.
     """
 
     def __init__(self, gens: Sequence[np.random.Generator], n_steps: int,
@@ -385,8 +395,10 @@ class _NoiseFeed:
         self._steps_left = n_steps
         self._dim = dim
         self._root_dt = root_dt
+        self._lock = threading.Lock()
+        self._claimed = self._n_blocks = 0  # of the chunk in flight
         self._worker: Optional[threading.Thread] = None
-        self._chunk = self._blocks = self._error = None
+        self._chunk = self._blocks = self._share = self._error = None
 
     def __enter__(self) -> "_NoiseFeed":
         self._start(range(len(self._gens)))
@@ -394,7 +406,19 @@ class _NoiseFeed:
 
     def __exit__(self, *exc_info) -> None:
         if self._worker is not None:
+            with self._lock:  # the chunk will not be taken
+                self._claimed = self._n_blocks
             self._worker.join()
+
+    def _claim(self) -> Optional[int]:
+        """The next block of the chunk in flight that no thread has
+        claimed, or None when there is none left."""
+        with self._lock:
+            j = self._claimed
+            if j == self._n_blocks:
+                return None
+            self._claimed = j + 1
+            return j
 
     def _start(self, blocks) -> None:
         self._worker = None
@@ -406,17 +430,23 @@ class _NoiseFeed:
         n_k = min(max(16, min(128, budget)), self._steps_left)
         self._chunk = chunk = np.empty((n_k, rows, 2 * self._dim))
         gens = [self._gens[b] for b in self._blocks]
+        self._claimed, self._n_blocks = 0, len(gens)
 
-        def draw():
+        def share():
+            _draw_noise(gens, chunk, self._root_dt, self._claim)
+
+        def work():
             try:
-                _draw_noise(gens, chunk, self._root_dt)
+                share()
             except Exception as exc:  # raised again by take, on the caller
                 self._error = exc
 
-        self._worker = threading.Thread(target=draw, name="noise-draw")
+        self._share = share
+        self._worker = threading.Thread(target=work, name="noise-draw")
         self._worker.start()
 
     def take(self, live) -> Tuple[np.ndarray, np.ndarray]:
+        self._share()  # if it raises, leaving the with block joins
         self._worker.join()
         if self._error is not None:
             raise self._error
@@ -497,7 +527,7 @@ def _drive(z: np.ndarray, n: int, seed: int, domain: int, dt: float,
                             time=k * dt)
                     if keep is not None:
                         ids, cols = ids[keep], cols[keep]
-                        z = z[np.tile(keep, rows)]
+                        z = take_rows(z, np.tile(keep, rows))
                         if not ids.size:
                             break
             noise = chunk_row = nz = None  # at most two chunks live

@@ -48,7 +48,8 @@ import numpy as np
 
 from . import _streams
 from .coefficients import (CoefficientField, EllipticityBounds,
-                           estimate_ellipticity, row_norms)
+                           estimate_ellipticity, row_norms, row_view,
+                           take_rows)
 from .errors import (CoefficientEvaluationError, ConstantMismatch,
                      NoAdmissibleConstants, annotate_stage)
 
@@ -69,11 +70,6 @@ def _project_ball(points: np.ndarray, radius: float) -> None:
     over = norms > radius
     if over.any():
         points *= np.where(over, radius / norms, 1.0)[:, None]
-
-
-def _rows(a: np.ndarray) -> np.ndarray:
-    """An (n, d) array as an (n,) view of whole rows, for masked copies."""
-    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize)))[:, 0]
 
 
 def _multistart(seed: int, domain: int, index: int, n: int, dim: int,
@@ -181,7 +177,7 @@ def _refine_sup(objective: Callable[[np.ndarray, np.ndarray, np.ndarray],
     def accept(state, cand, fc):
         """Move the rows where the candidate improves on f."""
         take = fc > f
-        np.copyto(_rows(state), _rows(cand), where=take)
+        np.copyto(row_view(state), row_view(cand), where=take)
         np.copyto(f, fc, where=take)
 
     # an infinite objective is a value (and inf - inf in the stall test
@@ -208,7 +204,7 @@ def _refine_sup(objective: Callable[[np.ndarray, np.ndarray, np.ndarray],
                         # a near-zero row is divided by 1.0, then put back
                         cand /= np.where(good, norms, 1.0)[:, None]
                         if not good.all():
-                            np.copyto(_rows(cand), _rows(e), where=~good)
+                            np.copyto(row_view(cand), row_view(e), where=~good)
                         accept(e, cand, evaluate(m, cand, best))
             stalled = (f - f_start) < _IMPROVE_TOL
             step_m[stalled] *= 0.5
@@ -222,7 +218,8 @@ def _refine_sup(objective: Callable[[np.ndarray, np.ndarray, np.ndarray],
                 sweeps[live[done]] = sweep
                 keep = np.repeat(~done, k)
                 live, best = live[~done], best[~done]
-                m, e, f, rows_s = m[keep], e[keep], f[keep], rows_s[keep]
+                m, e = take_rows(m, keep), take_rows(e, keep)
+                f, rows_s = f[keep], rows_s[keep]
                 step_m, step_e = step_m[keep], step_e[keep]
                 if not live.size:
                     break

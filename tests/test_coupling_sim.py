@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import threading
 import time
 
@@ -470,6 +471,92 @@ def test_outcomes_after_a_dead_block_match_recorded_bits(seed, budget,
     assert digest == DEAD_BLOCK_TIMES_SHA256[seed]
 
 
+def _sha256_hex(values):
+    return hashlib.sha256(
+        ",".join(v.hex() for v in values.tolist()).encode()).hexdigest()
+
+
+# sha256 of the comma-joined float.hex of the coupling times and of the
+# survival weights of 300 pairs (x0 = -y0 = 0.4 e1, mu 0.5, T = 0.5,
+# dt 1e-3, escape radius 1.5), recorded when finished pairs were dropped by
+# boolean indexing of the 2-D state
+COMPACTION_BITS = {
+    ("ou", 2, 5): (
+        "e322b0b58186cd8100e23d719b782d6fabfc5a11161ecb4d3f58174798514d46",
+        "e8438e1328dfb69863c3d8ba483b1e06996956cf33dfaf867b86f1bfcc93c3d7"),
+    ("var_q_const_b", 3, 8): (
+        "3915134dbe98fcd4ffc214ffcbc1fedb29811bfc6e0b08dead7958749eae4079",
+        "eb92f36fb91a01c21ca7d0cc950c3f64d36c22c4d8465e5ec31f9c0f7922b8f9"),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1.0])
+@pytest.mark.parametrize("name, dim, seed", sorted(COMPACTION_BITS))
+def test_compaction_in_d_above_1_matches_recorded_bits(name, dim, seed,
+                                                       budget, monkeypatch):
+    # finished pairs leave the stacked [X; Y] state a whole row of d floats
+    # at a time; a row of the wrong width would move the pairs behind it
+    if budget is not None:
+        monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", budget)
+    field = ll.make_standard_fields(name, dim)
+    x0 = 0.4 * np.eye(dim)[0]
+    cfg = ll.CouplingConfig(mu=0.5, t_max=0.5, n_paths=300, dt=1e-3,
+                            seed=seed, escape_radius=1.5)
+    stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg, x0, -x0)
+    # pairs hit and escape while others run on, hits inside 16-step chunks
+    steps = np.round(stats.coupling_times / cfg.dt)
+    assert stats.n_escaped > 0 and (steps % 16 > 0).sum() > 0
+    assert (_sha256_hex(stats.coupling_times), _sha256_hex(stats.survival)) \
+        == COMPACTION_BITS[(name, dim, seed)]
+
+
+# sha256 of the comma-joined float.hex of the 2000 coupling times (zero
+# field, d = 1, x0 = -y0 = 0.3, mu 0.5, T = 0.5, dt 1e-3, seed 7), recorded
+# when the worker thread drew every block of every chunk
+SHARED_DRAW_TIMES_SHA256 = \
+    "c9bbd5903be0f8c5ac45dc8c5b49b547423c6bd2adacc4c5d7b506fd65a0e417"
+
+
+def test_shared_draw_claims_every_block_once(monkeypatch):
+    # the caller draws the blocks of a chunk that the worker has not
+    # claimed; with the worker slowed down both threads draw blocks of the
+    # same chunk, and a block claimed twice or never would change the times
+    draw = coupling_sim._draw_noise
+    caller = threading.current_thread()
+    # id of a chunk -> (the chunk, kept so that no later chunk takes its
+    # id, and the names of the threads that drew its blocks)
+    chunks = {}
+
+    def traced_draw(gens, out, root_dt, claim):
+        def traced_claim():
+            j = claim()
+            if j is not None:
+                chunks.setdefault(id(out), (out, set()))[1].add(
+                    threading.current_thread().name)
+                if threading.current_thread() is not caller:
+                    time.sleep(2e-4)
+            return j
+        draw(gens, out, root_dt, traced_claim)
+
+    monkeypatch.setattr(coupling_sim, "_draw_noise", traced_draw)
+    monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", 1.0)
+    field = ll.make_standard_fields("zero", 1)
+    cfg = ll.CouplingConfig(mu=0.5, t_max=0.5, n_paths=2000, dt=1e-3, seed=7)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        times = ll.simulate_coupling(field, D1_BOUNDS, cfg, np.array([0.3]),
+                                     np.array([-0.3])).coupling_times
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert len(chunks) == 32  # 500 steps in 16-step chunks
+    assert any(names == {caller.name, "noise-draw"}
+               for _, names in chunks.values())
+    assert _sha256_hex(times) == SHARED_DRAW_TIMES_SHA256
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_no_noise_thread_outlives_a_call(monkeypatch):
     # every draw is slowed down, so a worker still drawing when a simulator
@@ -520,6 +607,22 @@ def test_no_noise_thread_outlives_a_call(monkeypatch):
     for run in simulators("0", math.inf):
         calls.clear()
         with pytest.raises(MemoryError, match="noise chunk"):
+            run()
+        assert threading.active_count() == before
+
+    # a draw that fails on the calling thread is raised again, and only
+    # once the worker, still drawing its slowed share, has been joined
+    caller = threading.current_thread()
+
+    def caller_failing_draw(*args):
+        if threading.current_thread() is caller:
+            raise MemoryError("caller's share")
+        time.sleep(0.05)
+        return draw(*args)
+
+    monkeypatch.setattr(coupling_sim, "_draw_noise", caller_failing_draw)
+    for run in simulators("0", math.inf):
+        with pytest.raises(MemoryError, match="caller's share"):
             run()
         assert threading.active_count() == before
 
