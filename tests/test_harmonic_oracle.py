@@ -9,6 +9,7 @@ which follows from -2*int_0^x b = -delta*log((2+x^2)/2) - 2*log(log(2+x^2)/log 2
 for the drift b(x) = x/(2+x^2) * (delta + 2/log(2+x^2)) with u'(0) = 1.
 """
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -263,3 +264,65 @@ def test_oscillation_bound_unbounded_rejected():
     prof = ll.harmonic_1d(ll.make_log_example(0.25), x_max=1e4)
     with pytest.raises(ll.NotApplicable):
         ll.oscillation_bound(prof, 1.0, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# recorded bits
+
+
+def _oracle_cases():
+    return {
+        "log_example(0.25)": ll.make_log_example(0.25),
+        "log_example(0.5)": ll.make_log_example(0.5),
+        "log_example(0.75)": ll.make_log_example(0.75),
+        "log_example(2)": ll.make_log_example(2.0),
+        "zero": ll.make_standard_fields("zero", 1),
+        "ou": ll.make_standard_fields("ou", 1),
+        "radial_expand(1)": ll.make_standard_fields("radial_expand", 1, [1.0]),
+        "radial_expand(-0.6)": ll.make_standard_fields("radial_expand", 1, [-0.6]),
+        "q=2": ll.field_from_expressions(
+            1, ["x1/(1 + x1^2) + 0.2*tanh(x1 - 1)"], ["2"], label="q=2"),
+    }
+
+
+def _oracle_digest(prof):
+    """sha256 of the comma-joined float.hex of every number the profile
+    reports, and of u_at/du_at on 41 points symmetric about 0."""
+    reach = min(prof.x[-1], -prof.x[0])
+    half = np.geomspace(1e-2, reach, 20)
+    grid = np.concatenate([-half[::-1], [0.0], half])
+    values = [*prof.x, *prof.u, *prof.du, prof.sup_estimate,
+              prof.u_plus_limit, prof.u_minus_limit,
+              *(prof.tail_fit_right or ()), *(prof.tail_fit_left or ()),
+              *prof.u_at(grid), *prof.du_at(grid)]
+    text = ",".join(float(v).hex() for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# recorded before the two adaptive loops became one engine
+ORACLE_BITS = {
+    "log_example(0.25)":
+        "846aba07d3e0a6d302f6a939dc52478069dc4ab12df86b7b6849ff1b889de231",
+    "log_example(0.5)":
+        "02aeee2df619f2d3372ffdfd94a71739dd7819270b0a279e3f5c2c858c249340",
+    "log_example(0.75)":
+        "31ad145c66459746c08c71da714e52ba72d0ef47df79f97933f23910d190b9f5",
+    "log_example(2)":
+        "90aaf5a5ef40613d614eb5bab861569ec7230b2c8d5b522bb1ca673591b4424e",
+    "zero":
+        "745e698727823486269a90d601a6f8e1521cb682e08199885c6142c0481c13d6",
+    "ou":
+        "ad176902c6edfdb7b1eaf91b5bb1c1d480e486b5470b0cd63b0717a041d41f11",
+    "radial_expand(1)":
+        "9e6228df3e2fb7c5e8fcb52cb5a63af79fdd314aa5815ac5b55b3d3f36fe5ccf",
+    "radial_expand(-0.6)":
+        "0dd5c76305bfb685818696aefa14c6d8e3171d8eedc16e3c20a420566b6d1fb8",
+    "q=2":
+        "5134725cd06353aa81493a43a86dcf433635f0fda1de299ad3dbf4b6eb99ad05",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BITS))
+def test_oracle_keeps_its_recorded_bits(name):
+    prof = ll.harmonic_1d(_oracle_cases()[name])
+    assert _oracle_digest(prof) == ORACLE_BITS[name]
