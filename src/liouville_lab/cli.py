@@ -39,6 +39,9 @@ from .report import (CONTRADICTION, VerdictBundle, build_field,
                      coupling_stage, coupling_summary, emit, run,
                      write_profile, write_trajectory)
 
+#: the oracle's Liouville verdict (True, False or None) in words
+_VERDICT_WORDS = {True: "holds", False: "fails", None: "undecided"}
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
@@ -97,9 +100,8 @@ def _print_bundle_summary(bundle: VerdictBundle) -> None:
     for line in rep.diagnostics:
         print(f"  note: {line}")
     if bundle.oracle_verdict is not None or bundle.oracle_note is not None:
-        verdict = {True: "holds", False: "fails", None: "undecided"}[
-            bundle.oracle_verdict]
-        print(f"oracle (1D exact): Liouville property {verdict}")
+        print("oracle (1D exact): Liouville property "
+              f"{_VERDICT_WORDS[bundle.oracle_verdict]}")
         if bundle.oracle_note:
             print(f"  note: {bundle.oracle_note}")
     if bundle.coupling is not None:
@@ -162,10 +164,8 @@ def _cmd_harmonic1d(args: argparse.Namespace) -> int:
     with annotate_stage("oracle"):
         profile = harmonic_1d(field, x_max=cfg.oracle_x_max,
                               tol=cfg.oracle_tol)
-    verdict = {True: "holds", False: "fails", None: "undecided"}[
-        profile.liouville_holds]
     print(f"field: {profile.label}")
-    print(f"Liouville property: {verdict}")
+    print(f"Liouville property: {_VERDICT_WORDS[profile.liouville_holds]}")
     print(f"  bounded right/left: {profile.bounded_right} / "
           f"{profile.bounded_left}")
     print(f"  limits: u(+inf) = {profile.u_plus_limit:.6g}, "

@@ -733,8 +733,7 @@ def escape_integral_divergent(g: GFunction, constants: CriterionConstants,
     bigG = g.integral(grid)
     with np.errstate(over="ignore"):
         integrand = np.exp(np.clip(-bigG / four_mu, -745.0, 50.0))
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    partial = float(trapezoid(integrand, grid))
+    partial = float(np.trapezoid(integrand, grid))
     return EscapeResult(divergent=bool(exponent <= 1.0),
                         partial_integral=partial,
                         prefactor=prefactor,
@@ -786,10 +785,6 @@ class CriterionReport:
     constants: Optional[CriterionConstants] = None
     modulus: Optional[ModulusProfile] = None
     escape: Optional[EscapeResult] = None
-
-    @property
-    def escape_divergent(self) -> Optional[bool]:
-        return None if self.escape is None else self.escape.divergent
 
 
 _DINI_RETRIES = 4

@@ -11,10 +11,18 @@ side, so the Liouville property reduces to a pair of improper-integral
 convergence questions that this module answers numerically.
 
 Numerics: B(x) = int_0^x b is marched over a log-spaced grid (256 points
-per decade) with adaptive Gauss-Kronrod (G7/K15) panels; u increments
-use K15 on u' = exp(-2B) with the B offset at each Kronrod node supplied
-by an inner 10-point Gauss-Legendre panel.  Sides where -2B exceeds the
-overflow guard are truncated and classified unbounded (u' explodes).
+per decade), and u increments integrate u' = exp(-2B) with B at each
+Kronrod node supplied by an inner 10-point Gauss-Legendre panel from the
+segment's left end.  Both integrals run through one adaptive engine: a
+segment's G7/K15 pair is accepted when |K15 - G7| is within its budget
+and bisected otherwise (for u, the right half starts from B at the
+midpoint, a K15 panel of the left half), for at most 16 rounds, after
+which a QuadratureError names the integral.  The budget of a segment is
+its length's share of tol plus 1e-14 (1 + |K15|) for the drift and
+1e-12 |K15| for u.  A drift value that is not finite raises
+CoefficientEvaluationError with the x where it was met.  Sides where -2B
+exceeds the overflow guard are truncated and classified unbounded (u'
+explodes).
 
 Tail classification: pure numeric convergence at a finite x_max cannot
 separate u' ~ r^(-1) (unbounded integral) from u' ~ r^(-1) log^(-2) r
@@ -44,7 +52,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .coefficients import CoefficientField, make_log_example
-from .errors import BoundaryUndecided, NotApplicable, QuadratureError
+from .errors import (BoundaryUndecided, CoefficientEvaluationError,
+                     NotApplicable, QuadratureError)
 
 # G7/K15 panel: Kronrod nodes/weights, with the embedded Gauss-7 rule on
 # the odd-index nodes.  Standard tabulated values.
@@ -102,152 +111,109 @@ def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _adaptive_drift_mass(bfun: Callable[[np.ndarray], np.ndarray],
-                         nodes: np.ndarray, tol: float):
-    """Per-base-segment integral of b, with the refined partition.
+def _uprime(bvals: np.ndarray) -> np.ndarray:
+    """u' = exp(-2B), clipped to stay finite and nonzero."""
+    return np.exp(np.clip(-2.0 * bvals, -745.0, 705.0))
 
-    Returns (part_a, part_b, part_mass, base_idx) sorted by position;
-    each refined segment records which base segment it came from.
-    """
-    total_len = float(nodes[-1] - nodes[0])
-    work_a = nodes[:-1].copy()
-    work_b = nodes[1:].copy()
-    work_idx = np.arange(work_a.size)
-    fin_a, fin_b, fin_m, fin_i = [], [], [], []
-    for _ in range(_MAX_REFINE_ROUNDS):
-        c = 0.5 * (work_a + work_b)
-        h = 0.5 * (work_b - work_a)
-        pts = c[:, None] + h[:, None] * _K15_X[None, :]
-        f = np.asarray(bfun(pts.reshape(-1, 1)), dtype=float)[:, 0]
-        f = f.reshape(pts.shape)
-        k15 = h * (f @ _K15_W)
-        g7 = h * (f[:, 1::2] @ _G7_W)
-        err = np.abs(k15 - g7)
-        budget = 1e-14 * (1.0 + np.abs(k15)) \
-            + tol * (work_b - work_a) / total_len
-        good = err <= budget  # NaN errors count as bad
-        fin_a.append(work_a[good])
-        fin_b.append(work_b[good])
-        fin_m.append(k15[good])
-        fin_i.append(work_idx[good])
-        bad = ~good
-        if not bad.any():
-            break
-        mid = c[bad]
-        work_a = np.concatenate([work_a[bad], mid])
-        work_b = np.concatenate([mid, work_b[bad]])
-        work_idx = np.concatenate([work_idx[bad], work_idx[bad]])
-    else:
-        raise QuadratureError(
-            f"drift integral did not converge after {_MAX_REFINE_ROUNDS} "
-            f"refinement rounds near x in [{work_a.min():.6g}, "
-            f"{work_b.max():.6g}]")
-    a = np.concatenate(fin_a)
-    order = np.argsort(a, kind="stable")
-    return (a[order], np.concatenate(fin_b)[order],
-            np.concatenate(fin_m)[order], np.concatenate(fin_i)[order])
+
+def _nodes(a, b, nodes) -> Tuple[np.ndarray, np.ndarray]:
+    """Half-widths h of the segments [a, b] (arrays of one shape) and
+    their Gauss ``nodes``, shaped (*a.shape, nodes.size)."""
+    h = 0.5 * (b - a)
+    pts = h[..., None] * nodes
+    pts += 0.5 * (a + b)[..., None]  # in place: the oracle's largest array
+    return h, pts
+
+
+def _sample(bfun, a, b, nodes) -> Tuple[np.ndarray, np.ndarray]:
+    """Half-widths h of the segments [a, b] and b at their Gauss nodes."""
+    h, pts = _nodes(a, b, nodes)
+    f = np.asarray(bfun(pts.reshape(-1, 1)), dtype=float)[:, 0]
+    return h, f.reshape(pts.shape)
+
+
+def _kronrod(h, f) -> Tuple[np.ndarray, np.ndarray]:
+    """K15 masses of panels sampled at the Kronrod nodes, with |K15 - G7|."""
+    k15 = h * (f @ _K15_W)
+    return k15, np.abs(k15 - h * (f[..., 1::2] @ _G7_W))
+
+
+def _du(bfun, a, x, b_at_a) -> np.ndarray:
+    """u' at x, from B(a) and a GL10 panel of b over [a, x]."""
+    h, f = _sample(bfun, a, x, _GL10_X)
+    return _uprime(b_at_a + h * (f @ _GL10_W))
 
 
 def _uprime_panel(bfun, a, b, b_at_a):
     """K15/G7 masses of exp(-2B) over segments [a, b] with B(a) given."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    knodes = c[:, None] + h[:, None] * _K15_X[None, :]
-    cj = 0.5 * (a[:, None] + knodes)
-    hj = 0.5 * (knodes - a[:, None])
-    pts = cj[:, :, None] + hj[:, :, None] * _GL10_X[None, None, :]
-    f = np.asarray(bfun(pts.reshape(-1, 1)), dtype=float)[:, 0]
-    inner = hj * (f.reshape(pts.shape) @ _GL10_W)
-    bvals = b_at_a[:, None] + inner
-    uprime = np.exp(np.clip(-2.0 * bvals, -745.0, 705.0))
-    k15 = h * (uprime @ _K15_W)
-    g7 = h * (uprime[:, 1::2] @ _G7_W)
-    return k15, np.abs(k15 - g7)
+    h, knodes = _nodes(a, b, _K15_X)
+    return _kronrod(h, _du(bfun, a[:, None], knodes, b_at_a[:, None]))
 
 
-def _adaptive_u_mass(bfun, part_a, part_b, part_ba, tol, total_len):
-    """Integral of exp(-2B) over each partition segment, adaptively."""
-    out = np.zeros(part_a.size)
-    work_a = part_a.copy()
-    work_b = part_b.copy()
-    work_ba = part_ba.copy()
-    work_idx = np.arange(part_a.size)
+def _adapt(panel, split, a, b, carry, budget, what: str):
+    """Adaptive quadrature over the segments [a, b].
+
+    ``panel(a, b, carry)`` gives each segment's mass and error estimate; a
+    segment is accepted where the error is within ``budget(mass, b - a)``
+    (a NaN error never is) and bisected otherwise, its left halves ahead
+    of its right halves.  The left halves keep their carry and the right
+    halves take ``split(a, mid, carry)``.  Returns the accepted (a, b,
+    mass, index) in the order they were accepted, index naming the input
+    segment each piece came from.
+    """
+    index = np.arange(a.size)
+    done = []
     for _ in range(_MAX_REFINE_ROUNDS):
-        k15, err = _uprime_panel(bfun, work_a, work_b, work_ba)
-        budget = 1e-12 * np.abs(k15) + tol * (work_b - work_a) / total_len
-        good = err <= budget
-        np.add.at(out, work_idx[good], k15[good])
+        mass, err = panel(a, b, carry)
+        good = err <= budget(mass, b - a)
+        done.append((a[good], b[good], mass[good], index[good]))
         bad = ~good
         if not bad.any():
-            break
-        a, b, ba, idx = work_a[bad], work_b[bad], work_ba[bad], work_idx[bad]
+            return tuple(np.concatenate(col) for col in zip(*done))
+        a, b, carry, index = a[bad], b[bad], carry[bad], index[bad]
         mid = 0.5 * (a + b)
-        h = 0.5 * (mid - a)
-        c = 0.5 * (a + mid)
-        pts = c[:, None] + h[:, None] * _K15_X[None, :]
-        f = np.asarray(bfun(pts.reshape(-1, 1)), dtype=float)[:, 0]
-        left_mass = h * (f.reshape(pts.shape) @ _K15_W)
-        work_a = np.concatenate([a, mid])
-        work_b = np.concatenate([mid, b])
-        work_ba = np.concatenate([ba, ba + left_mass])
-        work_idx = np.concatenate([idx, idx])
-    else:
-        raise QuadratureError(
-            f"harmonic-function integral did not converge after "
-            f"{_MAX_REFINE_ROUNDS} refinement rounds near x in "
-            f"[{work_a.min():.6g}, {work_b.max():.6g}]")
-    return out
+        carry = np.concatenate([carry, split(a, mid, carry)])
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        index = np.concatenate([index, index])
+    raise QuadratureError(
+        f"{what} did not converge after {_MAX_REFINE_ROUNDS} refinement "
+        f"rounds near x in [{a.min():.6g}, {b.max():.6g}]")
 
 
 @dataclass(frozen=True)
 class _SideResult:
-    x: np.ndarray            # ascending, starts at 0
-    u: np.ndarray            # u along this side (u(0) = 0), nondecreasing
-    du: np.ndarray           # u' = exp(-2B) at the grid nodes
-    bnodes: np.ndarray       # B = int_0^x b at the grid nodes
-    bounded: Optional[bool]  # None = classification withheld
-    limit: float             # lim u (finite, or +inf when unbounded)
-    truncated: bool
-    fit: Optional[Tuple[float, float]]  # (p, q) of the tail fit, if made
-    note: str
-
-
-class _ExactSide:
-    """Pointwise-exact evaluation of (u, u') on one side.
+    """One side's profile, with pointwise-exact (u, u').
 
     A query x is anchored at the last grid node below it; u' there is
     exp(-2(B_node + int b)) with the local drift integral done by the
-    same K15/GL10 kernel as the marcher, so evaluations are smooth in x
+    same K15/GL10 panels as the marcher, so evaluations are smooth in x
     (no interpolation kinks) and finite-difference residuals of u stay
     at the quadrature level.
     """
 
-    def __init__(self, bfun, x, u, bnodes):
-        self._bfun = bfun
-        self._x = x
-        self._u = u
-        self._b = bnodes
+    bfun: Callable[[np.ndarray], np.ndarray]  # b on this side, x >= 0
+    x: np.ndarray            # ascending, starts at 0
+    u: np.ndarray            # u along this side (u(0) = 0), nondecreasing
+    du: np.ndarray           # u' = exp(-2B) at the grid nodes
+    bnodes: np.ndarray       # B = int_0^x b at the grid nodes
+    truncated: bool
+    bounded: Optional[bool]  # None = classification withheld
+    limit: float             # lim u (finite, or +inf when unbounded)
+    fit: Optional[Tuple[float, float]]  # (p, q) of the tail fit, if made
+    note: str
 
-    def _anchor(self, xq: np.ndarray):
-        idx = np.searchsorted(self._x, xq, side="right") - 1
-        idx = np.clip(idx, 0, self._x.size - 1)
-        return idx
+    def _anchor(self, xq: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self.x, xq, side="right") - 1
+        return np.clip(idx, 0, self.x.size - 1)
 
     def u_at(self, xq: np.ndarray) -> np.ndarray:
         idx = self._anchor(xq)
-        a = self._x[idx]
-        mass, _ = _uprime_panel(self._bfun, a, xq, self._b[idx])
-        return self._u[idx] + mass
+        mass, _ = _uprime_panel(self.bfun, self.x[idx], xq, self.bnodes[idx])
+        return self.u[idx] + mass
 
     def du_at(self, xq: np.ndarray) -> np.ndarray:
         idx = self._anchor(xq)
-        a = self._x[idx]
-        c = 0.5 * (a + xq)
-        h = 0.5 * (xq - a)
-        pts = c[:, None] + h[:, None] * _GL10_X[None, :]
-        f = np.asarray(self._bfun(pts.reshape(-1, 1)), dtype=float)[:, 0]
-        inner = h * (f.reshape(pts.shape) @ _GL10_W)
-        return np.exp(np.clip(-2.0 * (self._b[idx] + inner), -745.0, 705.0))
+        return _du(self.bfun, self.x[idx], xq, self.bnodes[idx])
 
 
 def _march_side(bfun, x_max: float, tol: float) -> _SideResult:
@@ -255,9 +221,17 @@ def _march_side(bfun, x_max: float, tol: float) -> _SideResult:
     n_pts = max(32, int(math.ceil(_POINTS_PER_DECADE * n_dec)) + 1)
     base = np.concatenate([[0.0], np.geomspace(1e-3, x_max, n_pts)])
     base[-1] = x_max
-    pa, pb, pm, pidx = _adaptive_drift_mass(bfun, base, tol)
-    b_part = np.concatenate([[0.0], _kahan_cumsum(pm)])
-    part_nodes = np.concatenate([pa, [pb[-1]]])
+    drift_len = float(base[-1] - base[0])
+    pa, pb, pm, pidx = _adapt(
+        lambda a, b, _: _kronrod(*_sample(bfun, a, b, _K15_X)),
+        lambda a, mid, carry: carry, base[:-1], base[1:],
+        np.zeros(base.size - 1),  # the drift panel carries nothing
+        lambda mass, width: 1e-14 * (1.0 + np.abs(mass))
+        + tol * width / drift_len, "drift integral")
+    order = np.argsort(pa, kind="stable")
+    pidx = pidx[order]
+    b_part = np.concatenate([[0.0], _kahan_cumsum(pm[order])])
+    part_nodes = np.concatenate([pa[order], pb[order[-1:]]])
 
     note = ""
     truncated = False
@@ -270,27 +244,30 @@ def _march_side(bfun, x_max: float, tol: float) -> _SideResult:
                 f"u' overflows immediately (at x = {x_cut:.6g}); drift too "
                 "strongly inward for a meaningful profile")
         base = base[keep]
-        seg_keep = pb <= base[-1] * (1.0 + 1e-12)
-        pa, pb, pm, pidx = pa[seg_keep], pb[seg_keep], pm[seg_keep], pidx[seg_keep]
-        b_part = np.concatenate([[0.0], _kahan_cumsum(pm)])
-        part_nodes = np.concatenate([pa, [pb[-1]]])
+        # the partition is contiguous and sorted, so the segments kept are
+        # a prefix, and so are their cumulative drift masses
+        n = int(np.count_nonzero(part_nodes[1:] <= base[-1] * (1.0 + 1e-12)))
+        pidx, b_part, part_nodes = pidx[:n], b_part[:n + 1], part_nodes[:n + 1]
         truncated = True
         note = (f"side truncated at x = {base[-1]:.6g}: exp(-2B) exceeds the "
                 "overflow guard, so u is unbounded on this side")
 
-    masses = _adaptive_u_mass(bfun, pa, pb, b_part[:-1], tol,
-                              float(base[-1] - base[0]))
+    u_len = float(base[-1] - base[0])
+    _, _, um, uidx = _adapt(
+        lambda a, b, ba: _uprime_panel(bfun, a, b, ba),
+        lambda a, mid, ba: ba + _kronrod(*_sample(bfun, a, mid, _K15_X))[0],
+        part_nodes[:-1], part_nodes[1:], b_part[:-1],
+        lambda mass, width: 1e-12 * np.abs(mass) + tol * width / u_len,
+        "harmonic-function integral")
+    masses = np.zeros(part_nodes.size - 1)
+    np.add.at(masses, uidx, um)
     base_masses = np.bincount(pidx, weights=masses, minlength=base.size - 1)
     u = np.concatenate([[0.0], _kahan_cumsum(base_masses)])
-    node_pos = np.searchsorted(part_nodes, base)
-    bnodes = b_part[node_pos]
-    du = np.exp(np.clip(-2.0 * bnodes, -745.0, 705.0))
-
-    if truncated:
-        return _SideResult(base, u, du, bnodes, bounded=False,
-                           limit=math.inf, truncated=True, fit=None,
-                           note=note)
-    return _classify_side(base, u, du, bnodes, tol)
+    bnodes = b_part[np.searchsorted(part_nodes, base)]
+    du = _uprime(bnodes)
+    verdict = (False, math.inf, None, note) if truncated \
+        else _classify_side(base, u, du, tol)
+    return _SideResult(bfun, base, u, du, bnodes, truncated, *verdict)
 
 
 def _joint_tail_fit(x: np.ndarray, du: np.ndarray) -> Optional[Tuple[float, float]]:
@@ -318,11 +295,11 @@ def _bounded_tail_extra(x_end: float, du_end: float,
     span = min(4000.0, 40.0 / max(rate, 1e-2))
     t = np.linspace(t0, t0 + span, 4001)
     integrand = np.exp(-rate * (t - t0)) * (t / t0) ** q
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    return float(du_end * x_end * trapezoid(integrand, t))
+    return float(du_end * x_end * np.trapezoid(integrand, t))
 
 
-def _classify_side(x, u, du, bnodes, tol) -> _SideResult:
+def _classify_side(x, u, du, tol):
+    """(bounded, limit, fit, note) of a side that was not truncated."""
     dec_idx = int(np.searchsorted(x, x[-1] / 10.0))
     increment = float(u[-1] - u[dec_idx])
     u_prev = float(u[dec_idx])
@@ -332,14 +309,11 @@ def _classify_side(x, u, du, bnodes, tol) -> _SideResult:
     if fast_bounded:
         extra = _bounded_tail_extra(float(x[-1]), float(du[-1]), fit) \
             if fit else 0.0
-        return _SideResult(x, u, du, bnodes, bounded=True,
-                           limit=float(u[-1]) + extra, truncated=False,
-                           fit=fit, note="tail converged numerically")
+        return True, float(u[-1]) + extra, fit, "tail converged numerically"
     if fit is None:
-        return _SideResult(x, u, du, bnodes, bounded=None, limit=math.nan,
-                           truncated=False, fit=None,
-                           note="tail fit impossible (too few usable points); "
-                                "classification withheld")
+        return (None, math.nan, None,
+                "tail fit impossible (too few usable points); "
+                "classification withheld")
     p, q = fit
     if abs(p + 1.0) > _P_WINDOW:
         bounded = p < -1.0
@@ -349,17 +323,15 @@ def _classify_side(x, u, du, bnodes, tol) -> _SideResult:
         note = (f"power exponent critical (p = {p:.4f}); log fit decisive: "
                 f"u' ~ r^-1 * log^{q:.3f} r")
     else:
-        return _SideResult(x, u, du, bnodes, bounded=None, limit=math.nan,
-                           truncated=False, fit=fit,
-                           note=(f"both exponents critical (p = {p:.4f}, "
-                                 f"q = {q:.3f}); classification withheld"))
+        return (None, math.nan, fit,
+                f"both exponents critical (p = {p:.4f}, q = {q:.3f}); "
+                "classification withheld")
     if bounded:
         limit = float(u[-1]) + _bounded_tail_extra(float(x[-1]),
                                                    float(du[-1]), fit)
     else:
         limit = math.inf
-    return _SideResult(x, u, du, bnodes, bounded=bounded, limit=limit,
-                       truncated=False, fit=fit, note=note)
+    return bounded, limit, fit, note
 
 
 @dataclass(frozen=True)
@@ -391,8 +363,8 @@ class HarmonicProfile:
     tail_fit_right: Optional[Tuple[float, float]]
     tail_fit_left: Optional[Tuple[float, float]]
     notes: Tuple[str, ...]
-    _eval_right: _ExactSide = dataclasses_field(repr=False, compare=False)
-    _eval_left: _ExactSide = dataclasses_field(repr=False, compare=False)
+    _right: _SideResult = dataclasses_field(repr=False, compare=False)
+    _left: _SideResult = dataclasses_field(repr=False, compare=False)
 
     def _dispatch(self, x, right_method: str) -> np.ndarray:
         xq = np.atleast_1d(np.asarray(x, dtype=float))
@@ -401,9 +373,9 @@ class HarmonicProfile:
         out = np.empty(xq.shape)
         pos = xq >= 0.0
         if pos.any():
-            out[pos] = getattr(self._eval_right, right_method)(xq[pos])
+            out[pos] = getattr(self._right, right_method)(xq[pos])
         if (~pos).any():
-            vals = getattr(self._eval_left, right_method)(-xq[~pos])
+            vals = getattr(self._left, right_method)(-xq[~pos])
             out[~pos] = -vals if right_method == "u_at" else vals
         return out if np.ndim(x) else out[0]
 
@@ -446,14 +418,22 @@ def harmonic_1d(field: CoefficientField, x_max: float = 1e6,
         raise ValueError("tol must be positive")
     scale = _constant_q_scale(field)
 
-    def b_right(pts: np.ndarray) -> np.ndarray:
-        return np.asarray(field.drift(pts), dtype=float) / scale
+    def side(sign: float):
+        """b/q on the side of sign, at x >= 0: sign * b(sign * x) / q."""
+        def bfun(pts: np.ndarray) -> np.ndarray:
+            with np.errstate(all="ignore"):  # a non-finite value raises below
+                b = sign * np.asarray(field.drift(sign * pts),
+                                      dtype=float) / scale
+            bad = ~np.isfinite(b[:, 0])
+            if bad.any():
+                raise CoefficientEvaluationError(
+                    "drift is non-finite at x = "
+                    f"{(sign * pts[np.flatnonzero(bad)[0]]).tolist()}")
+            return b
+        return bfun
 
-    def b_left(pts: np.ndarray) -> np.ndarray:
-        return -np.asarray(field.drift(-pts), dtype=float) / scale
-
-    right = _march_side(b_right, x_max, tol)
-    left = _march_side(b_left, x_max, tol)
+    right = _march_side(side(1.0), x_max, tol)
+    left = _march_side(side(-1.0), x_max, tol)
 
     x = np.concatenate([-left.x[::-1], right.x[1:]])
     u = np.concatenate([-left.u[::-1], right.u[1:]])
@@ -480,8 +460,7 @@ def harmonic_1d(field: CoefficientField, x_max: float = 1e6,
         truncated_right=right.truncated, truncated_left=left.truncated,
         tail_fit_right=right.fit, tail_fit_left=left.fit,
         notes=notes,
-        _eval_right=_ExactSide(b_right, right.x, right.u, right.bnodes),
-        _eval_left=_ExactSide(b_left, left.x, left.u, left.bnodes),
+        _right=right, _left=left,
     )
 
 

@@ -71,10 +71,6 @@ class SpectralDecomposition:
     def residual(self, a) -> float:
         return hs_norm(np.asarray(a, dtype=float) - self.reconstruct())
 
-    def orthonormality_defect(self) -> float:
-        v = self.eigenvectors
-        return hs_norm(v.T @ v - np.eye(v.shape[0]))
-
 
 def _offdiag_sq(a: np.ndarray) -> np.ndarray:
     d = a.shape[-1]

@@ -326,3 +326,20 @@ ORACLE_BITS = {
 def test_oracle_keeps_its_recorded_bits(name):
     prof = ll.harmonic_1d(_oracle_cases()[name])
     assert _oracle_digest(prof) == ORACLE_BITS[name]
+
+
+# ---------------------------------------------------------------------------
+# non-finite drift
+
+
+@pytest.mark.parametrize("centre", [300.0, -300.0])
+def test_non_finite_drift_is_named_with_its_x(centre):
+    # the drift is NaN only on |x - centre| < 0.01, which the base grid
+    # misses; refinement meets it, on whichever side it lies
+    field = ll.field_from_expressions(
+        1, [f"sqrt(abs(x1 - ({centre})) - 0.01)"], label="band")
+    with pytest.raises(ll.CoefficientEvaluationError,
+                       match=r"^drift is non-finite at x = \[") as info:
+        ll.harmonic_1d(field)
+    x = float(str(info.value).split("[")[1].rstrip("]"))
+    assert abs(x - centre) < 0.01

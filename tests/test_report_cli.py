@@ -402,6 +402,17 @@ def _cli_child(*argv):
                           env=env, check=False)
 
 
+def test_cli_oracle_names_a_non_finite_drift(capfd):
+    # NaN on 299.99 < x1 < 300.01 only: the oracle's refinement meets it
+    proc = _cli_child("harmonic1d", "--seed", "0", "--drift",
+                      "sqrt(abs(x1 - 300) - 0.01)")
+    assert proc.returncode == 3
+    (line,) = capfd.readouterr().err.splitlines()
+    prefix = "error in stage oracle: drift is non-finite at x = ["
+    assert line.startswith(prefix)
+    assert abs(float(line[len(prefix):-1]) - 300.0) < 0.01
+
+
 def test_cli_field_construction_failure_prints_only_the_error(capfd):
     # numpy warnings from the drift probe must not reach stderr ahead of the
     # error
