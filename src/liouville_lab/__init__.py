@@ -30,8 +30,8 @@ from .coupling_sim import (CouplingConfig, CouplingStats, martingale_check,
                            simulate_coupling, simulate_pair_trajectory,
                            space_time_residual)
 from .criterion import (VERDICT_GUARANTEED, VERDICT_INCONCLUSIVE,
-                        ClassicConditionReport, CriterionConfig,
-                        CriterionConstants, CriterionReport,
+                        ClassicConditionReport, CriterionConstants,
+                        CriterionReport,
                         DispersionCurve, EscapeResult, GFunction,
                         ModulusProfile, asymptotic_dispersion, build_g,
                         choose_constants, classic_condition_check,
@@ -60,7 +60,7 @@ __all__ = [
     "ClassicConditionReport", "CoefficientEvaluationError",
     "CoefficientField", "ConfigError", "CONSISTENT", "ConstantMismatch",
     "CONTRADICTION", "CouplingConfig", "CouplingStats",
-    "CRITERION_CONSERVATIVE", "CriterionConfig", "CriterionConstants",
+    "CRITERION_CONSERVATIVE", "CriterionConstants",
     "CriterionReport", "DispersionCurve", "EigenFailure",
     "EllipticityBounds", "EllipticityViolation", "EscapeResult",
     "ExpressionError", "GFunction", "HarmonicProfile", "LiouvilleLabError",

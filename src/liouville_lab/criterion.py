@@ -36,6 +36,10 @@ and a radius leaves the block when its own ascent converges, so each
 value is what refining that radius alone would give.  Radii that stop
 at the sweep cap instead are named in the report's diagnostics; a NaN
 objective raises CoefficientEvaluationError (a +inf sup is a value).
+
+The pipeline's knobs (window, radius grid, pairs per radius, ellipticity
+sample, mu grid, modulus grid, escape range and seed) are RunConfig
+fields: evaluate_liouville_criterion reads them from the run's config.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from . import _streams
 from .coefficients import (CoefficientField, EllipticityBounds,
                            estimate_ellipticity, row_norms, row_view,
                            take_rows)
+from .config import RunConfig
 from .errors import (CoefficientEvaluationError, ConstantMismatch,
                      NoAdmissibleConstants, annotate_stage)
 
@@ -744,33 +749,6 @@ def escape_integral_divergent(g: GFunction, constants: CriterionConstants,
 # end-to-end pipeline
 
 @dataclass(frozen=True)
-class CriterionConfig:
-    """Tunable knobs of the pipeline; every stage derives its randomness
-    from ``seed``, so identical configs give bit-identical reports."""
-
-    window_radius: float = 100.0
-    radii_min: float = 1.0
-    radii_max: float = 1e5
-    radii_points: int = 48
-    radii_log: bool = True
-    n_pairs: int = 32
-    tail_fraction: float = 0.2
-    ellipticity_samples: int = 20000
-    mu_grid: int = 99
-    modulus_points: int = 48
-    modulus_pairs: int = 16
-    modulus_s_min: float = 1e-6
-    escape_r_max: float = 1e6
-    seed: int = 0
-
-    def radii(self) -> np.ndarray:
-        if self.radii_log:
-            return np.geomspace(self.radii_min, self.radii_max,
-                                self.radii_points)
-        return np.linspace(self.radii_min, self.radii_max, self.radii_points)
-
-
-@dataclass(frozen=True)
 class CriterionReport:
     """Everything the pipeline decided and why, in evaluation order."""
 
@@ -800,7 +778,7 @@ def _cap_notes(stage: str, sweeps: Optional[np.ndarray]) -> list:
 
 
 def evaluate_liouville_criterion(field: CoefficientField,
-                                 config: Optional[CriterionConfig] = None
+                                 config: Optional[RunConfig] = None
                                  ) -> CriterionReport:
     """Run the full decision pipeline on one field.
 
@@ -809,8 +787,10 @@ def evaluate_liouville_criterion(field: CoefficientField,
     Inconclusive verdict with the stage named in the diagnostics; for
     variable diffusion a Dini failure retries the next-best admissible mu
     (smaller mu means smaller lam in omega) a few times before giving up.
+    ``config`` is the run's RunConfig, of which only the criterion's knobs
+    are read; None means RunConfig(seed=0), the defaults at seed 0.
     """
-    cfg = config or CriterionConfig()
+    cfg = config or RunConfig(seed=0)
     notes = []
     if field.smoothness_note:
         notes.append(field.smoothness_note)
@@ -819,8 +799,10 @@ def evaluate_liouville_criterion(field: CoefficientField,
         bounds = estimate_ellipticity(field, cfg.window_radius,
                                       cfg.ellipticity_samples, cfg.seed)
     with annotate_stage("dispersion"):
-        curve = drift_dispersion(field, cfg.radii(), cfg.n_pairs, cfg.seed,
-                                 window_radius=cfg.window_radius)
+        space = np.geomspace if cfg.radii_log else np.linspace
+        curve = drift_dispersion(
+            field, space(cfg.radii_min, cfg.radii_max, cfg.radii_points),
+            cfg.n_pairs, cfg.seed, window_radius=cfg.window_radius)
     kappa_inf = asymptotic_dispersion(curve, cfg.tail_fraction)
     threshold = theorem_threshold(bounds, field.dim)
     notes.extend(_cap_notes("dispersion", curve.sweeps))

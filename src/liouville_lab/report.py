@@ -38,8 +38,7 @@ from .config import RunConfig, emit_config
 from .coupling_sim import (CouplingConfig, CouplingStats,
                            simulate_coupling, simulate_pair_trajectory)
 from .criterion import (VERDICT_GUARANTEED, VERDICT_INCONCLUSIVE,
-                        CriterionConfig, CriterionReport,
-                        evaluate_liouville_criterion)
+                        CriterionReport, evaluate_liouville_criterion)
 from .errors import ConfigError, NotApplicable, annotate_stage
 from .harmonic_oracle import HarmonicProfile, harmonic_1d
 
@@ -123,9 +122,7 @@ def run(cfg: RunConfig) -> VerdictBundle:
         raise ConfigError("oracle.enabled requires a one-dimensional field")
 
     with annotate_stage("criterion"):
-        report = evaluate_liouville_criterion(field, CriterionConfig(**{
-            f.name: getattr(cfg, f.name)
-            for f in dataclasses.fields(CriterionConfig)}))
+        report = evaluate_liouville_criterion(field, cfg)
 
     oracle_profile = None
     oracle_verdict = None

@@ -402,7 +402,7 @@ def test_escape_requires_r_max_beyond_s0():
 # evaluate_liouville_criterion (pipeline)
 
 
-REDUCED = ll.CriterionConfig(radii_points=24, n_pairs=16, ellipticity_samples=2000, seed=0)
+REDUCED = ll.RunConfig(radii_points=24, n_pairs=16, ellipticity_samples=2000, seed=0)
 
 
 def test_pipeline_contracting_guaranteed():
@@ -603,8 +603,8 @@ def test_nan_objective_is_a_named_error():
 
 def test_pipeline_names_radii_stopped_at_the_sweep_cap():
     field = ll.make_standard_fields("radial_expand", 3)
-    cfg = ll.CriterionConfig(radii_points=12, n_pairs=4,
-                             ellipticity_samples=500, seed=1)
+    cfg = ll.RunConfig(radii_points=12, n_pairs=4, ellipticity_samples=500,
+                       seed=1)
     rep = ll.evaluate_liouville_criterion(field, cfg)
     capped = int(np.sum(rep.dispersion.sweeps == crit._MAX_SWEEPS))
     assert 0 < capped < 12
