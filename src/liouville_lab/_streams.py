@@ -17,7 +17,6 @@ DOMAIN_ELLIPTICITY_POINTS = 11
 DOMAIN_ELLIPTICITY_RADII = 12
 DOMAIN_DISPERSION = 21
 DOMAIN_MODULUS = 22
-DOMAIN_PAIR_SAMPLES = 23
 DOMAIN_PATHS = 31
 DOMAIN_MARTINGALE = 32
 

@@ -61,12 +61,13 @@ class CoefficientField:
     """Immutable operator data (d, b, q) plus simulator metadata.
 
     ``drift`` and ``diffusion`` take an (n, d) float array; they must be
-    pure (bit-identical output for identical input).  ``growth_bound`` is
-    a linear-growth constant used only as a runaway-simulation guard.
-    ``constant_diffusion`` lets consumers compute the shifted square root
-    of q once instead of at every step.  A variable q needs no flag to skip
-    the eigen-solver where it is diagonal: the simulator sees that in the
-    values.  ``smoothness_note`` is set when the field is only known to be
+    pure (bit-identical output for identical input), and
+    field_from_expressions rejects a drift that is non-finite on the axes
+    and diagonal of the default window.  ``constant_diffusion`` lets
+    consumers compute the shifted square root of q once instead of at
+    every step.  A variable q needs no flag to skip the eigen-solver where
+    it is diagonal: the simulator sees that in the values.
+    ``smoothness_note`` is set when the field is only known to be
     continuous (e.g. expressions involving ``abs``): the criterion and
     simulator still run, but reports carry the caveat.
     """
@@ -74,7 +75,6 @@ class CoefficientField:
     dim: int
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
-    growth_bound: float
     label: str
     constant_diffusion: bool = False
     smoothness_note: Optional[str] = None
@@ -82,8 +82,6 @@ class CoefficientField:
     def __post_init__(self):
         if int(self.dim) < 1:
             raise ValueError("dim must be a positive integer")
-        if not (self.growth_bound > 0):
-            raise ValueError("growth_bound must be positive")
 
 
 @dataclass(frozen=True)
@@ -142,9 +140,10 @@ def eval_diffusion(field: CoefficientField, x) -> np.ndarray:
     return q
 
 
-def _growth_bound(drift: Callable[[np.ndarray], np.ndarray], dim: int,
-                  radius: float = _DEFAULT_WINDOW) -> float:
-    # Deterministic probe: each axis plus the main diagonal, through 0.
+def _probe_drift(drift: Callable[[np.ndarray], np.ndarray], dim: int,
+                 radius: float = _DEFAULT_WINDOW) -> None:
+    # Deterministic probe: each axis plus the main diagonal, through 0;
+    # a drift that is non-finite there cannot make a field.
     t = np.linspace(-radius, radius, 201)
     lines = [np.zeros((1, dim))]
     for i in range(dim):
@@ -158,8 +157,6 @@ def _growth_bound(drift: Callable[[np.ndarray], np.ndarray], dim: int,
         b = np.asarray(drift(pts), dtype=float)
     if not np.all(np.isfinite(b)):
         raise CoefficientEvaluationError("drift is non-finite on the probe grid")
-    ratio = np.linalg.norm(b, axis=1) / (1.0 + np.linalg.norm(pts, axis=1))
-    return max(1.0, float(ratio.max()))
 
 
 class CatalogueEntry(NamedTuple):
@@ -477,11 +474,11 @@ def field_from_expressions(dim: int, drift_exprs: Sequence[str],
     if any(p.uses_abs for p in b_parts + q_parts):
         note = ("coefficients use |.| and are treated as continuous only; "
                 "simulator strong-solution accuracy is unquantified")
+    _probe_drift(drift, dim)
     return CoefficientField(
         dim=dim,
         drift=drift,
         diffusion=diffusion,
-        growth_bound=_growth_bound(drift, dim),
         label=label,
         constant_diffusion=all(p.is_constant for p in q_parts),
         smoothness_note=note,

@@ -77,7 +77,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _streams
-from .coefficients import CoefficientField, EllipticityBounds, take_rows
+from .coefficients import (CoefficientField, EllipticityBounds, row_norms,
+                           take_rows)
 from .errors import (CoefficientEvaluationError, ShiftTooLarge,
                      SimulationBlowUp)
 from .matrix_analysis import _check_shift, _shifted_sqrt_batch
@@ -462,12 +463,6 @@ def _block_streams(seed: int, domain: int, n_paths: int) -> list:
             for b in range(-(-n_paths // _BLOCK))]
 
 
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """Row norms as sqrt of the einsum sum of squares: inf on overflow, as
-    np.linalg.norm, but not its bits in d >= 3, and without its overhead."""
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
-
-
 def _beyond(rows: np.ndarray, radius: float) -> np.ndarray:
     """Which finite rows lie farther than radius from the origin.  When
     the largest entry shows that no row can be that far, no norm is
@@ -477,11 +472,11 @@ def _beyond(rows: np.ndarray, radius: float) -> np.ndarray:
     if rows.size and np.abs(rows).max() * math.sqrt(rows.shape[1]) \
             * (1.0 + 1e-9) <= radius:
         return np.zeros(len(rows), dtype=bool)
-    far = _norms(rows) > radius
+    far = row_norms(rows) > radius
     if far.any():
         big = rows[far]
         scale = np.abs(big).max(axis=1)
-        far[far] = scale * _norms(big / scale[:, None]) > radius
+        far[far] = scale * row_norms(big / scale[:, None]) > radius
     return far
 
 
@@ -586,7 +581,8 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
     survival[ids] = live_survival
     if k_record == n_steps:
         m = ids.size
-        recorded[ids] = _norms(z[:m] - z[m:])
+        with np.errstate(over="ignore"):  # above about 1.3e154 it reads inf
+            recorded[ids] = row_norms(z[:m] - z[m:])
 
     coupled = ~np.isnan(couple_time)
     n_coupled = int(coupled.sum())

@@ -70,7 +70,7 @@ class BoundaryUndecided(LiouvilleLabError):
 
 
 class SimulationBlowUp(LiouvilleLabError):
-    """A simulated path became non-finite or violated the growth guard.
+    """A simulated path became non-finite.
 
     Carries the path index and simulation time at which the blow-up was
     detected.

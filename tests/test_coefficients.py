@@ -374,7 +374,6 @@ def test_catalogue_fields_keep_their_labels_and_flags():
         assert field.label == label
         assert field.constant_diffusion is constant_q
         assert field.smoothness_note is None
-        assert field.growth_bound == 1.0
 
 
 @pytest.mark.parametrize("name, params", [
@@ -683,8 +682,3 @@ def test_ellipticity_violation_detected():
     with pytest.raises(ll.EllipticityViolation):
         ll.estimate_ellipticity(field, radius=10.0, n_samples=2000, seed=0)
 
-
-def test_growth_bound_positive():
-    for name, dim, params in [("zero", 2, ()), ("ou", 3, ()), ("log_example", 1, (2.0,))]:
-        field = ll.make_standard_fields(name, dim, params)
-        assert field.growth_bound >= 1.0

@@ -231,7 +231,7 @@ def test_nan_diffusion_is_named(dim):
         q[points[:, 0] > 0.0, 0, 0] = np.nan
         return q
 
-    field = ll.CoefficientField(dim, np.zeros_like, diffusion, 1.0, "nan-q")
+    field = ll.CoefficientField(dim, np.zeros_like, diffusion, "nan-q")
     cfg = ll.CouplingConfig(mu=0.5, t_max=0.1, n_paths=4, dt=1e-3, seed=0)
     with pytest.raises(ll.CoefficientEvaluationError) as exc:
         ll.simulate_coupling(field, D1_BOUNDS, cfg, np.ones(dim),
