@@ -1,6 +1,7 @@
 """Decision pipeline: dispersion, threshold, constants, modulus, g, escape."""
 
 import math
+import pickle
 
 import mpmath as mp
 import numpy as np
@@ -403,6 +404,14 @@ def test_escape_requires_r_max_beyond_s0():
 
 
 REDUCED = ll.RunConfig(radii_points=24, n_pairs=16, ellipticity_samples=2000, seed=0)
+
+
+def test_pipeline_default_config_is_run_config_at_seed_0(log_field_025):
+    # pickle compares every float and array of the two reports bit for bit
+    default = ll.evaluate_liouville_criterion(log_field_025)
+    explicit = ll.evaluate_liouville_criterion(log_field_025,
+                                               ll.RunConfig(seed=0))
+    assert pickle.dumps(default) == pickle.dumps(explicit)
 
 
 def test_pipeline_contracting_guaranteed():

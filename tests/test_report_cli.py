@@ -726,3 +726,16 @@ def test_readme_catalogue_block_is_the_catalogue_output(capsys):
     block = re.findall(r"```\n(.*?)```", section, re.S)[0]
     assert run_cli(["catalogue"]) == 0
     assert capsys.readouterr().out == block
+
+
+def test_readme_python_api_block_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Python API")[1]
+    block = re.findall(r"```python\n(.*?)```", section, re.S)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
+def test_public_names_resolve_once():
+    assert len(set(ll.__all__)) == len(ll.__all__)
+    for name in ll.__all__:
+        assert hasattr(ll, name), name
