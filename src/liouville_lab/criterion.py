@@ -424,11 +424,13 @@ def choose_constants(bounds: EllipticityBounds, dim: int,
 class ModulusProfile:
     """omega(s) on a log grid in (0, s0], with the Dini-mass bookkeeping.
 
-    ``dini_mass`` is the trapezoid value of int omega(s)/s ds over the
-    grid; the (0, s_min) head is handled by a power fit on the three
-    smallest grid points, whose mass is reported separately
-    (``head_mass``).  ``dini_ok`` is False when omega does not vanish at
-    0 fast enough (fit exponent <= 0), i.e. the Dini requirement fails.
+    ``dini_mass`` is int omega(s)/s ds over the grid, exact for the
+    interpolant of :class:`GFunction` (so ``total_mass`` is int_0^{s0} g),
+    and infinite where omega reaches +inf; the (0, s_min) head is handled
+    by a power fit on the three smallest grid points, whose mass is
+    reported separately (``head_mass``).  ``dini_ok`` is False when the
+    grid mass is infinite or omega does not vanish at 0 fast enough (fit
+    exponent <= 0), i.e. the Dini requirement fails.
     ``sweeps`` holds the ascent sweeps of each grid point, as in
     :class:`DispersionCurve`.
     """
@@ -449,13 +451,6 @@ class ModulusProfile:
         return self.head_mass + self.dini_mass
 
 
-def _log_trapezoid(radii: np.ndarray, values: np.ndarray) -> float:
-    """Trapezoid of int values(s)/s ds on an ascending grid (compensated)."""
-    t = np.log(radii)
-    terms = 0.5 * (values[1:] + values[:-1]) * np.diff(t)
-    return math.fsum(terms.tolist())
-
-
 def modulus_profile_from_samples(lam: float, radii, values,
                                  notes: Tuple[str, ...] = (),
                                  sweeps: Optional[np.ndarray] = None
@@ -473,13 +468,18 @@ def modulus_profile_from_samples(lam: float, radii, values,
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     omega = np.maximum(np.maximum.accumulate(values), 0.0)
-    mass = _log_trapezoid(radii, omega)
+    mass = math.fsum(_segment_mass(radii[:-1], radii[1:], omega[:-1],
+                                   omega[1:]).tolist())
     head_exponent = None
     head_coeff = 0.0
     head_mass = 0.0
     dini_ok = True
     note_list = list(notes)
-    if omega[0] > 0.0:
+    if math.isinf(mass):
+        dini_ok = False
+        note_list.append("Dini violation: int omega(s)/s ds over the grid "
+                         "is infinite")
+    elif omega[0] > 0.0:
         ls = np.log(radii[:3])
         lw = np.log(omega[:3])
         design = np.stack([np.ones(3), ls], axis=1)
@@ -558,7 +558,7 @@ class GFunction:
     omega is interpolated log-linearly between grid nodes (linearly on a
     segment that leaves 0), extended below the grid by the fitted power
     head.  ``integral`` evaluates int_0^r g exactly for this piecewise
-    form (segment masses precomputed with compensated summation).
+    form (the masses up to each grid node precomputed).
     """
 
     s_grid: np.ndarray
@@ -597,12 +597,13 @@ class GFunction:
         i = j - 1
         si, sj = self.s_grid[i], self.s_grid[j]
         wi, wj = self.omega[i], self.omega[j]
-        out = np.zeros_like(s)
-        pos = wi > 0
+        finite = np.isfinite(wj)  # omega is inf past an infinite node
+        out = np.where(s > si, wj, wi)  # kept where omega is 0 or inf
+        pos = (wi > 0) & finite
         if pos.any():
             beta = np.log(wj[pos] / wi[pos]) / np.log(sj[pos] / si[pos])
             out[pos] = wi[pos] * (s[pos] / si[pos]) ** beta
-        lin = (~pos) & (wj > 0)
+        lin = (~pos) & (wj > 0) & finite
         if lin.any():
             out[lin] = wj[lin] * (s[lin] - si[lin]) / (sj[lin] - si[lin])
         return np.maximum(out, 0.0)
@@ -640,16 +641,15 @@ def _segment_mass(si, sj, wi, wj):
     """int_{si}^{sj} omega(s)/s ds for one interpolation segment (vectorized).
 
     Log-linear when wi > 0 (omega = wi*(s/si)^beta), linear in s when the
-    segment leaves zero, 0 when flat zero.
+    segment leaves zero, 0 when flat zero, +inf with an infinite end.
     """
-    si = np.asarray(si, dtype=float)
-    sj = np.asarray(sj, dtype=float)
-    wi = np.asarray(wi, dtype=float)
-    wj = np.asarray(wj, dtype=float)
-    out = np.zeros(np.broadcast(si, sj, wi, wj).shape)
-    si, sj, wi, wj = np.broadcast_arrays(si, sj, wi, wj)
+    si, sj, wi, wj = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (si, sj, wi, wj)))
+    out = np.zeros(si.shape)
     same = sj <= si
-    pos = (wi > 0) & ~same
+    infinite = ~same & (np.isinf(wi) | np.isinf(wj))
+    out[infinite] = math.inf
+    pos = (wi > 0) & ~same & ~infinite
     if pos.any():
         with np.errstate(divide="ignore", invalid="ignore"):
             beta = np.log(np.where(pos, wj, 1.0) / np.where(pos, wi, 1.0)) \
@@ -660,7 +660,7 @@ def _segment_mass(si, sj, wi, wj):
             / beta[grow]
         level = pos & flat
         out[level] = wi[level] * np.log(sj[level] / si[level])
-    lin = (~pos) & (wj > 0) & ~same
+    lin = (~pos) & (wj > 0) & ~same & ~infinite
     if lin.any():
         span = sj[lin] - si[lin]
         out[lin] = wj[lin] * (span - si[lin] * np.log(sj[lin] / si[lin])) / span
@@ -684,12 +684,7 @@ def build_g(profile: ModulusProfile, constants: CriterionConstants) -> GFunction
             f"s0={constants.s0!r}")
     seg = _segment_mass(profile.radii[:-1], profile.radii[1:],
                         profile.values[:-1], profile.values[1:])
-    cum = np.empty(profile.radii.size)
-    cum[0] = profile.head_mass
-    acc = profile.head_mass
-    for i, v in enumerate(seg):
-        acc = acc + float(v)
-        cum[i + 1] = acc
+    cum = np.cumsum(np.concatenate([[profile.head_mass], seg]))
     return GFunction(
         s_grid=profile.radii.copy(),
         omega=profile.values.copy(),
@@ -851,9 +846,11 @@ def evaluate_liouville_criterion(field: CoefficientField,
             break
     notes.extend(_cap_notes("modulus", prof.sweeps))
     if profile is None:
+        why = (f"is infinite over the grid for mu candidates {tried}"
+               if math.isinf(prof.dini_mass) else
+               f"diverges at 0 for mu candidates {tried} (head exponent <= 0)")
         return report(VERDICT_INCONCLUSIVE, [
-            "stage modulus: Dini integral of omega(s)/s diverges at 0 for "
-            f"mu candidates {tried} (head exponent <= 0)"], None, prof)
+            f"stage modulus: Dini integral of omega(s)/s {why}"], None, prof)
 
     g = build_g(profile, constants)
     # escape_r_max is a floor: the diagnostic integral must always reach

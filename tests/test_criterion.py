@@ -261,6 +261,22 @@ def test_modulus_flat_head_fails_dini():
     assert not prof.dini_ok
 
 
+def test_infinite_omega_gives_an_infinite_mass_and_no_nan():
+    # a +inf sup is a value of the sup-search; its segments carry +inf mass
+    radii = np.geomspace(1e-3, 1.0, 6)
+    prof = ll.modulus_profile_from_samples(
+        1.0, radii, [1e-3, 2e-3, 4e-3, 8e-3, math.inf, math.inf])
+    assert prof.dini_mass == prof.total_mass == math.inf
+    assert not prof.dini_ok
+    assert any("is infinite" in note for note in prof.notes)
+    cons = ll.CriterionConstants(mu=0.25, s0=1.0, s1=0.0, s2=0.5, lam=1.0)
+    g = ll.build_g(prof, cons)
+    assert g.cum_mass[-1] == math.inf and not np.isnan(g.cum_mass).any()
+    assert not np.isnan(g(np.geomspace(1e-4, 10.0, 50))).any()
+    esc = ll.escape_integral_divergent(g, cons)
+    assert esc.prefactor == 0.0 and math.isfinite(esc.partial_integral)
+
+
 def test_modulus_profile_enforces_running_max():
     radii = np.geomspace(1e-3, 1.0, 6)
     ragged = np.array([0.1, 0.05, 0.2, 0.15, 0.3, 0.25])
@@ -430,6 +446,19 @@ def test_pipeline_log_small_delta_guaranteed(log_field_025):
     assert rep.modulus is not None and rep.modulus.dini_ok
     assert math.isfinite(rep.modulus.dini_mass)
     assert rep.escape is not None and rep.escape.divergent
+
+
+def test_pipeline_total_mass_is_the_integral_of_g(log_field_025):
+    rep = ll.evaluate_liouville_criterion(log_field_025, REDUCED)
+    g = ll.build_g(rep.modulus, rep.constants)
+    assert rep.modulus.total_mass == pytest.approx(g.integral(rep.constants.s0),
+                                                   rel=1e-12, abs=0.0)
+    # g's node masses are the left-to-right sums of the head and segments
+    radii, omega = rep.modulus.radii, rep.modulus.values
+    acc = [rep.modulus.head_mass]
+    for mass in crit._segment_mass(radii[:-1], radii[1:], omega[:-1], omega[1:]):
+        acc.append(acc[-1] + float(mass))
+    assert g.cum_mass.tobytes() == np.array(acc).tobytes()
 
 
 def test_pipeline_log_large_delta_inconclusive(log_field_075):
