@@ -96,6 +96,7 @@ _OVERFLOW_EXPONENT = 600.0  # truncate where -2B exceeds this (exp ~ 4e260)
 _MAX_REFINE_ROUNDS = 16
 _P_WINDOW = 0.01   # |p + 1| window where the power fit alone cannot decide
 _Q_WINDOW = 0.05   # |q + 1| window where the log fit cannot decide either
+_DU_FLOOR = math.exp(-745.0)  # _uprime's floor: no power/log tail fit there
 
 
 def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
@@ -303,9 +304,9 @@ def _classify_side(x, u, du, tol):
     dec_idx = int(np.searchsorted(x, x[-1] / 10.0))
     increment = float(u[-1] - u[dec_idx])
     u_prev = float(u[dec_idx])
-    fast_bounded = (du[-1] == 0.0
+    fast_bounded = (du[-1] <= _DU_FLOOR
                     or increment < max(tol, 1e-13) * (abs(u_prev) + 1.0))
-    fit = _joint_tail_fit(x, du)
+    fit = None if du[-1] <= _DU_FLOOR else _joint_tail_fit(x, du)
     if fast_bounded:
         extra = _bounded_tail_extra(float(x[-1]), float(du[-1]), fit) \
             if fit else 0.0

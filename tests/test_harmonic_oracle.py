@@ -317,8 +317,10 @@ ORACLE_BITS = {
         "9e6228df3e2fb7c5e8fcb52cb5a63af79fdd314aa5815ac5b55b3d3f36fe5ccf",
     "radial_expand(-0.6)":
         "0dd5c76305bfb685818696aefa14c6d8e3171d8eedc16e3c20a420566b6d1fb8",
+    # re-recorded when sides whose u' ends at the clip floor stopped
+    # reporting a tail fit; its limits kept their bits (test below)
     "q=2":
-        "5134725cd06353aa81493a43a86dcf433635f0fda1de299ad3dbf4b6eb99ad05",
+        "c9096f90bddbf8e75f9c9c2d93bf5e81a3a5bba5fbae6ddcc24c7b8390b4b322",
 }
 
 
@@ -326,6 +328,18 @@ ORACLE_BITS = {
 def test_oracle_keeps_its_recorded_bits(name):
     prof = ll.harmonic_1d(_oracle_cases()[name])
     assert _oracle_digest(prof) == ORACLE_BITS[name]
+
+
+def test_no_tail_fit_where_du_sits_at_its_clip_floor():
+    # u' = exp(-2B) decays exponentially on both sides of the q = 2 field
+    # and ends at the floor exp(-745); a power/log fit of that is noise
+    prof = ll.harmonic_1d(_oracle_cases()["q=2"])
+    assert prof.du[0] == prof.du[-1] == math.exp(-745.0)
+    assert prof.tail_fit_right is None and prof.tail_fit_left is None
+    assert prof.bounded_right and prof.bounded_left
+    assert prof.u_plus_limit.hex() == prof.sup_estimate.hex() \
+        == "0x1.46c2e2ab83e94p+1"
+    assert prof.u_minus_limit.hex() == "-0x1.ef6ec21f3808cp+0"
 
 
 # ---------------------------------------------------------------------------
