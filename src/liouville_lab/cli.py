@@ -162,8 +162,7 @@ def _cmd_harmonic1d(args: argparse.Namespace) -> int:
     if field.dim != 1:
         raise ConfigError("harmonic1d requires a one-dimensional field")
     with annotate_stage("oracle"):
-        profile = harmonic_1d(field, x_max=cfg.oracle_x_max,
-                              tol=cfg.oracle_tol)
+        profile = harmonic_1d(field, x_max=cfg.oracle_x_max)
     print(f"field: {profile.label}")
     print(f"Liouville property: {_VERDICT_WORDS[profile.liouville_holds]}")
     print(f"  bounded right/left: {profile.bounded_right} / "

@@ -75,35 +75,22 @@ class RunConfig:
         "radii.points", "int", "--radii-points", default=48, check=(
             lambda v: v >= 10, "must be at least 10 (the dispersion tail "
                                "estimate needs a usable tail)"))
-    radii_log: bool = _knob("radii.log", "bool", default=True,
-                            switches=(("--linear-radii", "false"),))
     n_pairs: int = _knob("dispersion.pairs", "int", "--pairs", default=32,
                          check=_POSITIVE)
-    tail_fraction: float = _knob(
-        "dispersion.tail_fraction", "float", "--tail-fraction", default=0.2,
-        check=(lambda v: 0 < v <= 1, "must lie in (0, 1]"))
     ellipticity_samples: int = _knob(
         "ellipticity.samples", "int", "--ellipticity-samples", default=20000,
         check=_POSITIVE)
-    mu_grid: int = _knob("mu.grid", "int", "--mu-grid", default=99,
-                         check=_POSITIVE)
     modulus_points: int = _knob("modulus.points", "int", "--modulus-points",
                                 default=48, check=(lambda v: v >= 4,
                                                    "must be at least 4"))
     modulus_pairs: int = _knob("modulus.pairs", "int", "--modulus-pairs",
                                default=16, check=_POSITIVE)
-    modulus_s_min: float = _knob("modulus.s_min", "float", "--modulus-s-min",
-                                 default=1e-6, check=_POSITIVE)
-    escape_r_max: float = _knob("escape.r_max", "float", "--escape-r-max",
-                                default=1e6, check=_POSITIVE)
     oracle_enabled: bool = _knob("oracle.enabled", "bool", default=False,
                                  switches=(("--oracle", "true"),
                                            ("--no-oracle", "false")))
     oracle_x_max: float = _knob("oracle.x_max", "float", "--oracle-x-max",
                                 default=1e6, check=(lambda v: v > 1e-2,
                                                     "too small"))
-    oracle_tol: float = _knob("oracle.tol", "float", "--oracle-tol",
-                              default=1e-10, check=_POSITIVE)
     coupling_enabled: bool = _knob("coupling.enabled", "bool", default=False,
                                    switches=(("--couple", "true"),
                                              ("--no-couple", "false")))
@@ -147,8 +134,13 @@ class RunConfig:
             if not all(_fits_one_line(s) for s in texts):
                 raise ConfigError(f"{key} must not contain double quotes "
                                   "or line breaks")
-        if not (0 < self.radii_min < self.radii_max):
-            raise ConfigError("need 0 < radii.min < radii.max")
+        from .criterion import MODULUS_S_MIN  # criterion imports RunConfig
+        if not (MODULUS_S_MIN < self.radii_min < self.radii_max):
+            raise ConfigError("radii.min must lie above the modulus floor "
+                              f"{MODULUS_S_MIN:g} and below radii.max")
+        if (self.coupling_x0 is None) != (self.coupling_y0 is None):
+            raise ConfigError("coupling.x0 and coupling.y0 must be given "
+                              "together")
 
 
 def _fits_one_line(s: str) -> bool:

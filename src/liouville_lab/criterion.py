@@ -38,8 +38,10 @@ at the sweep cap instead are named in the report's diagnostics; a NaN
 objective raises CoefficientEvaluationError (a +inf sup is a value).
 
 The pipeline's knobs (window, radius grid, pairs per radius, ellipticity
-sample, mu grid, modulus grid, escape range and seed) are RunConfig
-fields: evaluate_liouville_criterion reads them from the run's config.
+sample, modulus grid and seed) are RunConfig fields:
+evaluate_liouville_criterion reads them from the run's config.  The
+radius grid is log-spaced; the dispersion tail fraction, the mu grid, the
+modulus floor and the escape range are the building blocks' defaults.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 
 _IMPROVE_TOL = 1e-10
 _MAX_SWEEPS = 240
+_TAIL_FRACTION = 0.2
+_MU_GRID = 99
+MODULUS_S_MIN = 1e-6  # RunConfig requires radii.min above it
 
 
 # --------------------------------------------------------------------------
@@ -351,10 +356,10 @@ def classic_condition_check(field: CoefficientField, bounds: EllipticityBounds,
 class CriterionConstants:
     """The auxiliary constants (mu, s0, s1, s2, lam) of the construction.
 
-    Admissibility (s1 < 2*mu - d(Lambda0-mu)/2, equivalently s2 < 4*mu)
-    is checked by :meth:`is_admissible`, not enforced at construction:
-    the escape-integral machinery is also exercised on deliberately
-    inadmissible constants (convergent tails) by the test-suite.
+    Construction does not enforce admissibility (s2 < 4*mu): the
+    escape-integral machinery is also exercised on deliberately
+    inadmissible constants (convergent tails) by the test-suite.  The
+    pipeline only builds admissible ones, in _admissible_candidates.
     """
 
     mu: float
@@ -363,53 +368,44 @@ class CriterionConstants:
     s2: float
     lam: float
 
-    def is_admissible(self, bounds: EllipticityBounds, dim: int) -> bool:
-        return (0.0 < self.mu < bounds.lambda0
-                and self.s0 > 0.0
-                and self.s1 < 2.0 * self.mu
-                - 0.5 * dim * (bounds.Lambda0 - self.mu)
-                and self.s2 < 4.0 * self.mu)
-
 
 def _admissible_candidates(bounds: EllipticityBounds, dim: int,
-                           curve: DispersionCurve, mu_grid: int,
-                           tail_fraction: float) -> list:
+                           curve: DispersionCurve, s1: float,
+                           mu_grid: int) -> list:
+    """The admissible constants of the mu grid, largest mu first: the
+    margin 4*mu - s2 = (4+d)*mu - 2*s1 - d*Lambda0 increases with mu (also
+    as rounded), so the walk down the grid stops at its first failure."""
     if mu_grid < 1:
         raise ValueError("mu_grid must be >= 1")
-    s1 = asymptotic_dispersion(curve, tail_fraction)
     suffix = np.maximum.accumulate(curve.values[::-1])[::-1]
     idx = int(np.argmax(suffix <= s1 + 1e-12))
     s0 = float(curve.radii[idx])
     out = []
-    for k in range(1, mu_grid + 1):
+    for k in range(mu_grid, 0, -1):
         mu = bounds.lambda0 * k / (mu_grid + 1)
         s2 = 2.0 * s1 + dim * (bounds.Lambda0 - mu)
-        margin = 4.0 * mu - s2
-        if s1 < 2.0 * mu - 0.5 * dim * (bounds.Lambda0 - mu) and margin > 0.0:
-            lam = 1.0 / (4.0 * (bounds.lambda0 - mu))
-            out.append((margin, mu,
-                        CriterionConstants(mu=mu, s0=s0, s1=s1, s2=s2,
-                                           lam=lam)))
-    # best margin first; among equal margins the smaller mu is safer
-    # (smaller lam in the modulus), so it wins the tie.
-    out.sort(key=lambda t: (-t[0], t[1]))
-    return [c for _, _, c in out]
+        if not 4.0 * mu - s2 > 0.0:
+            break
+        out.append(CriterionConstants(mu=mu, s0=s0, s1=s1, s2=s2,
+                                      lam=1.0 / (4.0 * (bounds.lambda0 - mu))))
+    return out
 
 
 def choose_constants(bounds: EllipticityBounds, dim: int,
-                     curve: DispersionCurve, mu_grid: int = 99, *,
-                     tail_fraction: float = 0.2) -> CriterionConstants:
+                     curve: DispersionCurve, mu_grid: int = _MU_GRID, *,
+                     tail_fraction: float = _TAIL_FRACTION
+                     ) -> CriterionConstants:
     """Scan a mu grid and keep the admissible constants of largest margin.
 
     s1 is the tail maximum of the dispersion curve, s0 the smallest grid
     radius from which kappa stays <= s1.  The margin 4*mu - s2 is
-    strictly increasing in mu, so the scan effectively returns the
-    largest admissible mu on the grid; the grid (and the Dini retry in
-    the pipeline) is what keeps the choice honest for variable q.
+    strictly increasing in mu, so the scan returns the largest
+    admissible mu on the grid; the grid (and the Dini retry in the
+    pipeline) is what keeps the choice honest for variable q.
     """
-    cands = _admissible_candidates(bounds, dim, curve, mu_grid, tail_fraction)
+    s1 = asymptotic_dispersion(curve, tail_fraction)
+    cands = _admissible_candidates(bounds, dim, curve, s1, mu_grid)
     if not cands:
-        s1 = asymptotic_dispersion(curve, tail_fraction)
         raise NoAdmissibleConstants(
             f"no mu in (0, {bounds.lambda0:g}) satisfies s1 < 2*mu - "
             f"{dim}*(Lambda0-mu)/2 with s1 = {s1:.6g}, "
@@ -505,7 +501,7 @@ def modulus_profile_from_samples(lam: float, radii, values,
 
 def modulus(field: CoefficientField, lam: float, s0: float,
             n_pairs: int = 16, grid_size: int = 48, seed: int = 0, *,
-            window_radius: float = 100.0, s_min: float = 1e-6
+            window_radius: float = 100.0, s_min: float = MODULUS_S_MIN
             ) -> ModulusProfile:
     """Estimate omega(s) on a log grid in [s_min, s0].
 
@@ -794,11 +790,11 @@ def evaluate_liouville_criterion(field: CoefficientField,
         bounds = estimate_ellipticity(field, cfg.window_radius,
                                       cfg.ellipticity_samples, cfg.seed)
     with annotate_stage("dispersion"):
-        space = np.geomspace if cfg.radii_log else np.linspace
         curve = drift_dispersion(
-            field, space(cfg.radii_min, cfg.radii_max, cfg.radii_points),
+            field, np.geomspace(cfg.radii_min, cfg.radii_max,
+                                cfg.radii_points),
             cfg.n_pairs, cfg.seed, window_radius=cfg.window_radius)
-    kappa_inf = asymptotic_dispersion(curve, cfg.tail_fraction)
+    kappa_inf = asymptotic_dispersion(curve, _TAIL_FRACTION)
     threshold = theorem_threshold(bounds, field.dim)
     notes.extend(_cap_notes("dispersion", curve.sweeps))
     notes.append(
@@ -818,13 +814,13 @@ def evaluate_liouville_criterion(field: CoefficientField,
             f"stage dispersion-threshold: kappa_inf = {kappa_inf:.6g} does "
             f"not fall below the threshold {threshold:.6g}"])
 
-    candidates = _admissible_candidates(bounds, field.dim, curve, cfg.mu_grid,
-                                        cfg.tail_fraction)
+    candidates = _admissible_candidates(bounds, field.dim, curve, kappa_inf,
+                                        _MU_GRID)
     if not candidates:
         return report(VERDICT_INCONCLUSIVE, [
             f"stage constants: kappa_inf = {kappa_inf:.6g} is below the "
             f"threshold {threshold:.6g} but no grid mu satisfies the "
-            f"margin condition (mu_grid = {cfg.mu_grid})"])
+            f"margin condition (mu_grid = {_MU_GRID})"])
 
     profile = None
     constants = None
@@ -833,8 +829,7 @@ def evaluate_liouville_criterion(field: CoefficientField,
         with annotate_stage("modulus"):
             prof = modulus(field, cand.lam, cand.s0, cfg.modulus_pairs,
                            cfg.modulus_points, cfg.seed,
-                           window_radius=cfg.window_radius,
-                           s_min=cfg.modulus_s_min)
+                           window_radius=cfg.window_radius)
         tried.append(cand.mu)
         if prof.dini_ok:
             profile = prof
@@ -853,21 +848,16 @@ def evaluate_liouville_criterion(field: CoefficientField,
             f"stage modulus: Dini integral of omega(s)/s {why}"], None, prof)
 
     g = build_g(profile, constants)
-    # escape_r_max is a floor: the diagnostic integral must always reach
-    # past s0 into the pure power-law regime.
+    # the diagnostic integral must always reach past s0 into the pure
+    # power-law regime; admissible constants make it divergent
     esc = escape_integral_divergent(g, constants,
-                                    max(cfg.escape_r_max, 100.0 * constants.s0))
+                                    max(1e6, 100.0 * constants.s0))
     notes.append(
         "escape prefactor reported as exp(-c/(4*mu)) with c = int_0^{s0} g; "
         "the divergence verdict depends only on the tail exponent "
         "s2/(4*mu)")
-    if esc.divergent and constants.is_admissible(bounds, field.dim):
-        return report(VERDICT_GUARANTEED, [
-            f"criterion satisfied: kappa_inf = {kappa_inf:.6g} < "
-            f"{threshold:.6g}; mu = {constants.mu:.6g}, s2/(4*mu) = "
-            f"{esc.tail_exponent:.6g} <= 1; Dini mass = "
-            f"{profile.total_mass:.6g}"], constants, profile, esc)
-    return report(VERDICT_INCONCLUSIVE, [
-        "stage escape: escape integral not divergent at the chosen "
-        f"constants (tail exponent {esc.tail_exponent:.6g})"],
-        constants, profile, esc)
+    return report(VERDICT_GUARANTEED, [
+        f"criterion satisfied: kappa_inf = {kappa_inf:.6g} < "
+        f"{threshold:.6g}; mu = {constants.mu:.6g}, s2/(4*mu) = "
+        f"{esc.tail_exponent:.6g} <= 1; Dini mass = "
+        f"{profile.total_mass:.6g}"], constants, profile, esc)

@@ -390,22 +390,23 @@ class HarmonicProfile:
 
 
 def _constant_q_scale(field: CoefficientField) -> float:
-    probe = np.array([[0.0], [0.7], [-3.0], [17.0], [-91.0]])
-    q = np.asarray(field.diffusion(probe), dtype=float)[:, 0, 0]
-    if float(np.max(np.abs(q - q[0]))) > 1e-12 * (1.0 + abs(float(q[0]))):
+    """q of a field whose diffusion is constant as an expression."""
+    if not field.constant_diffusion:
         raise NotApplicable(
             f"field {field.label!r} has non-constant diffusion; the 1D "
             "oracle only covers constant q (rescaled to 1)")
-    if not (q[0] > 0):
+    q = float(np.asarray(field.diffusion(np.zeros((1, 1))))[0, 0, 0])
+    if not (q > 0):
         raise NotApplicable("diffusion must be positive")
-    return float(q[0])
+    return q
 
 
 def harmonic_1d(field: CoefficientField, x_max: float = 1e6,
                 tol: float = 1e-10) -> HarmonicProfile:
     """Construct the normalized harmonic function of a 1D field.
 
-    Requires d = 1 and constant diffusion (a constant q = c is rescaled:
+    Requires d = 1 and a diffusion that is constant as an expression
+    (``field.constant_diffusion``; a constant q = c is rescaled:
     the harmonic equation (c/2) u'' + b u' = 0 has the same solutions as
     u''/2 + (b/c) u' = 0).  Classification is described in the module
     docstring; sides that overflow the exponent guard are truncated and

@@ -92,11 +92,11 @@ def coupling_stage(cfg: RunConfig, field: CoefficientField,
     stage ``coupling``; yields (CouplingConfig, x0, y0, trajectory stride).
 
     ``derived_mu`` is used unless coupling.mu is set; the endpoints
-    default to (+-0.5, 0, ..., 0).  A ValueError from the setup or the
-    block is a configuration error.
+    default to (+-0.5, 0, ..., 0), and RunConfig sets both or neither.
+    A ValueError from the setup or the block is a configuration error.
     """
     x0, y0 = cfg.coupling_x0, cfg.coupling_y0
-    if x0 is None or y0 is None:
+    if x0 is None:
         x0 = (0.5,) + (0.0,) * (field.dim - 1)
         y0 = (-0.5,) + (0.0,) * (field.dim - 1)
     if len(x0) != field.dim or len(y0) != field.dim:
@@ -130,8 +130,7 @@ def run(cfg: RunConfig) -> VerdictBundle:
     if cfg.oracle_enabled:
         try:
             with annotate_stage("oracle"):
-                oracle_profile = harmonic_1d(field, x_max=cfg.oracle_x_max,
-                                             tol=cfg.oracle_tol)
+                oracle_profile = harmonic_1d(field, x_max=cfg.oracle_x_max)
             oracle_verdict = oracle_profile.liouville_holds
             if oracle_verdict is None:
                 oracle_note = ("oracle classification withheld: "

@@ -1,6 +1,8 @@
 """Properties of the one config schema: the RunConfig field table."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -64,6 +66,9 @@ SETTERS = [(f, f.metadata["flag"], None) for f in FIELDS if f.metadata["flag"]]
 SETTERS += [(f, switch, value) for f in FIELDS
             for switch, value in f.metadata["switches"]]
 PARSER = ll_cli._make_parser()
+# coupling.x0 and coupling.y0 are given together or not at all
+PARTNERS = {"coupling.x0": ("coupling.y0", "--y0"),
+            "coupling.y0": ("coupling.x0", "--x0")}
 
 
 @pytest.mark.parametrize("f, option, const", SETTERS,
@@ -78,7 +83,12 @@ def test_each_flag_sets_its_key(f, option, const, data):
     else:
         raw, argv = const, [option]
     seed = [] if key == "seed" else ["--seed=0"]
-    expected = _config_or_reject({"seed": "0", key: raw})
+    partner = {}
+    if key in PARTNERS:
+        other, other_flag = PARTNERS[key]
+        partner = {other: raw}
+        argv.append(f"{other_flag}={raw}")
+    expected = _config_or_reject({"seed": "0", key: raw, **partner})
     args = PARSER.parse_args(["couple", *seed, *argv])
     entries = ll_cli._entries(args)
     assert entries[key] == raw
@@ -94,3 +104,12 @@ def test_coupling_dt_default_is_the_simulator_default():
     sim_default = next(f.default for f in dataclasses.fields(ll.CouplingConfig)
                        if f.name == "dt")
     assert run_default == sim_default == DEFAULT_DT
+
+
+def test_every_field_is_read_outside_the_schema():
+    # a knob that no module reads off the config changes nothing
+    src = Path(ll.__file__).parent
+    read = {node.attr for path in src.glob("*.py") if path.name != "config.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    assert [f.name for f in FIELDS if f.name not in read] == []

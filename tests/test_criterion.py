@@ -6,6 +6,8 @@ import pickle
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liouville_lab as ll
 from liouville_lab import _streams
@@ -216,6 +218,27 @@ def test_choose_constants_inadmissible(unit_bounds, log_field_075):
     )
     with pytest.raises(ll.NoAdmissibleConstants):
         ll.choose_constants(unit_bounds, 1, curve)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(lambda0=st.floats(1e-3, 1e3), spread=st.floats(0.0, 10.0),
+       dim=st.integers(1, 6), mu_grid=st.integers(1, 120),
+       s1=st.floats(-1e300, 1e3), r0=st.floats(1e-5, 1e5))
+def test_every_admissible_candidate_has_a_divergent_escape(
+        lambda0, spread, dim, mu_grid, s1, r0):
+    # the pipeline certifies on these constants without testing esc.divergent
+    bounds = ll.EllipticityBounds(lambda0, lambda0 * (1.0 + spread), 100.0, 1)
+    curve = ll.DispersionCurve(radii=np.geomspace(r0, 1e3 * r0, 10),
+                               values=np.full(10, s1), window_radius=100.0,
+                               n_pairs_per_radius=1, seed=0, method="flat")
+    cands = crit._admissible_candidates(bounds, dim, curve, s1, mu_grid)
+    assert all(a.mu > b.mu for a, b in zip(cands, cands[1:]))
+    for c in cands:
+        prof = ll.modulus_profile_from_samples(
+            c.lam, np.geomspace(1e-3 * c.s0, c.s0, 8), np.zeros(8))
+        esc = ll.escape_integral_divergent(ll.build_g(prof, c), c,
+                                           max(1e6, 100.0 * c.s0))
+        assert esc.divergent
 
 
 # ---------------------------------------------------------------------------

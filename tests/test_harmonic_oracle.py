@@ -210,6 +210,15 @@ def test_nonconstant_q_rejected():
         ll.harmonic_1d(ll.make_standard_fields("var_q_const_b", 1, [0.5]))
 
 
+def test_q_constant_only_at_probe_points_rejected():
+    # q = 1 + p(x)^2 with p vanishing at 0, 0.7, -3, 17 and -91: q is 1
+    # there and nowhere else, and b/q is integrable, so u is unbounded
+    field = ll.field_from_expressions(
+        1, ["0.3*tanh(x1)"], ["1 + (x1*(x1-0.7)*(x1+3)*(x1-17)*(x1+91))^2"])
+    with pytest.raises(ll.NotApplicable, match="non-constant diffusion"):
+        ll.harmonic_1d(field)
+
+
 def test_constant_q_rescaling():
     # drift -x with q = 4 is the same diffusion as drift -x/4 with q = 1
     scaled = ll.field_from_expressions(1, ["-x1"], ["4"], label="scaled")

@@ -52,7 +52,7 @@ def test_config_round_trip_exotic_values():
             "field.diffusion": "1.5; 0; 0; 1.5",
             "field.dim": "2",
             "field.params": "",
-            "radii.log": "false",
+            "coupling.count_escaped": "true",
             "coupling.enabled": "true",
             "coupling.mu": "0.25",
             "coupling.x0": "0.5, 0.5",
@@ -85,7 +85,13 @@ def test_config_comments_and_blank_lines():
     "text",
     [
         "seed = 1\nnot.a.key = 2",          # unknown key
-        "seed = 1\nthreads = 1",            # deleted key, see the README
+        "seed = 1\nthreads = 1",            # deleted keys, see the README
+        "seed = 1\nradii.log = false",
+        "seed = 1\nescape.r_max = 1e6",
+        "seed = 1\ndispersion.tail_fraction = 0.2",
+        "seed = 1\nmu.grid = 99",
+        "seed = 1\nmodulus.s_min = 1e-6",
+        "seed = 1\noracle.tol = 1e-10",
         "seed = 1\nseed = 2",               # duplicate
         "seed = banana",                    # bad int
         "field.name = log_example",         # seed missing
@@ -379,7 +385,8 @@ def test_cli_non_finite_catalogue_param_is_a_configuration_error(
 @pytest.mark.parametrize("flag, value, key", [
     ("--n-paths", "0", "coupling.n_paths"), ("--dt", "-1", "coupling.dt"),
     ("--t-max", "nan", "coupling.t_max"),
-    ("--couple-radius", "inf", "coupling.couple_radius")])
+    ("--couple-radius", "inf", "coupling.couple_radius"),
+    ("--x0", "3.0", "coupling.x0")])
 def test_cli_bad_coupling_knob_fails_before_any_stage(
         flag, value, key, tmp_path, capsys, monkeypatch):
     def no_stage(_cfg):
@@ -391,6 +398,20 @@ def test_cli_bad_coupling_knob_fails_before_any_stage(
                     "--output", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"configuration error: {key} ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_radii_at_the_modulus_floor_is_a_configuration_error(
+        tmp_path, capsys):
+    # with zero drift s0 is the first radius, and the modulus grid needs
+    # s0 above its floor
+    code = run_cli(["criterion", "--field", "zero", "--seed", "0",
+                    "--radii-min", "1e-8", "--radii-max", "1",
+                    "--output", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: radii.min must lie above the modulus floor "
+        "1e-06 and below radii.max\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -733,6 +754,14 @@ def test_readme_python_api_block_runs():
     section = readme.read_text(encoding="utf-8").split("## Python API")[1]
     block = re.findall(r"```python\n(.*?)```", section, re.S)[0]
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_example_config_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "## Configuration files")[1]
+    block = re.findall(r"```ini\n(.*?)```", section, re.S)[0]
+    assert ll.parse_config(block).output_dir == "out"
 
 
 def test_public_names_resolve_once():
