@@ -5,10 +5,23 @@ session-scoped: they are deterministic, so sharing them across test modules
 changes nothing except the wall clock.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 import liouville_lab as ll
+
+# hypothesis imports this module only when a property test fails, and its
+# import of libcst warns through mypy_extensions; under the suite's
+# filterwarnings = error that warning would turn the failure report into
+# an INTERNALERROR, so the module is imported once here with it silenced
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # hypothesis then reports failures without it
+        pass
 
 
 @pytest.fixture(scope="session")
