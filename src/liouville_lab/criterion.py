@@ -32,10 +32,11 @@ and taking a running maximum, with a floor at 0 (the pair x = y).
 
 Both sups come from one engine, _refine_sup, which refines every radius
 of a grid at once: one objective call per move serves all live radii,
-and a radius leaves the block when its own ascent converges, so each
-value is what refining that radius alone would give.  Radii that stop
-at the sweep cap instead are named in the report's diagnostics; a NaN
-objective raises CoefficientEvaluationError (a +inf sup is a value).
+and a radius leaves the block when its own best stops rising, so each
+value is what refining that radius alone would give.  Radii whose best
+still rose in the last window before the sweep cap are named in the
+report's diagnostics; a NaN objective raises CoefficientEvaluationError
+(a +inf sup is a value, and final).
 
 The pipeline's knobs (window, radius grid, pairs per radius, ellipticity
 sample, modulus grid and seed) are RunConfig fields:
@@ -65,6 +66,8 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 
 _IMPROVE_TOL = 1e-10
 _MAX_SWEEPS = 240
+_STALL_SWEEPS = 20  # a radius ends after this many sweeps without a rise
+_STALL_ULPS = 4     # a rise lifts the best by more than this many ulps
 _TAIL_FRACTION = 0.2
 _MU_GRID = 99
 MODULUS_S_MIN = 1e-6  # RunConfig requires radii.min above it
@@ -143,17 +146,19 @@ def _refine_sup(objective: Callable[[np.ndarray, np.ndarray, np.ndarray],
     back into the window ball; direction moves are renormalized (the
     objective is symmetric under e -> -e, so only hemisphere moves
     matter).  Per-candidate steps halve after a sweep that improves that
-    candidate by less than 1e-10.  A radius leaves the live set on the
-    sweep where all of its candidates' steps fall below the floors, or
-    after _MAX_SWEEPS sweeps; masking finished radii leaves every row's
-    trajectory, and so every value, what a run on that radius alone would
-    give.
+    candidate by less than 1e-10.  A radius leaves the live set once its
+    best has not risen by more than _STALL_ULPS ulps for _STALL_SWEEPS
+    sweeps, or once all of its candidates' steps fall below the floors,
+    or after _MAX_SWEEPS sweeps; masking finished radii leaves every
+    row's trajectory, and so every value, what a run on that radius alone
+    would give.
 
     Returns, per radius, the maximum over every configuration evaluated
     (hence a certified lower bound of the window sup) and the sweeps it
-    used; _MAX_SWEEPS marks a radius stopped at the cap.  A NaN objective
-    raises CoefficientEvaluationError naming the pair; +inf is a
-    legitimate sup.
+    used; _MAX_SWEEPS marks a radius whose best still rose in its last
+    _STALL_SWEEPS sweeps.  A NaN objective raises
+    CoefficientEvaluationError naming the pair; +inf is a legitimate sup,
+    and a best at +inf never rises again.
 
     Each call allocates its own state (the flattened starts, the values,
     the steps) and each move a fresh candidate block; an accepted move
@@ -190,11 +195,12 @@ def _refine_sup(objective: Callable[[np.ndarray, np.ndarray, np.ndarray],
         np.copyto(row_view(state), row_view(cand), where=take)
         np.copyto(f, fc, where=take)
 
-    # an infinite objective is a value (and inf - inf in the stall test
-    # reads as progress); NaN objectives raise in evaluate
+    # an infinite objective is a value (and inf - inf in a candidate's
+    # stall test reads as progress); NaN objectives raise in evaluate
     with np.errstate(all="ignore"):
         best = np.full(n_radii, -np.inf)
         f = evaluate(m, e, best)
+        level, rose_at = best.copy(), np.zeros(n_radii, dtype=int)
         step_m = np.full(f.size, max(window_radius / 4.0, 1e-6))
         step_e = np.full(f.size, 0.5)
         for sweep in range(1, _MAX_SWEEPS + 1):
@@ -219,8 +225,13 @@ def _refine_sup(objective: Callable[[np.ndarray, np.ndarray, np.ndarray],
             stalled = (f - f_start) < _IMPROVE_TOL
             step_m[stalled] *= 0.5
             step_e[stalled] *= 0.5
+            # fmax keeps an infinite level, whose ulp is NaN, as the bar
+            rose = best > np.fmax(level, level + _STALL_ULPS
+                                  * np.spacing(np.abs(level)))
+            level[rose], rose_at[rose] = best[rose], sweep
             done = ((step_m < m_floor) & (step_e < 1e-12)) \
                 .reshape(-1, k).all(axis=1)
+            done |= sweep - rose_at >= _STALL_SWEEPS
             if sweep == _MAX_SWEEPS:
                 done[:] = True
             if done.any():
@@ -228,6 +239,7 @@ def _refine_sup(objective: Callable[[np.ndarray, np.ndarray, np.ndarray],
                 sweeps[live[done]] = sweep
                 keep = np.repeat(~done, k)
                 live, best = live[~done], best[~done]
+                level, rose_at = level[~done], rose_at[~done]
                 m, e = take_rows(m, keep), take_rows(e, keep)
                 f, rows_s = f[keep], rows_s[keep]
                 step_m, step_e = step_m[keep], step_e[keep]
@@ -243,8 +255,8 @@ def _refine_sup(objective: Callable[[np.ndarray, np.ndarray, np.ndarray],
 class DispersionCurve:
     """kappa(s) over a radius grid; each value is a certified lower bound
     of the window sup at that exact separation.  ``sweeps`` holds the
-    ascent sweeps each radius used (_MAX_SWEEPS: stopped at the cap), or
-    None for a curve not produced by the sup-search."""
+    ascent sweeps each radius used (_MAX_SWEEPS: still rising at the
+    cap), or None for a curve not produced by the sup-search."""
 
     radii: np.ndarray
     values: np.ndarray
@@ -760,12 +772,12 @@ _DINI_RETRIES = 4
 
 
 def _cap_notes(stage: str, sweeps: Optional[np.ndarray]) -> list:
-    """The diagnostic naming the radii whose ascent stopped at the cap."""
+    """The diagnostic naming the radii whose best still rose at the cap."""
     capped = 0 if sweeps is None else int(np.sum(sweeps >= _MAX_SWEEPS))
     if not capped:
         return []
-    return [f"stage {stage}: {capped} of {sweeps.size} radii stopped at the "
-            f"{_MAX_SWEEPS}-sweep cap"]
+    return [f"stage {stage}: {capped} of {sweeps.size} radii still rising "
+            f"at the {_MAX_SWEEPS}-sweep cap"]
 
 
 def evaluate_liouville_criterion(field: CoefficientField,

@@ -662,13 +662,34 @@ def test_nan_objective_is_a_named_error():
         ll.drift_dispersion(field, np.geomspace(1.0, 1e5, 12), n_pairs=4)
 
 
-def test_pipeline_names_radii_stopped_at_the_sweep_cap():
+def test_pipeline_names_radii_stopped_at_the_sweep_cap(monkeypatch):
+    # unpatched, the stall rule ends these 12 radii after 20 to 78 sweeps;
+    # a cap of 40 cuts the four whose best still rose after sweep 20
     field = ll.make_standard_fields("radial_expand", 3)
     cfg = ll.RunConfig(radii_points=12, n_pairs=4, ellipticity_samples=500,
                        seed=1)
+    free = ll.evaluate_liouville_criterion(field, cfg).dispersion.sweeps
+    monkeypatch.setattr(crit, "_MAX_SWEEPS", 40)
     rep = ll.evaluate_liouville_criterion(field, cfg)
     capped = int(np.sum(rep.dispersion.sweeps == crit._MAX_SWEEPS))
     assert 0 < capped < 12
-    assert (f"stage dispersion: {capped} of 12 radii stopped at the "
-            f"{crit._MAX_SWEEPS}-sweep cap") in rep.diagnostics
+    assert ("stage dispersion: 4 of 12 radii still rising at the "
+            "40-sweep cap") in rep.diagnostics
+    # a radius the stall rule ends before the cap is not counted
+    assert np.array_equal(rep.dispersion.sweeps, np.minimum(free, 40))
     assert not any(d.startswith("stage modulus:") for d in rep.diagnostics)
+
+
+def test_infinite_sup_ends_on_the_stall_rule():
+    # the objective overflows to +inf once m[0] > 70.9; inf - inf in a
+    # candidate's stall test keeps its steps, but the best stops rising
+    def objective(m, e, s):
+        return s * np.exp(10.0 * m[:, 0])
+
+    radii = np.geomspace(1.0, 1e3, 6)
+    m0, e0 = crit._stacked_starts(0, _streams.DOMAIN_DISPERSION, radii.size,
+                                  4, 2, 100.0)
+    values, sweeps = crit._refine_sup(objective, m0, e0, radii, 100.0)
+    assert np.all(values == np.inf)
+    assert np.all(sweeps < crit._MAX_SWEEPS)
+    assert crit._cap_notes("dispersion", sweeps) == []

@@ -14,6 +14,7 @@ import pytest
 
 import liouville_lab as ll
 import liouville_lab.cli as ll_cli
+import liouville_lab.criterion as crit
 import liouville_lab.report as ll_report
 from liouville_lab.config import RunConfig, config_from_entries
 
@@ -484,6 +485,25 @@ def test_cli_infinite_sup_is_inconclusive_without_warnings(capfd, tmp_path):
     assert err == ""
     assert "criterion verdict: Inconclusive" in out
     assert "kappa_inf = inf" in out
+
+
+def test_cli_infinite_sup_ends_every_radius_before_the_cap(tmp_path, capsys,
+                                                         monkeypatch):
+    runs = []
+
+    def recording(*args, refine=crit._refine_sup):
+        runs.append(refine(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(crit, "_refine_sup", recording)
+    assert run_cli(["criterion", "--drift", "exp(x1)", "--seed", "0",
+                    "--output", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "kappa_inf = inf" in out
+    assert "sweep cap" not in out
+    ((values, sweeps),) = runs
+    assert np.isinf(values).any()
+    assert sweeps.size == 48 and np.all(sweeps < crit._MAX_SWEEPS)
 
 
 def test_cli_couple_names_the_ellipticity_stage(capfd):
