@@ -529,9 +529,81 @@ def test_pipeline_deterministic(log_field_025):
 
 
 # float.hex of the drift_dispersion values (12 radii in [1, 1e5], 4 pairs)
-# and modulus values (lam 0.5, s0 50, 12 points, 4 pairs), recorded from
-# the one-radius-at-a-time ascent that the batched sup-search replaced
+# and modulus values (lam 0.5, s0 50, 12 points, 4 pairs)
 SUP_SEARCH_BITS = {
+    ("radial_expand", 3, 0): ((
+        "0x1.999999999999dp-1", "0x1.56e6deb74b978p+1", "0x1.4b55eeaf068cep+2",
+        "0x1.9300dcd5f625bp+3", "0x1.0f4b7b988a09cp+5", "0x1.7ac8eaab33b2ap+6",
+        "0x1.29d247a4bb980p+2", "0x1.0482a0ab388d1p+2", "0x1.008c2ef83eb0ep+2",
+        "0x1.0011400902d0ap+2", "0x1.0002204dcc9acp+2", "0x1.0000431a3849dp+2",
+    ), (
+        "0x1.19799812de53dp-39", "0x1.b9b489ab34355p-35", "0x1.5a92cd7b16cedp-30",
+        "0x1.0fee39eb13fb1p-25", "0x1.aaba445e88352p-21", "0x1.4ed220e5a3152p-16",
+        "0x1.06b17f7310216p-11", "0x1.9b9c51cf2ed3ap-7", "0x1.372e5b2c73acfp-2",
+        "0x1.fdcacef924aa4p+1", "0x1.85a955ff7f7f4p+3", "0x1.a051e3235a459p+5",
+    )),
+    ("radial_expand", 3, 3): ((
+        "0x1.999999999999dp-1", "0x1.56e6deb74b978p+1", "0x1.4b55eeaf068cep+2",
+        "0x1.9300dcd5f625bp+3", "0x1.0f4b7b988a09cp+5", "0x1.7ac8eaab33b2cp+6",
+        "0x1.29d247a4bb980p+2", "0x1.0482a0ab388d1p+2", "0x1.008c2ef83eb0ep+2",
+        "0x1.0011400902d0ap+2", "0x1.0002204dcc9abp+2", "0x1.0000431a3849dp+2",
+    ), (
+        "0x1.19799812de53dp-39", "0x1.b9b489ab34355p-35", "0x1.5a92cd7b16cedp-30",
+        "0x1.0fee39eb13fb1p-25", "0x1.aaba445e88352p-21", "0x1.4ed220e5a3152p-16",
+        "0x1.06b17f7310216p-11", "0x1.9b9c51cf2ed3ap-7", "0x1.372e5b2c73acfp-2",
+        "0x1.fdcacef924aa4p+1", "0x1.85a955ff7f7f4p+3", "0x1.a051e3235a45ap+5",
+    )),
+    ("var_q_const_b", 2, 0): ((
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    ), (
+        "0x1.1979990ba75c3p-42", "0x1.b9b489f876381p-38", "0x1.5a92cd83af6f9p-33",
+        "0x1.0fee39e6ccc28p-28", "0x1.aaba4371d91e8p-24", "0x1.4ed20ea6a7c54p-19",
+        "0x1.06b017f82a485p-14", "0x1.9b64eb89e5d86p-10", "0x1.32cb05070dd84p-5",
+        "0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p-2",
+    )),
+    ("var_q_const_b", 2, 3): ((
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    ), (
+        "0x1.1979998dad5b9p-42", "0x1.b9b489ce6da01p-38", "0x1.5a92cd893d217p-33",
+        "0x1.0fee39e5fea18p-28", "0x1.aaba437219ac6p-24", "0x1.4ed20ea6a75dcp-19",
+        "0x1.06b017f827afcp-14", "0x1.9b64eb89e67abp-10", "0x1.32cb05070dd84p-5",
+        "0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p-2",
+    )),
+    ("log_example", 1, 0): ((
+        "0x1.350e12a0687c9p+0", "0x1.b27923bd0b6acp+1", "0x1.9fddf00571c72p+2",
+        "0x1.0cc24ef60c604p+4", "0x1.75348d134c411p+5", "0x1.07c9c235547d3p+7",
+        "0x1.0473aa56344e8p+1", "0x1.a2495237bdf1fp+0", "0x1.863a843a5a1e4p+0",
+        "0x1.75728b90bc687p+0", "0x1.68ca04f27a533p+0", "0x1.5ea4989d3479fp+0",
+    ), (
+        "0x1.b944553473ed9p-39", "0x1.5a3ac385237d3p-34", "0x1.0fa9261c52f9bp-29",
+        "0x1.aa4de08f45139p-25", "0x1.4e7d475dc7bc2p-20", "0x1.0672c79639a1ap-15",
+        "0x1.9bd19f5a00cc2p-11", "0x1.428e904df036fp-6", "0x1.e4ba6f299dd41p-2",
+        "0x1.60241c64e45afp+2", "0x1.efd4e550c7165p+3", "0x1.1cb9cada3a246p+6",
+    )),
+    ("radial_expand", 8, 0): ((
+        "0x1.999999999999dp-1", "0x1.56e6deb74b979p+1", "0x1.4b55eeaf068cep+2",
+        "0x1.9300dcd5f625ap+3", "0x1.0f4b7b988a09cp+5", "0x1.7ac8eaab33b29p+6",
+        "0x1.29d247a4bb980p+2", "0x1.0482a0ab388d1p+2", "0x1.008c2ef83eb0ep+2",
+        "0x1.0011400902d0ap+2", "0x1.0002204dcc9abp+2", "0x1.0000431a3849dp+2",
+    ), (
+        "0x1.19799812de53dp-39", "0x1.b9b489ab34355p-35", "0x1.5a92cd7b16cedp-30",
+        "0x1.0fee39eb13fb1p-25", "0x1.aaba445e88352p-21", "0x1.4ed220e5a3152p-16",
+        "0x1.06b17f7310215p-11", "0x1.9b9c51cf2ed3ap-7", "0x1.372e5b2c73acep-2",
+        "0x1.fdcacef924aa4p+1", "0x1.85a955ff7f7f3p+3", "0x1.a051e3235a459p+5",
+    )),
+}
+
+# the same values from the engine that ended a radius only when every
+# start's steps fell below the floors (the first four recorded from the
+# one-radius-at-a-time ascent that the batched sup-search replaced); a
+# radius now stops no later, on the same trajectory, so no value is above
+SUP_SEARCH_BITS_PARENT = {
     ("radial_expand", 3, 0): ((
         "0x1.999999999999dp-1", "0x1.56e6deb74b979p+1", "0x1.4b55eeaf068cfp+2",
         "0x1.9300dcd5f625bp+3", "0x1.0f4b7b988a09dp+5", "0x1.7ac8eaab33b2cp+6",
@@ -615,6 +687,16 @@ def test_sup_search_values_match_recorded_bits(name, dim, seed):
     disp_bits, mod_bits = SUP_SEARCH_BITS[(name, dim, seed)]
     assert [v.hex() for v in curve.values.tolist()] == list(disp_bits)
     assert [v.hex() for v in prof.values.tolist()] == list(mod_bits)
+
+
+@pytest.mark.parametrize("key", sorted(SUP_SEARCH_BITS))
+def test_sup_search_values_stay_at_or_below_the_parent_pins(key):
+    for bits, parent_bits in zip(SUP_SEARCH_BITS[key],
+                                 SUP_SEARCH_BITS_PARENT[key]):
+        values = np.array([float.fromhex(h) for h in bits])
+        parent = np.array([float.fromhex(h) for h in parent_bits])
+        assert np.all(values <= parent)
+        np.testing.assert_allclose(values, parent, rtol=1e-9, atol=0)
 
 
 ENGINE_FIELDS = {
