@@ -33,10 +33,9 @@ and taking a running maximum, with a floor at 0 (the pair x = y).
 Both sups come from one engine, _refine_sup, which refines every radius
 of a grid at once: one objective call per move serves all live radii,
 and a radius leaves the block when its own best stops rising, so each
-value is what refining that radius alone would give.  Radii whose best
-still rose in the last window before the sweep cap are named in the
-report's diagnostics; a NaN objective raises CoefficientEvaluationError
-(a +inf sup is a value, and final).
+value is what refining that radius alone would give.  Radii still
+rising at the sweep cap are named in the report's diagnostics; a NaN
+objective raises CoefficientEvaluationError (a +inf sup is a value).
 
 The pipeline's knobs (window, radius grid, pairs per radius, ellipticity
 sample, modulus grid and seed) are RunConfig fields:
@@ -155,10 +154,9 @@ def _refine_sup(objective: Callable[[np.ndarray, np.ndarray, np.ndarray],
 
     Returns, per radius, the maximum over every configuration evaluated
     (hence a certified lower bound of the window sup) and the sweeps it
-    used; _MAX_SWEEPS marks a radius whose best still rose in its last
-    _STALL_SWEEPS sweeps.  A NaN objective raises
-    CoefficientEvaluationError naming the pair; +inf is a legitimate sup,
-    and a best at +inf never rises again.
+    used; _MAX_SWEEPS marks a radius still rising at the cap.  A NaN
+    objective raises CoefficientEvaluationError naming the pair; +inf is
+    a legitimate sup.
 
     Each call allocates its own state (the flattened starts, the values,
     the steps) and each move a fresh candidate block; an accepted move
