@@ -746,7 +746,7 @@ def test_nan_objective_is_a_named_error():
 
 def test_pipeline_names_radii_stopped_at_the_sweep_cap(monkeypatch):
     # unpatched, the stall rule ends these 12 radii after 20 to 78 sweeps;
-    # a cap of 40 cuts the four whose best still rose after sweep 20
+    # a cap of 40 cuts the four that run longer
     field = ll.make_standard_fields("radial_expand", 3)
     cfg = ll.RunConfig(radii_points=12, n_pairs=4, ellipticity_samples=500,
                        seed=1)
