@@ -26,7 +26,7 @@ from .coefficients import (CATALOGUE, CoefficientField, EllipticityBounds,
                            field_from_expressions, make_log_example,
                            make_standard_fields)
 from .config import RunConfig, emit_config, parse_config
-from .coupling_sim import (CouplingConfig, CouplingStats, martingale_check,
+from .coupling_sim import (CouplingStats, martingale_check,
                            simulate_coupling, simulate_pair_trajectory,
                            space_time_residual)
 from .criterion import (VERDICT_GUARANTEED, VERDICT_INCONCLUSIVE,
@@ -59,7 +59,7 @@ __all__ = [
     "BoundaryUndecided", "CATALOGUE", "CatalogueError",
     "ClassicConditionReport", "CoefficientEvaluationError",
     "CoefficientField", "ConfigError", "CONSISTENT", "ConstantMismatch",
-    "CONTRADICTION", "CouplingConfig", "CouplingStats",
+    "CONTRADICTION", "CouplingStats",
     "CRITERION_CONSERVATIVE", "CriterionConstants",
     "CriterionReport", "DispersionCurve", "EigenFailure",
     "EllipticityBounds", "EllipticityViolation", "EscapeResult",

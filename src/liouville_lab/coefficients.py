@@ -140,19 +140,23 @@ def eval_diffusion(field: CoefficientField, x) -> np.ndarray:
     return q
 
 
-def _probe_drift(drift: Callable[[np.ndarray], np.ndarray], dim: int,
-                 radius: float = _DEFAULT_WINDOW) -> None:
-    # Deterministic probe: each axis plus the main diagonal, through 0;
-    # a drift that is non-finite there cannot make a field.
-    t = np.linspace(-radius, radius, 201)
+def _probe_lines(dim: int, radius: float, n: int) -> np.ndarray:
+    """The origin, then n points across [-radius, radius] on each axis and
+    on the main diagonal."""
+    t = np.linspace(-radius, radius, n)
     lines = [np.zeros((1, dim))]
     for i in range(dim):
-        g = np.zeros((t.size, dim))
+        g = np.zeros((n, dim))
         g[:, i] = t
         lines.append(g)
-    diag = np.repeat(t[:, None], dim, axis=1) / math.sqrt(dim)
-    lines.append(diag)
-    pts = np.concatenate(lines, axis=0)
+    lines.append(np.repeat(t[:, None], dim, axis=1) / math.sqrt(dim))
+    return np.concatenate(lines, axis=0)
+
+
+def _probe_drift(drift: Callable[[np.ndarray], np.ndarray], dim: int,
+                 radius: float = _DEFAULT_WINDOW) -> None:
+    # a drift that is non-finite on the probe lines cannot make a field
+    pts = _probe_lines(dim, radius, 201)
     with np.errstate(all="ignore"):  # a non-finite value raises below
         b = np.asarray(drift(pts), dtype=float)
     if not np.all(np.isfinite(b)):
@@ -493,21 +497,13 @@ def _deterministic_lattice(dim: int, radius: float) -> np.ndarray:
     k = int(round(4096 ** (1.0 / dim)))
     if k % 2 == 0:
         k -= 1
-    pts = [np.zeros((1, dim))]
-    if k >= 3 and k ** dim <= 8192:
-        axes = (np.linspace(-radius, radius, k),) * dim
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        grid = grid.reshape(-1, dim)
-        inside = np.linalg.norm(grid, axis=1) <= radius + 1e-12
-        pts.append(grid[inside])
-    else:
-        t = np.linspace(-radius, radius, 33)
-        for i in range(dim):
-            g = np.zeros((t.size, dim))
-            g[:, i] = t
-            pts.append(g)
-        pts.append(np.repeat(t[:, None], dim, axis=1) / math.sqrt(dim))
-    return np.concatenate(pts, axis=0)
+    if not (k >= 3 and k ** dim <= 8192):
+        return _probe_lines(dim, radius, 33)
+    axes = (np.linspace(-radius, radius, k),) * dim
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, dim)
+    inside = np.linalg.norm(grid, axis=1) <= radius + 1e-12
+    return np.concatenate([np.zeros((1, dim)), grid[inside]], axis=0)
 
 
 def estimate_ellipticity(field: CoefficientField, radius: float,

@@ -19,6 +19,11 @@ parser, the emitter and the command-line front end all read that table.
 
 The seed is mandatory: there is no wall-clock fallback anywhere, a
 config without an explicit seed is rejected.
+
+RunConfig is also what the library takes: evaluate_liouville_criterion,
+simulate_coupling and simulate_pair_trajectory read their knobs from it,
+so a bad value or a contradictory pair of values is a ConfigError when
+the config is built, whichever front end built it.
 """
 
 from __future__ import annotations
@@ -27,10 +32,15 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
-from .coupling_sim import DEFAULT_DT
 from .errors import ConfigError
 
 _CONSISTENT_DEFAULT_FIELD = "log_example"
+#: the Euler step of a coupling run unless one is given (coupling.dt)
+DEFAULT_DT = 1e-2
+#: the most Euler steps one coupling run may take
+STEP_CAP = 10_000_000
+#: the smallest radius of the modulus grid; radii.min must lie above it
+MODULUS_S_MIN = 1e-6
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _POSITIVE_FINITE = (lambda v: v is None or (v > 0 and math.isfinite(v)),
@@ -103,8 +113,8 @@ class RunConfig:
             lambda v: 0 <= v < math.inf, "must be finite and nonnegative"))
     coupling_dt: float = _knob("coupling.dt", "float", "--dt",
                                default=DEFAULT_DT, check=_POSITIVE_FINITE)
-    coupling_n_paths: int = _knob("coupling.n_paths", "int", "--n-paths",
-                                  default=1000, check=_POSITIVE)
+    n_paths: int = _knob("coupling.n_paths", "int", "--n-paths",
+                         default=1000, check=_POSITIVE)
     coupling_couple_radius: float = _knob(
         "coupling.couple_radius", "float", "--couple-radius", default=1e-3,
         check=_POSITIVE_FINITE)
@@ -134,13 +144,29 @@ class RunConfig:
             if not all(_fits_one_line(s) for s in texts):
                 raise ConfigError(f"{key} must not contain double quotes "
                                   "or line breaks")
-        from .criterion import MODULUS_S_MIN  # criterion imports RunConfig
         if not (MODULUS_S_MIN < self.radii_min < self.radii_max):
             raise ConfigError("radii.min must lie above the modulus floor "
                               f"{MODULUS_S_MIN:g} and below radii.max")
         if (self.coupling_x0 is None) != (self.coupling_y0 is None):
             raise ConfigError("coupling.x0 and coupling.y0 must be given "
                               "together")
+        steps = self.coupling_t_max / self.coupling_dt
+        if self.coupling_t_max > 0 and self.coupling_dt > self.coupling_t_max:
+            raise ConfigError("coupling.dt must not exceed coupling.t_max")
+        if steps > STEP_CAP:
+            raise ConfigError("coupling.t_max/coupling.dt exceeds the "
+                              f"{STEP_CAP} step cap")
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError("coupling.t_max must be a whole number of "
+                              "coupling.dt steps")
+        if self.coupling_escape_radius is not None \
+                and self.coupling_escape_radius <= self.coupling_couple_radius:
+            raise ConfigError("coupling.escape_radius must exceed "
+                              "coupling.couple_radius")
+
+    def n_steps(self) -> int:
+        """The Euler steps of a coupling run, coupling.t_max/coupling.dt."""
+        return round(self.coupling_t_max / self.coupling_dt)
 
 
 def _fits_one_line(s: str) -> bool:

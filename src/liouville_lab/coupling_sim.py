@@ -47,7 +47,13 @@ crossed r, where W is the product over its steps of the survival factor
 1 - exp(-2 (d0 - r)(d1 - r)/(v dt)) between the distances d0 and d1 at
 the ends of each step (v: the variance rate of |X - Y| along e).  In the
 driftless closed form this brings the estimate within noise of the exact
-law at dt = 1e-2, hence DEFAULT_DT.
+law at dt = 1e-2, hence the default coupling.dt (config.DEFAULT_DT).
+
+Both pair simulators read their knobs from the run's RunConfig: mu,
+t_max, dt, the couple and escape radii, n_paths, the seed and whether an
+escape counts as coupled.  RunConfig has checked each knob and how they
+relate when it was built; mu must still be set (coupling.mu is none until
+the run derives it) and below the field's lambda0.
 
 Noise comes in blocks of 64 consecutive path indices: path i reads the
 Philox substream (seed, path-domain, i // 64), laid out step-major as 64
@@ -79,63 +85,14 @@ import numpy as np
 from . import _streams
 from .coefficients import (CoefficientField, EllipticityBounds, row_norms,
                            take_rows)
+from .config import STEP_CAP, RunConfig
 from .errors import (CoefficientEvaluationError, ShiftTooLarge,
                      SimulationBlowUp)
 from .matrix_analysis import _check_shift, _shifted_sqrt_batch
 
-_STEP_CAP = 10_000_000
 _NOISE_BUDGET_BYTES = 3e7  # per chunk, and _NoiseFeed holds two
 _BLOCK = 64  # paths per noise stream; see the module docstring
 _TINY = np.finfo(float).tiny
-#: the Euler step of a coupling run unless one is given (coupling.dt)
-DEFAULT_DT = 1e-2
-
-
-@dataclass(frozen=True)
-class CouplingConfig:
-    """Parameters of one coupling experiment.
-
-    mu must lie in (0, lambda0) of the field in use — checked at
-    simulation time against the supplied bounds, not here.
-    escape_radius None means the default guard 1e3 * (1 + |x0| + |y0|).
-    """
-
-    mu: float
-    t_max: float
-    n_paths: int
-    dt: float = DEFAULT_DT
-    couple_radius: float = 1e-3
-    escape_radius: Optional[float] = None
-    seed: int = 0
-    count_escaped_as_coupled: bool = False
-
-    def __post_init__(self) -> None:
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise ValueError("mu must be positive and finite")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be positive")
-        if not (self.t_max >= 0 and math.isfinite(self.t_max)):
-            raise ValueError("t_max must be nonnegative")
-        if self.t_max > 0 and self.dt > self.t_max:
-            raise ValueError("dt must not exceed t_max")
-        if self.t_max / self.dt > _STEP_CAP:
-            raise ValueError(f"t_max/dt exceeds the {_STEP_CAP} step cap")
-        if not (self.couple_radius > 0):
-            raise ValueError("couple_radius must be positive")
-        if self.escape_radius is not None \
-                and self.escape_radius <= self.couple_radius:
-            raise ValueError("escape_radius must exceed couple_radius")
-        if int(self.n_paths) != self.n_paths or self.n_paths < 1:
-            raise ValueError("n_paths must be a positive integer")
-
-    def n_steps(self) -> int:
-        return int(math.floor(self.t_max / self.dt + 1e-9))
-
-    def resolved_escape_radius(self, x0: np.ndarray, y0: np.ndarray) -> float:
-        if self.escape_radius is not None:
-            return float(self.escape_radius)
-        return 1e3 * (1.0 + float(np.linalg.norm(x0))
-                      + float(np.linalg.norm(y0)))
 
 
 @dataclass(frozen=True)
@@ -180,6 +137,21 @@ def _start_points(field: CoefficientField, bounds: EllipticityBounds,
     if any(r.size != field.dim for r in rows):
         raise ValueError("start point dimension mismatch with the field")
     return rows
+
+
+def _pair_kernel(field: CoefficientField, bounds: EllipticityBounds,
+                 cfg: RunConfig, x0, y0):
+    """The start points and the pair kernel of cfg's coupling knobs; the
+    escape radius defaults to 1e3 * (1 + |x0| + |y0|)."""
+    if cfg.coupling_mu is None:
+        raise ValueError("coupling.mu is none; the simulators need it set")
+    x0, y0 = _start_points(field, bounds, cfg.coupling_mu, x0, y0)
+    escape = cfg.coupling_escape_radius
+    if escape is None:
+        escape = 1e3 * (1.0 + float(np.linalg.norm(x0))
+                        + float(np.linalg.norm(y0)))
+    return x0, y0, _PairKernel(field, cfg.coupling_mu, cfg.coupling_dt,
+                               cfg.coupling_couple_radius, escape)
 
 
 def _const_sigma(field: CoefficientField, mu: float) -> Optional[np.ndarray]:
@@ -530,7 +502,7 @@ def _drive(z: np.ndarray, n: int, seed: int, domain: int, dt: float,
 
 
 def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
-                      cfg: CouplingConfig, x0, y0, *,
+                      cfg: RunConfig, x0, y0, *,
                       record_distance_at: Optional[float] = None,
                       ) -> CouplingStats:
     """Estimate the coupling probability from n_paths independent pairs.
@@ -543,21 +515,19 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
     or a counted escape and 1 - W otherwise; p_discrete counts the grid
     hits (and counted escapes) alone.  Deterministic given cfg.seed.
     """
-    x0, y0 = _start_points(field, bounds, cfg.mu, x0, y0)
-    if not np.linalg.norm(x0 - y0) > cfg.couple_radius:
+    x0, y0, kernel = _pair_kernel(field, bounds, cfg, x0, y0)
+    if not np.linalg.norm(x0 - y0) > cfg.coupling_couple_radius:
         raise ValueError("x0 and y0 must start farther apart than the "
                          "couple radius")
     n = int(cfg.n_paths)
-    n_steps = cfg.n_steps()
-    kernel = _PairKernel(field, cfg.mu, cfg.dt, cfg.couple_radius,
-                         cfg.resolved_escape_radius(x0, y0))
+    n_steps, dt = cfg.n_steps(), cfg.coupling_dt
     escaped = np.zeros(n, dtype=bool)
     couple_time = np.full(n, np.nan)
     survival = np.ones(n)
     live_survival = np.ones(n)
     recorded = k_record = None
     if record_distance_at is not None:
-        k_record = int(round(record_distance_at / cfg.dt))
+        k_record = int(round(record_distance_at / dt))
         if not 0 <= k_record <= n_steps:
             raise ValueError("record_distance_at outside the horizon")
         recorded = np.zeros(n)
@@ -569,15 +539,14 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
             recorded[ids] = d0
         if not done.any():
             return None
-        couple_time[ids[hit]] = (k + 1) * cfg.dt
+        couple_time[ids[hit]] = (k + 1) * dt
         escaped[ids[done & ~hit]] = True
         survival[ids[done]] = live_survival[done]
         live_survival = live_survival[~done]
         return ~done
 
     z, ids = _drive(np.repeat(np.stack([x0, y0]), n, axis=0), n, cfg.seed,
-                    _streams.DOMAIN_PATHS, cfg.dt, n_steps, move,
-                    "coupled pair")
+                    _streams.DOMAIN_PATHS, dt, n_steps, move, "coupled pair")
     survival[ids] = live_survival
     if k_record == n_steps:
         m = ids.size
@@ -587,7 +556,7 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
     coupled = ~np.isnan(couple_time)
     n_coupled = int(coupled.sum())
     n_escaped = int(escaped.sum())
-    succeeded = coupled | (escaped & cfg.count_escaped_as_coupled)
+    succeeded = coupled | (escaped & cfg.coupling_count_escaped)
     survival[succeeded] = 0.0
     contribution = 1.0 - survival
     times = couple_time[coupled]
@@ -608,7 +577,7 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
 
 def simulate_pair_trajectory(field: CoefficientField,
                              bounds: EllipticityBounds,
-                             cfg: CouplingConfig, x0, y0,
+                             cfg: RunConfig, x0, y0,
                              stride: int = 1,
                              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                         np.ndarray]:
@@ -621,10 +590,9 @@ def simulate_pair_trajectory(field: CoefficientField,
     """
     if int(stride) != stride or stride < 1:
         raise ValueError("stride must be a positive integer")
-    z = np.stack(_start_points(field, bounds, cfg.mu, x0, y0))
-    n_steps = cfg.n_steps()
-    kernel = _PairKernel(field, cfg.mu, cfg.dt, cfg.couple_radius,
-                         cfg.resolved_escape_radius(z[0], z[1]))
+    x0, y0, kernel = _pair_kernel(field, bounds, cfg, x0, y0)
+    z = np.stack([x0, y0])
+    n_steps, dt = cfg.n_steps(), cfg.coupling_dt
     times = [0.0]
     states = [z.copy()]
     merged = False
@@ -632,7 +600,7 @@ def simulate_pair_trajectory(field: CoefficientField,
     def move(z, ids, k, dB, dW):
         nonlocal merged
         if merged:
-            _euler_step(field, z[:1], cfg.mu, cfg.dt, kernel.const_sigma,
+            _euler_step(field, z[:1], cfg.coupling_mu, dt, kernel.const_sigma,
                         dB, dW)
         else:
             _, hit, done = kernel.step(z, dB, dW)
@@ -643,11 +611,11 @@ def simulate_pair_trajectory(field: CoefficientField,
         if done[0]:
             return ~done
         if (k + 1) % stride == 0 or k == n_steps - 1:
-            times.append((k + 1) * cfg.dt)
+            times.append((k + 1) * dt)
             states.append(z.copy())
         return None
 
-    _drive(z, 1, cfg.seed, _streams.DOMAIN_PATHS, cfg.dt, n_steps, move,
+    _drive(z, 1, cfg.seed, _streams.DOMAIN_PATHS, dt, n_steps, move,
            "pair trajectory")
     t = np.array(times)
     X, Y = np.stack(states, axis=1)
@@ -665,13 +633,15 @@ def martingale_check(field: CoefficientField, bounds: EllipticityBounds,
     mean estimates u(0, x0) up to discretization bias.
     """
     (x0,) = _start_points(field, bounds, mu, x0)
-    if not t > 0:
-        raise ValueError("t must be positive")
-    # checks dt against t and the step cap, and n_paths for an integer
-    cfg = CouplingConfig(mu=mu, t_max=t, n_paths=n_paths, dt=dt, seed=seed)
-    if n_paths < 2:
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
+    if not 0 < dt <= t:
+        raise ValueError("dt must lie in (0, t]")
+    if t / dt > STEP_CAP:
+        raise ValueError(f"t/dt exceeds the {STEP_CAP} step cap")
+    if int(n_paths) != n_paths or n_paths < 2:
         raise ValueError("n_paths must be an integer >= 2")
-    n, n_steps = int(n_paths), cfg.n_steps()
+    n, n_steps = int(n_paths), int(math.floor(t / dt + 1e-9))
     const_sigma = _const_sigma(field, mu)
 
     def move(X, ids, k, dB, dW):

@@ -56,7 +56,7 @@ from . import _streams
 from .coefficients import (CoefficientField, EllipticityBounds,
                            estimate_ellipticity, row_norms, row_view,
                            take_rows)
-from .config import RunConfig
+from .config import MODULUS_S_MIN, RunConfig
 from .errors import (CoefficientEvaluationError, ConstantMismatch,
                      NoAdmissibleConstants, annotate_stage)
 
@@ -69,7 +69,6 @@ _STALL_SWEEPS = 20  # a radius ends after this many sweeps without a rise
 _STALL_ULPS = 4     # a rise lifts the best by more than this many ulps
 _TAIL_FRACTION = 0.2
 _MU_GRID = 99
-MODULUS_S_MIN = 1e-6  # RunConfig requires radii.min above it
 
 
 # --------------------------------------------------------------------------

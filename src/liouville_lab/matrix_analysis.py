@@ -64,13 +64,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
-    def residual(self, a) -> float:
-        return hs_norm(np.asarray(a, dtype=float) - self.reconstruct())
-
 
 def _offdiag_sq(a: np.ndarray) -> np.ndarray:
     d = a.shape[-1]

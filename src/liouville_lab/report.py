@@ -35,8 +35,8 @@ import numpy as np
 from .coefficients import (CoefficientField, field_from_expressions,
                            make_standard_fields)
 from .config import RunConfig, emit_config
-from .coupling_sim import (CouplingConfig, CouplingStats,
-                           simulate_coupling, simulate_pair_trajectory)
+from .coupling_sim import (CouplingStats, simulate_coupling,
+                           simulate_pair_trajectory)
 from .criterion import (VERDICT_GUARANTEED, VERDICT_INCONCLUSIVE,
                         CriterionReport, evaluate_liouville_criterion)
 from .errors import ConfigError, NotApplicable, annotate_stage
@@ -58,7 +58,7 @@ class VerdictBundle:
     oracle_verdict: Optional[bool]
     oracle_note: Optional[str]
     coupling: Optional[CouplingStats]
-    coupling_params: Optional[CouplingConfig]
+    coupling_params: Optional[RunConfig]  # config with the mu the run used
     coupling_trajectory: Optional[Tuple[np.ndarray, ...]]
     consistency: str
 
@@ -89,7 +89,8 @@ def _consistency(criterion_verdict: str,
 def coupling_stage(cfg: RunConfig, field: CoefficientField,
                    derived_mu: float):
     """Set up the coupling experiment of ``cfg`` and run the block as
-    stage ``coupling``; yields (CouplingConfig, x0, y0, trajectory stride).
+    stage ``coupling``; yields (cfg with coupling.mu set, x0, y0,
+    trajectory stride).
 
     ``derived_mu`` is used unless coupling.mu is set; the endpoints
     default to (+-0.5, 0, ..., 0), and RunConfig sets both or neither.
@@ -103,13 +104,9 @@ def coupling_stage(cfg: RunConfig, field: CoefficientField,
         raise ConfigError("coupling.x0/y0 length must equal field.dim")
     try:
         with annotate_stage("coupling"):
-            params = CouplingConfig(
-                mu=derived_mu if cfg.coupling_mu is None else cfg.coupling_mu,
-                t_max=cfg.coupling_t_max, n_paths=cfg.coupling_n_paths,
-                dt=cfg.coupling_dt, couple_radius=cfg.coupling_couple_radius,
-                escape_radius=cfg.coupling_escape_radius, seed=cfg.seed,
-                count_escaped_as_coupled=cfg.coupling_count_escaped)
-            yield params, x0, y0, max(1, params.n_steps() // 1000)
+            if cfg.coupling_mu is None:
+                cfg = dataclasses.replace(cfg, coupling_mu=derived_mu)
+            yield cfg, x0, y0, max(1, cfg.n_steps() // 1000)
     except ValueError as exc:
         raise ConfigError(f"coupling setup: {exc}") from exc
 
@@ -260,13 +257,13 @@ def _report_doc(bundle: VerdictBundle) -> dict:
         p = bundle.coupling_params
         doc["coupling"] = {
             **coupling_summary(bundle.coupling, p),
-            "couple_radius": _real(p.couple_radius),
-            "count_escaped_as_coupled": p.count_escaped_as_coupled,
+            "couple_radius": _real(p.coupling_couple_radius),
+            "count_escaped_as_coupled": p.coupling_count_escaped,
         }
     return doc
 
 
-def coupling_summary(stats: CouplingStats, params: CouplingConfig) -> dict:
+def coupling_summary(stats: CouplingStats, params: RunConfig) -> dict:
     """The coupling outcome as JSON-safe values, as ``couple`` prints it."""
     return {
         "n_paths": stats.n_paths,
@@ -276,8 +273,8 @@ def coupling_summary(stats: CouplingStats, params: CouplingConfig) -> dict:
         "ci_halfwidth": _real(stats.ci_halfwidth),
         "p_discrete": _real(stats.p_discrete),
         "coupling_time_quantiles": _reals(stats.coupling_time_quantiles),
-        "mu": _real(params.mu), "t_max": _real(params.t_max),
-        "dt": _real(params.dt),
+        "mu": _real(params.coupling_mu), "t_max": _real(params.coupling_t_max),
+        "dt": _real(params.coupling_dt),
     }
 
 

@@ -205,8 +205,8 @@ def test_criterion_07_driftless_coupling_closed_form(unit_bounds):
     field = ll.make_standard_fields("zero", 1)
     t0 = time.monotonic()
     for horizon in (1.0, 10.0):
-        cfg = ll.CouplingConfig(mu=0.5, t_max=horizon, n_paths=10**4,
-                                dt=1e-3, seed=11)
+        cfg = ll.RunConfig(coupling_mu=0.5, coupling_t_max=horizon,
+                           n_paths=10**4, coupling_dt=1e-3, seed=11)
         stats = ll.simulate_coupling(field, unit_bounds, cfg, [0.5], [-0.5])
         # |X - Y| is a Brownian motion with variance 4*mu per unit time,
         # absorbed at 0; the reflection principle gives the hitting law
@@ -227,8 +227,8 @@ def test_criterion_07_driftless_coupling_closed_form(unit_bounds):
 def test_criterion_08_coupling_probability_vs_oscillation(profile_2,
                                                           log_field_2,
                                                           unit_bounds):
-    cfg = ll.CouplingConfig(mu=0.9, t_max=50.0, n_paths=10**4, dt=1e-3,
-                            seed=5)
+    cfg = ll.RunConfig(coupling_mu=0.9, coupling_t_max=50.0, n_paths=10**4,
+                       coupling_dt=1e-3, seed=5)
     contracting = ll.field_from_expressions(2, ["-x1", "-x2"],
                                             label="contracting-2d")
     st_c = ll.simulate_coupling(contracting, unit_bounds, cfg,

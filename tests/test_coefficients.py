@@ -667,6 +667,24 @@ def test_ellipticity_var_q(var_q_bounds):
     assert var_q_bounds.Lambda0 == pytest.approx(1.5, abs=1e-3)
 
 
+# var_q_const_b at one random point, seed 0: from d = 9 on the lattice is
+# the origin plus 33 points on each axis and on the main diagonal, and at
+# radius 2 one of them sets Lambda0 -> (lambda0, Lambda0, n_samples)
+LINES_LATTICE_BITS = {
+    (9, 2.0): ("0x1.0000000000000p+0", "0x1.7f9fd213afeffp+0", 332),
+    (12, 2.0): ("0x1.0000000000000p+0", "0x1.7f9fd213afeffp+0", 431),
+    (9, 100.0): ("0x1.0000000000000p+0", "0x1.7f5eb932f9a18p+0", 332),
+}
+
+
+@pytest.mark.parametrize("dim, radius", sorted(LINES_LATTICE_BITS))
+def test_ellipticity_line_lattice_matches_recorded_bits(dim, radius):
+    field = ll.make_standard_fields("var_q_const_b", dim)
+    b = ll.estimate_ellipticity(field, radius, n_samples=1, seed=0)
+    assert (b.lambda0.hex(), b.Lambda0.hex(), b.n_samples) \
+        == LINES_LATTICE_BITS[dim, radius]
+
+
 def test_ellipticity_monotone_in_sample_count(var_q_field):
     small = ll.estimate_ellipticity(var_q_field, radius=10.0, n_samples=2000, seed=3)
     big = ll.estimate_ellipticity(var_q_field, radius=10.0, n_samples=20000, seed=3)

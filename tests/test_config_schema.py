@@ -96,14 +96,13 @@ def test_each_flag_sets_its_key(f, option, const, data):
         == getattr(expected, f.name)
 
 
-def test_coupling_dt_default_is_the_simulator_default():
-    # coupling.dt and CouplingConfig.dt both read one declared constant
-    from liouville_lab.coupling_sim import DEFAULT_DT
-
-    run_default = next(f.default for f in FIELDS if f.name == "coupling_dt")
-    sim_default = next(f.default for f in dataclasses.fields(ll.CouplingConfig)
-                       if f.name == "dt")
-    assert run_default == sim_default == DEFAULT_DT
+@pytest.mark.parametrize("t_max, dt, n_steps", [
+    (0.0, 1e-3, 0), (0.1, 1e-2, 10), (0.3, 0.1, 3), (1.0, 1e-3, 1000),
+    (50.0, 1e-3, 50_000), (1e4, 1e-3, 10_000_000)])
+def test_coupling_horizon_takes_whole_steps(t_max, dt, n_steps):
+    # t_max/dt is a whole number up to rounding (0.3/0.1 = 2.9999999999999996)
+    cfg = RunConfig(seed=0, coupling_t_max=t_max, coupling_dt=dt)
+    assert cfg.n_steps() == n_steps
 
 
 def test_every_field_is_read_outside_the_schema():

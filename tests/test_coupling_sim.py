@@ -13,9 +13,20 @@ from hypothesis import strategies as st
 
 import liouville_lab as ll
 from liouville_lab import coupling_sim
+from liouville_lab.config import DEFAULT_DT
 
 
 D1_BOUNDS = ll.EllipticityBounds(1.0, 1.0, 10.0, 1)
+
+
+def _coupling(mu, t_max, n_paths, dt=DEFAULT_DT, couple_radius=1e-3,
+              escape_radius=None, seed=0, count_escaped_as_coupled=False):
+    """The RunConfig of one coupling experiment."""
+    return ll.RunConfig(
+        seed=seed, coupling_mu=mu, coupling_t_max=t_max, coupling_dt=dt,
+        n_paths=n_paths, coupling_couple_radius=couple_radius,
+        coupling_escape_radius=escape_radius,
+        coupling_count_escaped=count_escaped_as_coupled)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +190,7 @@ def test_diagonal_diffusion_outcomes_match_recorded_bits(name, seed):
     field = DIAGONAL_Q_FIELDS[name]()
     x0 = np.array([0.5, 0.2, 0.1][:field.dim])
     y0 = np.array([-0.5, 0.1, 0.0][:field.dim])
-    cfg = ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=6, dt=1e-3, seed=seed)
+    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=6, dt=1e-3, seed=seed)
     stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg, x0, y0)
     t, xs, ys, _ = ll.simulate_pair_trajectory(
         field, DIAGONAL_Q_BOUNDS, cfg, x0, y0, stride=500)
@@ -232,7 +243,7 @@ def test_nan_diffusion_is_named(dim):
         return q
 
     field = ll.CoefficientField(dim, np.zeros_like, diffusion, "nan-q")
-    cfg = ll.CouplingConfig(mu=0.5, t_max=0.1, n_paths=4, dt=1e-3, seed=0)
+    cfg = _coupling(mu=0.5, t_max=0.1, n_paths=4, dt=1e-3, seed=0)
     with pytest.raises(ll.CoefficientEvaluationError) as exc:
         ll.simulate_coupling(field, D1_BOUNDS, cfg, np.ones(dim),
                              -np.ones(dim))
@@ -252,7 +263,7 @@ def test_coupling_distance_law_matches_scalar_sde():
     """
     field = ll.make_standard_fields("zero", 1)
     mu, dt, n = 0.5, 1e-3, 10_000
-    cfg = ll.CouplingConfig(mu=mu, t_max=1.0, n_paths=n, dt=dt, seed=8)
+    cfg = _coupling(mu=mu, t_max=1.0, n_paths=n, dt=dt, seed=8)
     stats = ll.simulate_coupling(
         field, D1_BOUNDS, cfg, np.array([0.5]), np.array([-0.5]),
         record_distance_at=1.0,
@@ -288,7 +299,7 @@ def test_coupling_dt_halving_stability():
     x0, y0 = np.array([0.5]), np.array([-0.5])
     p = {}
     for dt in (1e-3, 5e-4):
-        cfg = ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=4000, dt=dt, seed=21)
+        cfg = _coupling(mu=0.5, t_max=1.0, n_paths=4000, dt=dt, seed=21)
         p[dt] = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, y0)
     assert abs(p[1e-3].p_couple - p[5e-4].p_couple) < 2.0 * p[1e-3].ci_halfwidth
 
@@ -296,7 +307,7 @@ def test_coupling_dt_halving_stability():
     x2, y2 = np.array([0.5, 0.0]), np.array([-0.5, 0.0])
     q = {}
     for dt in (1e-3, 5e-4):
-        cfg = ll.CouplingConfig(mu=0.9, t_max=5.0, n_paths=4000, dt=dt, seed=22)
+        cfg = _coupling(mu=0.9, t_max=5.0, n_paths=4000, dt=dt, seed=22)
         q[dt] = ll.simulate_coupling(ou, D1_BOUNDS, cfg, x2, y2)
     assert abs(q[1e-3].p_couple - q[5e-4].p_couple) < 2.0 * q[1e-3].ci_halfwidth
 
@@ -310,12 +321,12 @@ def test_default_step_matches_the_closed_form(dim):
     field = ll.make_standard_fields("zero", dim)
     x0 = 0.5 * np.eye(dim)[0]
     for k, horizon in enumerate((0.25, 1.0, 4.0)):
-        cfg = ll.CouplingConfig(mu=0.5, t_max=horizon, n_paths=50_000,
-                                seed=k + 3 * (dim - 1))
-        assert cfg.dt == 1e-2
+        cfg = _coupling(mu=0.5, t_max=horizon, n_paths=50_000,
+                        seed=k + 3 * (dim - 1))
+        assert cfg.coupling_dt == 1e-2
         stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
-        exact = math.erfc((1.0 - cfg.couple_radius) / math.sqrt(
-            8.0 * cfg.mu * horizon))
+        exact = math.erfc((1.0 - cfg.coupling_couple_radius) / math.sqrt(
+            8.0 * cfg.coupling_mu * horizon))
         se = stats.ci_halfwidth / 1.96
         assert abs(stats.p_couple - exact) <= 3.0 * se, (horizon, stats.p_couple,
                                                           exact, se)
@@ -332,8 +343,8 @@ def test_default_step_agrees_with_a_five_times_finer_step(name, dim, x0):
     horizon = 10.0 if dim == 1 else 1.0
     p, se = {}, {}
     for dt in (1e-2, 2e-3):
-        cfg = ll.CouplingConfig(mu=0.5, t_max=horizon, n_paths=10_000, dt=dt,
-                                seed=7)
+        cfg = _coupling(mu=0.5, t_max=horizon, n_paths=10_000, dt=dt,
+                        seed=7)
         stats = ll.simulate_coupling(field, bounds, cfg, np.array(x0),
                                      -np.array(x0))
         p[dt], se[dt] = stats.p_couple, stats.ci_halfwidth / 1.96
@@ -342,7 +353,7 @@ def test_default_step_agrees_with_a_five_times_finer_step(name, dim, x0):
 
 def test_zero_horizon_means_no_coupling():
     field = ll.make_standard_fields("zero", 1)
-    cfg = ll.CouplingConfig(mu=0.5, t_max=0.0, n_paths=50, dt=1e-3, seed=0)
+    cfg = _coupling(mu=0.5, t_max=0.0, n_paths=50, dt=1e-3, seed=0)
     stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, np.array([1.0]), np.array([-1.0]))
     assert stats.n_coupled == 0
     assert stats.p_couple == 0.0
@@ -374,9 +385,9 @@ def test_estimator_properties(case, seed, count_escaped, dt, scale):
     make, escape_radius = ESTIMATOR_CASES[case]
     field = make()
     x0 = scale * np.eye(field.dim)[0]
-    cfg = ll.CouplingConfig(mu=0.5, t_max=0.5, n_paths=100, dt=dt, seed=seed,
-                            escape_radius=escape_radius,
-                            count_escaped_as_coupled=count_escaped)
+    cfg = _coupling(mu=0.5, t_max=0.5, n_paths=100, dt=dt, seed=seed,
+                    escape_radius=escape_radius,
+                    count_escaped_as_coupled=count_escaped)
     st_ = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
     successes = st_.n_coupled + (st_.n_escaped if count_escaped else 0)
     assert st_.p_discrete == successes / 100
@@ -391,8 +402,8 @@ def test_no_runtime_warning_when_distances_overflow_before_a_blowup():
     # in the reflection) a step before the state turns non-finite; the
     # suite turns any RuntimeWarning into an error
     cubic = ll.field_from_expressions(1, ["x1^3"], label="cubic")
-    cfg = ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=4, dt=1e-3, seed=0,
-                            escape_radius=math.inf)
+    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=4, dt=1e-3, seed=0,
+                    escape_radius=1e300)
     with pytest.raises(ll.SimulationBlowUp):
         ll.simulate_coupling(cubic, D1_BOUNDS, cfg, np.array([3.0]),
                              np.array([2.9]))
@@ -400,7 +411,7 @@ def test_no_runtime_warning_when_distances_overflow_before_a_blowup():
 
 def test_coupling_stats_consistency():
     field = ll.make_standard_fields("ou", 2)
-    cfg = ll.CouplingConfig(mu=0.5, t_max=2.0, n_paths=400, dt=1e-3, seed=5)
+    cfg = _coupling(mu=0.5, t_max=2.0, n_paths=400, dt=1e-3, seed=5)
     st = ll.simulate_coupling(field, D1_BOUNDS, cfg, np.array([0.5, 0.0]), np.array([-0.5, 0.0]))
     assert st.p_discrete == st.n_coupled / st.n_paths
     assert 0.0 <= st.p_discrete <= 1.0
@@ -424,8 +435,8 @@ def test_block_noise_outcomes_do_not_depend_on_path_count_or_chunking(
     x0 = 0.5 * np.eye(dim)[0]
 
     def first_block_times(n_paths):
-        cfg = ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=n_paths, dt=1e-3,
-                                seed=4)
+        cfg = _coupling(mu=0.5, t_max=1.0, n_paths=n_paths, dt=1e-3,
+                        seed=4)
         stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
         return stats.coupling_times[:64]
 
@@ -457,8 +468,8 @@ def test_outcomes_after_a_dead_block_match_recorded_bits(seed, budget,
     if budget is not None:
         monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", budget)
     field = ll.make_standard_fields("zero", 1)
-    cfg = ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=300, dt=1e-3,
-                            seed=seed)
+    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=300, dt=1e-3,
+                    seed=seed)
     times = ll.simulate_coupling(field, D1_BOUNDS, cfg, np.array([0.02]),
                                  np.array([-0.02])).coupling_times
     # a block is done well before the horizon while one above it runs on
@@ -500,11 +511,11 @@ def test_compaction_in_d_above_1_matches_recorded_bits(name, dim, seed,
         monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", budget)
     field = ll.make_standard_fields(name, dim)
     x0 = 0.4 * np.eye(dim)[0]
-    cfg = ll.CouplingConfig(mu=0.5, t_max=0.5, n_paths=300, dt=1e-3,
-                            seed=seed, escape_radius=1.5)
+    cfg = _coupling(mu=0.5, t_max=0.5, n_paths=300, dt=1e-3,
+                    seed=seed, escape_radius=1.5)
     stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg, x0, -x0)
     # pairs hit and escape while others run on, hits inside 16-step chunks
-    steps = np.round(stats.coupling_times / cfg.dt)
+    steps = np.round(stats.coupling_times / cfg.coupling_dt)
     assert stats.n_escaped > 0 and (steps % 16 > 0).sum() > 0
     assert (_sha256_hex(stats.coupling_times), _sha256_hex(stats.survival)) \
         == COMPACTION_BITS[(name, dim, seed)]
@@ -541,7 +552,7 @@ def test_shared_draw_claims_every_block_once(monkeypatch):
     monkeypatch.setattr(coupling_sim, "_draw_noise", traced_draw)
     monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", 1.0)
     field = ll.make_standard_fields("zero", 1)
-    cfg = ll.CouplingConfig(mu=0.5, t_max=0.5, n_paths=2000, dt=1e-3, seed=7)
+    cfg = _coupling(mu=0.5, t_max=0.5, n_paths=2000, dt=1e-3, seed=7)
     before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -572,8 +583,8 @@ def test_no_noise_thread_outlives_a_call(monkeypatch):
 
     def simulators(drift, escape_radius):
         field = ll.field_from_expressions(1, [drift])
-        cfg = ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=100, dt=1e-3,
-                                seed=0, escape_radius=escape_radius)
+        cfg = _coupling(mu=0.5, t_max=1.0, n_paths=100, dt=1e-3,
+                        seed=0, escape_radius=escape_radius)
         return [
             lambda: ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, y0),
             lambda: ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg, x0, y0),
@@ -589,7 +600,7 @@ def test_no_noise_thread_outlives_a_call(monkeypatch):
         run()
         assert threading.active_count() == before
     # dX = X^3 dt from 3 blows up near t = 1/18, inside the first chunk
-    for run in simulators("x1^3", math.inf):
+    for run in simulators("x1^3", 1e300):
         with pytest.raises(ll.SimulationBlowUp):
             run()
         assert threading.active_count() == before
@@ -604,7 +615,7 @@ def test_no_noise_thread_outlives_a_call(monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(coupling_sim, "_draw_noise", failing_draw)
-    for run in simulators("0", math.inf):
+    for run in simulators("0", 1e300):
         calls.clear()
         with pytest.raises(MemoryError, match="noise chunk"):
             run()
@@ -621,7 +632,7 @@ def test_no_noise_thread_outlives_a_call(monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(coupling_sim, "_draw_noise", caller_failing_draw)
-    for run in simulators("0", math.inf):
+    for run in simulators("0", 1e300):
         with pytest.raises(MemoryError, match="caller's share"):
             run()
         assert threading.active_count() == before
@@ -629,7 +640,7 @@ def test_no_noise_thread_outlives_a_call(monkeypatch):
 
 def test_coupling_deterministic():
     field = ll.make_standard_fields("zero", 1)
-    cfg = ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=300, dt=1e-3, seed=9)
+    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=300, dt=1e-3, seed=9)
     x0, y0 = np.array([0.5]), np.array([-0.5])
     a = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, y0, record_distance_at=0.5)
     b = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, y0, record_distance_at=0.5)
@@ -641,13 +652,13 @@ def test_coupling_deterministic():
 def test_escaped_paths_counted_separately():
     outward = ll.field_from_expressions(1, ["x1"], label="outward")
     x0, y0 = np.array([0.5]), np.array([-0.5])
-    cfg = ll.CouplingConfig(
+    cfg = _coupling(
         mu=0.5, t_max=4.0, n_paths=100, dt=1e-3, seed=1, escape_radius=10.0
     )
     st = ll.simulate_coupling(outward, D1_BOUNDS, cfg, x0, y0)
     assert st.n_escaped > 0
     assert st.p_discrete == st.n_coupled / 100  # escaped NOT counted by default
-    flagged = ll.CouplingConfig(
+    flagged = _coupling(
         mu=0.5, t_max=4.0, n_paths=100, dt=1e-3, seed=1, escape_radius=10.0,
         count_escaped_as_coupled=True,
     )
@@ -660,8 +671,8 @@ def test_escaped_paths_counted_separately():
 def test_simulation_blowup_reported_with_path_and_time():
     # dX = X^3 dt from 3 explodes near t = 1/18 in every simulator
     cubic = ll.field_from_expressions(1, ["x1^3"], label="cubic")
-    cfg = ll.CouplingConfig(
-        mu=0.5, t_max=1.0, n_paths=4, dt=1e-3, seed=0, escape_radius=math.inf
+    cfg = _coupling(
+        mu=0.5, t_max=1.0, n_paths=4, dt=1e-3, seed=0, escape_radius=1e300
     )
     x0, y0 = np.array([3.0]), np.array([2.9])
     simulators = [
@@ -683,8 +694,8 @@ def test_overflowed_distances_keep_the_bridge_weight_finite():
     # beyond a finite squared norm, and inside the escape radius; with
     # variable sigma the bridge variance must not turn into inf/inf
     field = ll.field_from_expressions(1, ["10*x1"], ["2 + sin(x1)"])
-    cfg = ll.CouplingConfig(mu=0.5, t_max=40.0, n_paths=4, seed=0,
-                            escape_radius=1e300)
+    cfg = _coupling(mu=0.5, t_max=40.0, n_paths=4, seed=0,
+                    escape_radius=1e300)
     stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg,
                                  np.array([3.0]), np.array([2.9]))
     assert stats.n_escaped == 0
@@ -700,8 +711,8 @@ def test_escape_test_survives_squared_norm_overflow():
     # squared norm overflows, yet the state is finite and far inside the
     # escape radius, so the record goes on until the cubic drift blows it up
     cubic = ll.field_from_expressions(1, ["x1^3"], label="cubic")
-    cfg = ll.CouplingConfig(mu=0.5, t_max=2.0, n_paths=1, dt=1e-3, seed=7,
-                            escape_radius=1e300)
+    cfg = _coupling(mu=0.5, t_max=2.0, n_paths=1, dt=1e-3, seed=7,
+                    escape_radius=1e300)
     x0, y0 = np.array([1.1]), np.array([1.05])
     with pytest.raises(ll.SimulationBlowUp) as exc:
         ll.simulate_pair_trajectory(cubic, D1_BOUNDS, cfg, x0, y0, stride=2)
@@ -713,24 +724,30 @@ def test_escape_test_survives_squared_norm_overflow():
 
 def test_mu_outside_admissible_range():
     field = ll.make_standard_fields("zero", 1)
-    cfg = ll.CouplingConfig(mu=1.0, t_max=1.0, n_paths=10, dt=1e-3, seed=0)
+    cfg = _coupling(mu=1.0, t_max=1.0, n_paths=10, dt=1e-3, seed=0)
     with pytest.raises(ll.ShiftTooLarge):
         ll.simulate_coupling(field, D1_BOUNDS, cfg, np.array([1.0]), np.array([-1.0]))
 
 
 def test_coupling_config_validation():
-    with pytest.raises(ValueError):
-        ll.CouplingConfig(mu=-0.1, t_max=1.0, n_paths=10)
-    with pytest.raises(ValueError):
-        ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=0)
-    with pytest.raises(ValueError):
-        ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=10, dt=2.0)  # dt > t_max
-    with pytest.raises(ValueError):
-        ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=10, couple_radius=0.0)
-    with pytest.raises(ValueError):
-        ll.CouplingConfig(mu=0.5, t_max=1.0, n_paths=10, escape_radius=1e-4)
-    with pytest.raises(ValueError):
-        ll.CouplingConfig(mu=0.5, t_max=1e6, n_paths=10, dt=1e-3)  # step cap
+    # RunConfig checks each coupling knob, and how they relate, when built
+    for kwargs, names in [
+            (dict(mu=-0.1), "coupling.mu"), (dict(n_paths=0), "n_paths"),
+            (dict(dt=2.0), "coupling.dt must not exceed coupling.t_max"),
+            (dict(couple_radius=0.0), "coupling.couple_radius"),
+            (dict(escape_radius=1e-4),
+             "coupling.escape_radius must exceed coupling.couple_radius"),
+            (dict(t_max=1e6, dt=1e-3), "step cap"),
+            (dict(dt=0.3), "coupling.t_max .* coupling.dt"),
+            (dict(t_max=0.25, dt=0.1), "coupling.t_max .* coupling.dt")]:
+        with pytest.raises(ll.ConfigError, match=names):
+            _coupling(**{**dict(mu=0.5, t_max=1.0, n_paths=10), **kwargs})
+    # coupling.mu is none until a run derives it
+    field = ll.make_standard_fields("zero", 1)
+    cfg = _coupling(mu=None, t_max=1.0, n_paths=10)
+    for simulate in (ll.simulate_coupling, ll.simulate_pair_trajectory):
+        with pytest.raises(ValueError, match="coupling.mu"):
+            simulate(field, D1_BOUNDS, cfg, [1.0], [-1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +756,7 @@ def test_coupling_config_validation():
 
 def test_pair_trajectory_shapes_and_merge():
     field = ll.make_standard_fields("ou", 2)
-    cfg = ll.CouplingConfig(mu=0.9, t_max=5.0, n_paths=1, dt=1e-3, seed=2)
+    cfg = _coupling(mu=0.9, t_max=5.0, n_paths=1, dt=1e-3, seed=2)
     t, xs, ys, dist = ll.simulate_pair_trajectory(
         field, D1_BOUNDS, cfg, np.array([0.5, 0.0]), np.array([-0.5, 0.0])
     )
@@ -761,8 +778,8 @@ def test_pair_trajectory_couples_at_the_step_of_simulate_coupling(name, dim):
     for scale in (0.5, 0.05):
         x0 = scale * np.eye(dim)[0]
         for seed in range(8):
-            cfg = ll.CouplingConfig(mu=0.5, t_max=2.0, n_paths=1, dt=1e-3,
-                                    seed=seed)
+            cfg = _coupling(mu=0.5, t_max=2.0, n_paths=1, dt=1e-3,
+                            seed=seed)
             stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
             t, _, _, dist = ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg,
                                                         x0, -x0)
@@ -770,7 +787,7 @@ def test_pair_trajectory_couples_at_the_step_of_simulate_coupling(name, dim):
             assert stats.n_coupled == int(merged.size > 0)
             if merged.size:
                 assert merged[0] == stats.coupling_time_quantiles[0]
-                step = round(merged[0] / cfg.dt)
+                step = round(merged[0] / cfg.coupling_dt)
                 cases.add("first chunk" if step <= 128 else "later")
             else:
                 cases.add("never")
@@ -779,7 +796,7 @@ def test_pair_trajectory_couples_at_the_step_of_simulate_coupling(name, dim):
 
 def test_pair_trajectory_stride():
     field = ll.make_standard_fields("zero", 1)
-    cfg = ll.CouplingConfig(mu=0.5, t_max=0.1, n_paths=1, dt=1e-3, seed=3)
+    cfg = _coupling(mu=0.5, t_max=0.1, n_paths=1, dt=1e-3, seed=3)
     t1, *_ = ll.simulate_pair_trajectory(
         field, D1_BOUNDS, cfg, np.array([5.0]), np.array([-5.0]), stride=1
     )
@@ -805,8 +822,8 @@ ESCAPE_ENDS = {
 def test_pair_trajectory_ends_at_the_step_before_an_escape(case):
     (drift, x0, y0, horizon), (rows, last_t, x_end, y_end) = ESCAPE_ENDS[case]
     field = ll.field_from_expressions(1, [drift])
-    cfg = ll.CouplingConfig(mu=0.5, t_max=horizon, n_paths=1, dt=1e-3,
-                            seed=0, escape_radius=10.0)
+    cfg = _coupling(mu=0.5, t_max=horizon, n_paths=1, dt=1e-3,
+                    seed=0, escape_radius=10.0)
     t, xs, ys, dist = ll.simulate_pair_trajectory(
         field, D1_BOUNDS, cfg, np.array([x0]), np.array([y0]))
     assert t.size == rows and t[-1] == last_t

@@ -402,6 +402,28 @@ def test_cli_bad_coupling_knob_fails_before_any_stage(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("couple", ("--dt", "0.6"),
+     "coupling.t_max must be a whole number of coupling.dt steps"),
+    ("couple", ("--dt", "0.3"),
+     "coupling.t_max must be a whole number of coupling.dt steps"),
+    ("criterion", ("--dt", "0.3"),
+     "coupling.t_max must be a whole number of coupling.dt steps"),
+    ("couple", ("--dt", "2"), "coupling.dt must not exceed coupling.t_max"),
+    ("criterion", ("--coupling-escape-radius", "1e-4"),
+     "coupling.escape_radius must exceed coupling.couple_radius")])
+def test_cli_contradictory_coupling_knobs_are_refused(
+        command, flags, message, tmp_path, capsys):
+    # refused while the config is built, before any stage runs
+    code = run_cli([command, "--field", "zero", "--seed", "0", "--n-paths",
+                    "5", "--t-max", "1", *flags,
+                    "--output", str(tmp_path / "o")])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"configuration error: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_radii_at_the_modulus_floor_is_a_configuration_error(
         tmp_path, capsys):
     # with zero drift s0 is the first radius, and the modulus grid needs
