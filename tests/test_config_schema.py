@@ -66,9 +66,11 @@ SETTERS = [(f, f.metadata["flag"], None) for f in FIELDS if f.metadata["flag"]]
 SETTERS += [(f, switch, value) for f in FIELDS
             for switch, value in f.metadata["switches"]]
 PARSER = ll_cli._make_parser()
-# coupling.x0 and coupling.y0 are given together or not at all
+# coupling.x0 and coupling.y0 are given together or not at all, and a
+# coupling.dt needs a horizon of whole steps: here one step
 PARTNERS = {"coupling.x0": ("coupling.y0", "--y0"),
-            "coupling.y0": ("coupling.x0", "--x0")}
+            "coupling.y0": ("coupling.x0", "--x0"),
+            "coupling.dt": ("coupling.t_max", "--t-max")}
 
 
 @pytest.mark.parametrize("f, option, const", SETTERS,
