@@ -1,6 +1,7 @@
 """Config grammar, report assembly, emission, CLI exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -754,6 +755,61 @@ def test_cli_contradiction_exit_4(tmp_path, capsys, monkeypatch):
     assert "consistency" in err
     # the report is still written for post-mortem inspection
     assert (tmp_path / "x" / "report.json").exists()
+
+
+_SMALL = ("--field", "log_example", "--params", "0.25", "--seed", "1",
+          "--radii-points", "12", "--pairs", "4",
+          "--ellipticity-samples", "500", "--modulus-points", "8",
+          "--modulus-pairs", "4")
+_SHORT_COUPLING = ("--n-paths", "50", "--t-max", "1")
+
+# sha256 over stdout and every written file of each subcommand, recorded
+# before couple and harmonic1d ran through report.run: the refactor keeps
+# every byte.  "full (derived mu)" takes the criterion's mu and "full
+# (inconclusive)" takes 0.5 * lambda0, so both branches of the mu rule
+# are pinned.
+SUBCOMMAND_BITS = {
+    "criterion": (
+        ("criterion", *_SMALL, "--output", "out"),
+        "87abc5300cda869bbd23daf5ad99e858b8606c9243fe4f21e0106266993f9af5"),
+    "full": (
+        ("full", *_SMALL, *_SHORT_COUPLING, "--mu", "0.5", "--x0", "1.0",
+         "--y0", "-1.0", "--output", "out"),
+        "3ad72e79aa37b62810b24cca881a8b598eb0dd2c69902135479dd353e5902466"),
+    "full (derived mu)": (
+        ("full", *_SMALL, *_SHORT_COUPLING, "--output", "out"),
+        "f7701aaa6fadced32620e3d839d7f14a17b3adab44a533f22b3a5a8028451f2b"),
+    "full (inconclusive)": (
+        ("full", *_SMALL[4:], "--field", "radial_expand", "--dim", "2",
+         *_SHORT_COUPLING, "--output", "out"),
+        "d11b43630879bca6b25a879861b252f4a484205ae6aafacc58b87fa87ee14a7c"),
+    "couple": (
+        ("couple", *_SMALL, *_SHORT_COUPLING),
+        "05ea2bd9ecf1b46430fa14af51afb2dd601b8b8d25a81569d373cf0fe84c4d54"),
+    "couple --output": (
+        ("couple", *_SMALL, *_SHORT_COUPLING, "--output", "out"),
+        "25bca2aef521d9a5a39399f519f2b6e613ae40bcc0c793783f4fc9103592579a"),
+    "harmonic1d": (
+        ("harmonic1d", *_SMALL),
+        "a7097b49eda00c73e1fec6d6e6e032feec85737da9a00efa398cf641f9890099"),
+    "harmonic1d --output": (
+        ("harmonic1d", *_SMALL, "--output", "out"),
+        "66c97605c5da353f2e346d4148a30e3a821022364e9022042902513012686864"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_BITS))
+def test_subcommand_keeps_its_recorded_bits(name, tmp_path, capsys,
+                                            monkeypatch):
+    argv, bits = SUBCOMMAND_BITS[name]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(list(argv)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    digest = hashlib.sha256(out.encode())
+    for path in sorted((tmp_path / "out").glob("*")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == bits
 
 
 def test_cli_unwritable_output_exit_2(tmp_path, capsys):
