@@ -8,6 +8,10 @@ Subcommands::
     liouville-lab couple     --seed 0 [...]      coupling experiment only
     liouville-lab full       --seed 0 [...]      pipeline + oracle + coupling
 
+Every subcommand but ``catalogue`` builds its config and hands it to
+``report.run`` with the stages it needs; this module only prints the
+result and chooses what to write.
+
 Every option mirrors a config-file key (see ``config.RunConfig``);
 ``--config FILE`` loads the flat key-value format first, explicitly given
 flags win on conflict, and keys neither sets get the subcommand's
@@ -29,15 +33,15 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .coefficients import CATALOGUE, estimate_ellipticity
+from .coefficients import CATALOGUE
 from .config import RunConfig, config_entries, config_from_entries
-from .coupling_sim import simulate_coupling, simulate_pair_trajectory
-from .errors import (CatalogueError, ConfigError, LiouvilleLabError,
-                     annotate_stage)
-from .harmonic_oracle import harmonic_1d
-from .report import (CONTRADICTION, VerdictBundle, build_field,
-                     coupling_stage, coupling_summary, emit, run,
-                     write_profile, write_trajectory)
+from .errors import CatalogueError, ConfigError, LiouvilleLabError
+from .report import (CONTRADICTION, VerdictBundle, coupling_summary, emit,
+                     run)
+# unused here; bench/layers.py wraps these names on this module
+from .coefficients import estimate_ellipticity  # noqa: F401
+from .coupling_sim import simulate_coupling  # noqa: F401
+from .report import build_field  # noqa: F401
 
 #: the oracle's Liouville verdict (True, False or None) in words
 _VERDICT_WORDS = {True: "holds", False: "fails", None: "undecided"}
@@ -74,15 +78,12 @@ def _entries(args: argparse.Namespace) -> Dict[str, str]:
 
 
 def _writes_files(args: argparse.Namespace) -> bool:
-    """harmonic1d and couple write files only if --output or --config is
-    given."""
+    """harmonic1d and couple write files only given --output or --config."""
     return hasattr(args, "output_dir") or bool(args.config)
 
 
-def _write_artifact(cfg: RunConfig, writer, result) -> None:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    print(f"wrote: {writer(out, result)}")
+def _print_written(paths: List[Path]) -> None:
+    print("wrote: " + ", ".join(str(p) for p in paths))
 
 
 def _print_bundle_summary(bundle: VerdictBundle) -> None:
@@ -131,7 +132,7 @@ def _emit_bundle(cfg: RunConfig) -> VerdictBundle:
     bundle = run(cfg)
     paths = emit(bundle, cfg.output_dir)
     _print_bundle_summary(bundle)
-    print("wrote: " + ", ".join(str(p) for p in paths))
+    _print_written(paths)
     return bundle
 
 
@@ -157,12 +158,8 @@ def _cmd_full(args: argparse.Namespace) -> int:
 
 def _cmd_harmonic1d(args: argparse.Namespace) -> int:
     cfg = config_from_entries(_entries(args))
-    with annotate_stage("field"):
-        field = build_field(cfg)
-    if field.dim != 1:
-        raise ConfigError("harmonic1d requires a one-dimensional field")
-    with annotate_stage("oracle"):
-        profile = harmonic_1d(field, x_max=cfg.oracle_x_max)
+    bundle = run(cfg, {"oracle"})
+    profile = bundle.oracle_profile
     print(f"field: {profile.label}")
     print(f"Liouville property: {_VERDICT_WORDS[profile.liouville_holds]}")
     print(f"  bounded right/left: {profile.bounded_right} / "
@@ -172,29 +169,21 @@ def _cmd_harmonic1d(args: argparse.Namespace) -> int:
     for note in profile.notes:
         print(f"  note: {note}")
     if _writes_files(args):
-        _write_artifact(cfg, write_profile, profile)
+        _print_written(emit(bundle, cfg.output_dir))
     return 0
 
 
 def _cmd_couple(args: argparse.Namespace) -> int:
     cfg = config_from_entries(_entries(args))
-    with annotate_stage("field"):
-        field = build_field(cfg)
-    with annotate_stage("ellipticity"):
-        bounds = estimate_ellipticity(field, cfg.window_radius,
-                                      cfg.ellipticity_samples, cfg.seed)
-    trajectory = None
-    with coupling_stage(cfg, field, 0.5 * bounds.lambda0) as (params, x0, y0,
-                                                              stride):
-        stats = simulate_coupling(field, bounds, params, x0, y0)
-        # printed before the trajectory runs, so a blow-up there keeps them
-        print(json.dumps(coupling_summary(stats, params), sort_keys=True,
-                         indent=2))
-        if _writes_files(args):
-            trajectory = simulate_pair_trajectory(field, bounds, params,
-                                                  x0, y0, stride=stride)
-    if trajectory is not None:
-        _write_artifact(cfg, write_trajectory, trajectory)
+    writes = _writes_files(args)
+    # the summary is printed before the trajectory runs, so a blow-up
+    # there keeps it
+    bundle = run(cfg, {"coupling", "trajectory"} if writes else {"coupling"},
+                 on_coupling=lambda stats, params: print(json.dumps(
+                     coupling_summary(stats, params), sort_keys=True,
+                     indent=2)))
+    if writes:
+        _print_written(emit(bundle, cfg.output_dir))
     return 0
 
 

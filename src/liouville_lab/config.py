@@ -147,16 +147,30 @@ class RunConfig:
         if not (MODULUS_S_MIN < self.radii_min < self.radii_max):
             raise ConfigError("radii.min must lie above the modulus floor "
                               f"{MODULUS_S_MIN:g} and below radii.max")
+        # a pair's points are m +- (s/2) e with the midpoint m in the
+        # window; past this radius m is rounded away
+        if math.ulp(self.radii_max / 2) > 1e-6 * self.window_radius:
+            raise ConfigError("radii.max is too large for window.radius: "
+                              "ulp(radii.max / 2) exceeds 1e-6 * "
+                              "window.radius and midpoints round away")
         if (self.coupling_x0 is None) != (self.coupling_y0 is None):
             raise ConfigError("coupling.x0 and coupling.y0 must be given "
                               "together")
-        steps = self.coupling_t_max / self.coupling_dt
+        x0, y0 = self.coupling_x0, self.coupling_y0
+        if x0 is None:
+            x0, y0 = default_endpoints(1)  # as far apart as in any dim
+        elif not len(x0) == len(y0) == self.field_dim:
+            raise ConfigError("coupling.x0 and coupling.y0 must each have "
+                              "field.dim entries")
+        if not math.dist(x0, y0) > self.coupling_couple_radius:
+            raise ConfigError("coupling.x0 and coupling.y0 must start "
+                              "farther apart than coupling.couple_radius")
         if self.coupling_t_max > 0 and self.coupling_dt > self.coupling_t_max:
             raise ConfigError("coupling.dt must not exceed coupling.t_max")
-        if steps > STEP_CAP:
+        if self.coupling_t_max / self.coupling_dt > STEP_CAP:
             raise ConfigError("coupling.t_max/coupling.dt exceeds the "
                               f"{STEP_CAP} step cap")
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if not whole_steps(self.coupling_t_max, self.coupling_dt):
             raise ConfigError("coupling.t_max must be a whole number of "
                               "coupling.dt steps")
         if self.coupling_escape_radius is not None \
@@ -167,6 +181,17 @@ class RunConfig:
     def n_steps(self) -> int:
         """The Euler steps of a coupling run, coupling.t_max/coupling.dt."""
         return round(self.coupling_t_max / self.coupling_dt)
+
+
+def default_endpoints(dim: int) -> Tuple[Tuple[float, ...], ...]:
+    """The coupled pair's start points unless coupling.x0/y0 are set."""
+    return (0.5,) + (0.0,) * (dim - 1), (-0.5,) + (0.0,) * (dim - 1)
+
+
+def whole_steps(t: float, dt: float) -> bool:
+    """Whether t is a whole number of dt steps, to 1e-9 relative."""
+    steps = t / dt
+    return abs(steps - round(steps)) <= 1e-9 * steps
 
 
 def _fits_one_line(s: str) -> bool:

@@ -85,7 +85,7 @@ import numpy as np
 from . import _streams
 from .coefficients import (CoefficientField, EllipticityBounds, row_norms,
                            take_rows)
-from .config import STEP_CAP, RunConfig
+from .config import STEP_CAP, RunConfig, whole_steps
 from .errors import (CoefficientEvaluationError, ShiftTooLarge,
                      SimulationBlowUp)
 from .matrix_analysis import _check_shift, _shifted_sqrt_batch
@@ -639,9 +639,11 @@ def martingale_check(field: CoefficientField, bounds: EllipticityBounds,
         raise ValueError("dt must lie in (0, t]")
     if t / dt > STEP_CAP:
         raise ValueError(f"t/dt exceeds the {STEP_CAP} step cap")
+    if not whole_steps(t, dt):
+        raise ValueError("t must be a whole number of dt steps")
     if int(n_paths) != n_paths or n_paths < 2:
         raise ValueError("n_paths must be an integer >= 2")
-    n, n_steps = int(n_paths), int(math.floor(t / dt + 1e-9))
+    n, n_steps = int(n_paths), round(t / dt)
     const_sigma = _const_sigma(field, mu)
 
     def move(X, ids, k, dB, dW):
@@ -650,11 +652,11 @@ def martingale_check(field: CoefficientField, bounds: EllipticityBounds,
     X, _ = _drive(np.tile(x0, (n, 1)), n, seed, _streams.DOMAIN_MARTINGALE,
                   dt, n_steps, move, "martingale paths")
     try:
-        vals = np.asarray(u(n_steps * dt, X), dtype=float)
+        vals = np.asarray(u(t, X), dtype=float)
         if vals.shape != (X.shape[0],):
             raise ValueError
     except Exception:
-        vals = np.array([float(u(n_steps * dt, X[i]))
+        vals = np.array([float(u(t, X[i]))
                          for i in range(X.shape[0])])
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size))

@@ -777,8 +777,17 @@ def _cap_notes(stage: str, sweeps: Optional[np.ndarray]) -> list:
             f"at the {_MAX_SWEEPS}-sweep cap"]
 
 
+def run_ellipticity(field: CoefficientField,
+                    cfg: RunConfig) -> EllipticityBounds:
+    """The run's ellipticity bounds (cfg's window, samples and seed)."""
+    with annotate_stage("ellipticity"):
+        return estimate_ellipticity(field, cfg.window_radius,
+                                    cfg.ellipticity_samples, cfg.seed)
+
+
 def evaluate_liouville_criterion(field: CoefficientField,
-                                 config: Optional[RunConfig] = None
+                                 config: Optional[RunConfig] = None,
+                                 bounds: Optional[EllipticityBounds] = None,
                                  ) -> CriterionReport:
     """Run the full decision pipeline on one field.
 
@@ -789,15 +798,14 @@ def evaluate_liouville_criterion(field: CoefficientField,
     (smaller mu means smaller lam in omega) a few times before giving up.
     ``config`` is the run's RunConfig, of which only the criterion's knobs
     are read; None means RunConfig(seed=0), the defaults at seed 0.
+    ``bounds`` None estimates the ellipticity bounds (run_ellipticity).
     """
     cfg = config or RunConfig(seed=0)
     notes = []
     if field.smoothness_note:
         notes.append(field.smoothness_note)
 
-    with annotate_stage("ellipticity"):
-        bounds = estimate_ellipticity(field, cfg.window_radius,
-                                      cfg.ellipticity_samples, cfg.seed)
+    bounds = bounds or run_ellipticity(field, cfg)
     with annotate_stage("dispersion"):
         curve = drift_dispersion(
             field, np.geomspace(cfg.radii_min, cfg.radii_max,

@@ -1,8 +1,9 @@
 """Pipeline orchestration and artifact emission.
 
-run() executes the decision pipeline on a configured field, optionally
-followed by the 1D oracle and the coupling experiment, and grades the
-combination:
+run() is the one path from a RunConfig to results for every subcommand:
+it builds the field and runs a chosen set of stages on it (the decision
+pipeline, the 1D oracle, the coupling experiment and its recorded
+trajectory), then grades the combination:
 
 * ``Consistent`` — verdicts agree, or nothing contradicts: an
   Inconclusive criterion next to a false oracle verdict is the expected
@@ -23,22 +24,22 @@ as strings, and a versioned integer schema that readers must check.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, Collection, List, Optional, Tuple
 
 import numpy as np
 
 from .coefficients import (CoefficientField, field_from_expressions,
                            make_standard_fields)
-from .config import RunConfig, emit_config
+from .config import RunConfig, default_endpoints, emit_config
 from .coupling_sim import (CouplingStats, simulate_coupling,
                            simulate_pair_trajectory)
 from .criterion import (VERDICT_GUARANTEED, VERDICT_INCONCLUSIVE,
-                        CriterionReport, evaluate_liouville_criterion)
+                        CriterionReport, evaluate_liouville_criterion,
+                        run_ellipticity)
 from .errors import ConfigError, NotApplicable, annotate_stage
 from .harmonic_oracle import HarmonicProfile, harmonic_1d
 
@@ -53,7 +54,7 @@ class VerdictBundle:
     """Everything one run produced, ready for emission."""
 
     config: RunConfig
-    criterion: CriterionReport
+    criterion: Optional[CriterionReport]  # None unless the criterion ran
     oracle_profile: Optional[HarmonicProfile]
     oracle_verdict: Optional[bool]
     oracle_note: Optional[str]
@@ -76,7 +77,7 @@ def build_field(cfg: RunConfig) -> CoefficientField:
                                 cfg.field_params)
 
 
-def _consistency(criterion_verdict: str,
+def _consistency(criterion_verdict: Optional[str],
                  oracle_verdict: Optional[bool]) -> str:
     if criterion_verdict == VERDICT_GUARANTEED and oracle_verdict is False:
         return CONTRADICTION
@@ -85,68 +86,72 @@ def _consistency(criterion_verdict: str,
     return CONSISTENT
 
 
-@contextlib.contextmanager
-def coupling_stage(cfg: RunConfig, field: CoefficientField,
-                   derived_mu: float):
-    """Set up the coupling experiment of ``cfg`` and run the block as
-    stage ``coupling``; yields (cfg with coupling.mu set, x0, y0,
-    trajectory stride).
+def run(cfg: RunConfig, stages: Optional[Collection[str]] = None, *,
+        on_coupling: Optional[Callable] = None) -> VerdictBundle:
+    """Build cfg's field and run the chosen ``stages`` on it, in the order
+    criterion, oracle, coupling, trajectory; None runs the criterion, the
+    oracle if oracle.enabled, and the coupling and trajectory if
+    coupling.enabled.
 
-    ``derived_mu`` is used unless coupling.mu is set; the endpoints
-    default to (+-0.5, 0, ..., 0), and RunConfig sets both or neither.
-    A ValueError from the setup or the block is a configuration error.
+    Ellipticity is estimated once, when the criterion or a coupling stage
+    runs.  The coupling's mu is coupling.mu if set, otherwise the
+    criterion's mu when it ran and guaranteed, otherwise 0.5 * lambda0.
+    A NotApplicable oracle is a note next to a criterion and an error on
+    its own.  ``on_coupling(stats, cfg with mu set)`` is called before
+    the trajectory runs.
     """
-    x0, y0 = cfg.coupling_x0, cfg.coupling_y0
-    if x0 is None:
-        x0 = (0.5,) + (0.0,) * (field.dim - 1)
-        y0 = (-0.5,) + (0.0,) * (field.dim - 1)
-    if len(x0) != field.dim or len(y0) != field.dim:
-        raise ConfigError("coupling.x0/y0 length must equal field.dim")
-    try:
-        with annotate_stage("coupling"):
-            if cfg.coupling_mu is None:
-                cfg = dataclasses.replace(cfg, coupling_mu=derived_mu)
-            yield cfg, x0, y0, max(1, cfg.n_steps() // 1000)
-    except ValueError as exc:
-        raise ConfigError(f"coupling setup: {exc}") from exc
-
-
-def run(cfg: RunConfig) -> VerdictBundle:
-    """Execute criterion -> oracle -> coupling per the configuration."""
+    if stages is None:
+        stages = {"criterion"} | ({"oracle"} if cfg.oracle_enabled else set())
+        if cfg.coupling_enabled:
+            stages |= {"coupling", "trajectory"}
+    if not set(stages) <= {"criterion", "oracle", "coupling", "trajectory"}:
+        raise ValueError(f"unknown stages in {sorted(stages)}")
+    coupled = "coupling" in stages or "trajectory" in stages
     with annotate_stage("field"):
         field = build_field(cfg)
-    if cfg.oracle_enabled and field.dim != 1:
-        raise ConfigError("oracle.enabled requires a one-dimensional field")
+    if "oracle" in stages and field.dim != 1:
+        raise ConfigError("the oracle requires a one-dimensional field")
 
-    with annotate_stage("criterion"):
-        report = evaluate_liouville_criterion(field, cfg)
+    bounds = report = None
+    if "criterion" in stages or coupled:
+        bounds = run_ellipticity(field, cfg)
+    if "criterion" in stages:
+        with annotate_stage("criterion"):
+            report = evaluate_liouville_criterion(field, cfg, bounds)
 
-    oracle_profile = None
-    oracle_verdict = None
-    oracle_note = None
-    if cfg.oracle_enabled:
+    oracle_profile = oracle_verdict = oracle_note = None
+    if "oracle" in stages:
         try:
             with annotate_stage("oracle"):
                 oracle_profile = harmonic_1d(field, x_max=cfg.oracle_x_max)
+        except NotApplicable as exc:
+            if report is None:
+                raise
+            oracle_note = f"oracle not applicable: {exc}"
+        else:
             oracle_verdict = oracle_profile.liouville_holds
             if oracle_verdict is None:
                 oracle_note = ("oracle classification withheld: "
                                + "; ".join(oracle_profile.notes))
-        except NotApplicable as exc:
-            oracle_note = f"oracle not applicable: {exc}"
 
-    coupling_stats = None
-    coupling_params = None
-    trajectory = None
-    if cfg.coupling_enabled:
-        mu = report.constants.mu if report.constants is not None \
-            else 0.5 * report.bounds.lambda0
-        with coupling_stage(cfg, field, mu) as (coupling_params, x0, y0,
-                                                 stride):
-            coupling_stats = simulate_coupling(field, report.bounds,
-                                               coupling_params, x0, y0)
-            trajectory = simulate_pair_trajectory(
-                field, report.bounds, coupling_params, x0, y0, stride=stride)
+    coupling_stats = coupling_params = trajectory = None
+    if coupled:
+        derived_mu = report.constants.mu if report and report.constants \
+            else 0.5 * bounds.lambda0
+        coupling_params = dataclasses.replace(
+            cfg, coupling_mu=cfg.coupling_mu or derived_mu)
+        x0, y0 = (cfg.coupling_x0, cfg.coupling_y0) \
+            if cfg.coupling_x0 is not None else default_endpoints(field.dim)
+        with annotate_stage("coupling"):
+            if "coupling" in stages:
+                coupling_stats = simulate_coupling(field, bounds,
+                                                   coupling_params, x0, y0)
+                if on_coupling is not None:
+                    on_coupling(coupling_stats, coupling_params)
+            if "trajectory" in stages:
+                trajectory = simulate_pair_trajectory(
+                    field, bounds, coupling_params, x0, y0,
+                    stride=max(1, coupling_params.n_steps() // 1000))
 
     return VerdictBundle(
         config=cfg, criterion=report,
@@ -154,7 +159,8 @@ def run(cfg: RunConfig) -> VerdictBundle:
         oracle_note=oracle_note,
         coupling=coupling_stats, coupling_params=coupling_params,
         coupling_trajectory=trajectory,
-        consistency=_consistency(report.verdict, oracle_verdict))
+        consistency=_consistency(report and report.verdict,
+                                 oracle_verdict))
 
 
 def _real(x) -> object:
@@ -278,10 +284,6 @@ def coupling_summary(stats: CouplingStats, params: RunConfig) -> dict:
     }
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
-
-
 def _csv_text(header: List[str], columns: List[np.ndarray]) -> str:
     rows = [",".join(header)]
     n = columns[0].shape[0]
@@ -291,63 +293,36 @@ def _csv_text(header: List[str], columns: List[np.ndarray]) -> str:
 
 
 def emit(bundle: VerdictBundle, output_dir) -> List[Path]:
-    """Write report.json and the CSV curves; returns the written paths.
-
-    Overwrites are idempotent: the same bundle always produces the same
-    bytes.
-    """
+    """Write report.json, dispersion.csv and modulus.csv of the criterion,
+    profile.csv of the oracle and coupling.csv of the pair trajectory (t,
+    X, Y, dist), each if the bundle has it; returns the written paths.
+    The same bundle always writes the same bytes."""
+    files = []
+    rep = bundle.criterion
+    if rep is not None:
+        files.append(("report.json", json.dumps(
+            _report_doc(bundle), sort_keys=True, indent=2,
+            allow_nan=False) + "\n"))
+        for name, curve in (("dispersion.csv", rep.dispersion),
+                            ("modulus.csv", rep.modulus)):
+            if curve is not None:
+                files.append((name, _csv_text(["s", "value"],
+                                              [curve.radii, curve.values])))
+    prof = bundle.oracle_profile
+    if prof is not None:
+        files.append(("profile.csv", _csv_text(["x", "u", "du"],
+                                               [prof.x, prof.u, prof.du])))
+    if bundle.coupling_trajectory is not None:
+        t, X, Y, dist = bundle.coupling_trajectory
+        dims = range(1, X.shape[1] + 1)
+        files.append(("coupling.csv", _csv_text(
+            ["t", *(f"x{i}" for i in dims), *(f"y{i}" for i in dims), "dist"],
+            [t, *X.T, *Y.T, dist])))
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-
-    report_path = out / "report.json"
-    _write_text(report_path,
-                json.dumps(_report_doc(bundle), sort_keys=True, indent=2,
-                           allow_nan=False) + "\n")
-    written.append(report_path)
-
-    disp = bundle.criterion.dispersion
-    disp_path = out / "dispersion.csv"
-    _write_text(disp_path, _csv_text(["s", "value"],
-                                     [disp.radii, disp.values]))
-    written.append(disp_path)
-
-    if bundle.criterion.modulus is not None:
-        m = bundle.criterion.modulus
-        mod_path = out / "modulus.csv"
-        _write_text(mod_path, _csv_text(["s", "value"],
-                                        [m.radii, m.values]))
-        written.append(mod_path)
-
-    if bundle.oracle_profile is not None:
-        written.append(write_profile(out, bundle.oracle_profile))
-
-    if bundle.coupling_trajectory is not None:
-        written.append(write_trajectory(out, bundle.coupling_trajectory))
-
-    return written
-
-
-def write_profile(out: Path, profile: HarmonicProfile) -> Path:
-    """Write the oracle's harmonic profile to ``out``/profile.csv."""
-    path = out / "profile.csv"
-    _write_text(path, _csv_text(["x", "u", "du"],
-                                [profile.x, profile.u, profile.du]))
-    return path
-
-
-def write_trajectory(out: Path, trajectory: Tuple[np.ndarray, ...]) -> Path:
-    """Write a recorded pair trajectory (t, X, Y, dist) to
-    ``out``/coupling.csv."""
-    t, X, Y, dist = trajectory
-    dim = X.shape[1]
-    header = (["t"] + [f"x{i+1}" for i in range(dim)]
-              + [f"y{i+1}" for i in range(dim)] + ["dist"])
-    cols = [t] + [X[:, i] for i in range(dim)] \
-        + [Y[:, i] for i in range(dim)] + [dist]
-    path = out / "coupling.csv"
-    _write_text(path, _csv_text(header, cols))
-    return path
+    for name, text in files:
+        (out / name).write_text(text, encoding="utf-8")
+    return [out / name for name, _ in files]
 
 
 def read_report(path) -> dict:

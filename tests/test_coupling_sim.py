@@ -899,6 +899,21 @@ def test_martingale_check_rejects_bad_arguments(kwargs):
                             **{**args, **kwargs})
 
 
+def test_martingale_check_horizon_is_a_whole_number_of_steps():
+    # 1 is not a whole number of 0.3 steps: refused, not cut to 0.9; and a
+    # whole-step horizon is the time u is evaluated at
+    field = ll.make_standard_fields("zero", 1)
+    args = dict(mu=0.5, x0=np.zeros(1), n_paths=4, dt=0.3, seed=0)
+    with pytest.raises(ValueError, match="whole number of dt steps"):
+        ll.martingale_check(field, D1_BOUNDS, lambda t, x: 0.0, t=1.0,
+                            **args)
+    times = []
+    ll.martingale_check(field, D1_BOUNDS,
+                        lambda t, x: times.append(t) or np.zeros(len(x)),
+                        t=0.9, **args)
+    assert times == [0.9]
+
+
 def test_residual_constant_is_zero():
     field = ll.make_standard_fields("zero", 2)
     grid = [(0.0, np.zeros(2)), (1.0, np.array([1.0, -1.0]))]

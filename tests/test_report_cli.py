@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -384,19 +385,23 @@ def test_cli_non_finite_catalogue_param_is_a_configuration_error(
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flag, value, key", [
-    ("--n-paths", "0", "coupling.n_paths"), ("--dt", "-1", "coupling.dt"),
-    ("--t-max", "nan", "coupling.t_max"),
-    ("--couple-radius", "inf", "coupling.couple_radius"),
-    ("--x0", "3.0", "coupling.x0")])
+@pytest.mark.parametrize("flags, key", [
+    (("--n-paths", "0"), "coupling.n_paths"), (("--dt", "-1"), "coupling.dt"),
+    (("--t-max", "nan"), "coupling.t_max"),
+    (("--couple-radius", "inf"), "coupling.couple_radius"),
+    (("--x0", "3.0"), "coupling.x0"),
+    # endpoints of the wrong length, and closer than the couple radius
+    (("--x0", "0.5,0", "--y0", "1.5,0"), "coupling.x0"),
+    (("--x0", "0,0,0", "--y0", "0,0,1e-4"), "coupling.x0")],
+    ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
 def test_cli_bad_coupling_knob_fails_before_any_stage(
-        flag, value, key, tmp_path, capsys, monkeypatch):
+        flags, key, tmp_path, capsys, monkeypatch):
     def no_stage(_cfg):
         raise AssertionError("a stage ran")
 
     monkeypatch.setattr(ll_cli, "run", no_stage)
     code = run_cli(["full", "--field", "radial_expand", "--dim", "3",
-                    "--seed", "0", flag, value,
+                    "--seed", "0", *flags,
                     "--output", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"configuration error: {key} ")
@@ -437,6 +442,29 @@ def test_cli_radii_at_the_modulus_floor_is_a_configuration_error(
         "configuration error: radii.min must lie above the modulus floor "
         "1e-06 and below radii.max\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_radii_whose_midpoints_are_lost_are_refused(tmp_path, capsys,
+                                                       monkeypatch):
+    # x1*sin(x1) read LiouvilleGuaranteed with kappa_inf = 0 at radii.max
+    # 1e25, where the pair's midpoints round away; at the default window
+    # the largest accepted radii.max lies just below 2^40
+    def no_stage(_cfg):
+        raise AssertionError("a stage ran")
+
+    argv = ["criterion", "--drift", "x1*sin(x1)", "--seed", "0",
+            "--output", str(tmp_path / "o")]
+    monkeypatch.setattr(ll_cli, "run", no_stage)
+    for radius in ("1e25", repr(2.0 ** 40)):
+        assert run_cli([*argv, "--radii-max", radius]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: radii.max is too large for window.radius")
+    assert not (tmp_path / "o").exists()
+    monkeypatch.undo()
+    largest = repr(math.nextafter(2.0 ** 40, 0.0))
+    assert run_cli([*argv, "--radii-max", largest]) == 0
+    out = capsys.readouterr().out
+    assert "criterion verdict: Inconclusive" in out
 
 
 def _cli_child(*argv):
