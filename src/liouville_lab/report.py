@@ -297,32 +297,34 @@ def emit(bundle: VerdictBundle, output_dir) -> List[Path]:
     profile.csv of the oracle and coupling.csv of the pair trajectory (t,
     X, Y, dist), each if the bundle has it; returns the written paths.
     The same bundle always writes the same bytes."""
-    files = []
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written: List[Path] = []
+
+    def write(name: str, text: str) -> None:
+        written.append(out / name)
+        written[-1].write_text(text, encoding="utf-8")
+
     rep = bundle.criterion
     if rep is not None:
-        files.append(("report.json", json.dumps(
-            _report_doc(bundle), sort_keys=True, indent=2,
-            allow_nan=False) + "\n"))
+        write("report.json", json.dumps(_report_doc(bundle), sort_keys=True,
+                                        indent=2, allow_nan=False) + "\n")
         for name, curve in (("dispersion.csv", rep.dispersion),
                             ("modulus.csv", rep.modulus)):
             if curve is not None:
-                files.append((name, _csv_text(["s", "value"],
-                                              [curve.radii, curve.values])))
+                write(name, _csv_text(["s", "value"],
+                                      [curve.radii, curve.values]))
     prof = bundle.oracle_profile
     if prof is not None:
-        files.append(("profile.csv", _csv_text(["x", "u", "du"],
-                                               [prof.x, prof.u, prof.du])))
+        write("profile.csv", _csv_text(["x", "u", "du"],
+                                       [prof.x, prof.u, prof.du]))
     if bundle.coupling_trajectory is not None:
         t, X, Y, dist = bundle.coupling_trajectory
         dims = range(1, X.shape[1] + 1)
-        files.append(("coupling.csv", _csv_text(
+        write("coupling.csv", _csv_text(
             ["t", *(f"x{i}" for i in dims), *(f"y{i}" for i in dims), "dist"],
-            [t, *X.T, *Y.T, dist])))
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in files:
-        (out / name).write_text(text, encoding="utf-8")
-    return [out / name for name, _ in files]
+            [t, *X.T, *Y.T, dist]))
+    return written
 
 
 def read_report(path) -> dict:
