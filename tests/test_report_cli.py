@@ -792,10 +792,10 @@ _SMALL = ("--field", "log_example", "--params", "0.25", "--seed", "1",
 _SHORT_COUPLING = ("--n-paths", "50", "--t-max", "1")
 
 # sha256 over stdout and every written file of each subcommand, recorded
-# before couple and harmonic1d ran through report.run: the refactor keeps
-# every byte.  "full (derived mu)" takes the criterion's mu and "full
-# (inconclusive)" takes 0.5 * lambda0, so both branches of the mu rule
-# are pinned.
+# while couple and harmonic1d still ran their own stages; running them
+# through report.run kept every byte.  "full (derived mu)" takes the
+# criterion's mu and "full (inconclusive)" takes 0.5 * lambda0, so both
+# branches of the mu rule are pinned.
 SUBCOMMAND_BITS = {
     "criterion": (
         ("criterion", *_SMALL, "--output", "out"),
