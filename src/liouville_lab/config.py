@@ -156,10 +156,9 @@ class RunConfig:
         if (self.coupling_x0 is None) != (self.coupling_y0 is None):
             raise ConfigError("coupling.x0 and coupling.y0 must be given "
                               "together")
-        x0, y0 = self.coupling_x0, self.coupling_y0
-        if x0 is None:
-            x0, y0 = default_endpoints(1)  # as far apart as in any dim
-        elif not len(x0) == len(y0) == self.field_dim:
+        x0, y0 = self.endpoints(dim=1)  # zeros past x1 add no distance
+        if self.coupling_x0 is not None \
+                and not len(x0) == len(y0) == self.field_dim:
             raise ConfigError("coupling.x0 and coupling.y0 must each have "
                               "field.dim entries")
         if not math.dist(x0, y0) > self.coupling_couple_radius:
@@ -182,10 +181,13 @@ class RunConfig:
         """The Euler steps of a coupling run, coupling.t_max/coupling.dt."""
         return round(self.coupling_t_max / self.coupling_dt)
 
-
-def default_endpoints(dim: int) -> Tuple[Tuple[float, ...], ...]:
-    """The coupled pair's start points unless coupling.x0/y0 are set."""
-    return (0.5,) + (0.0,) * (dim - 1), (-0.5,) + (0.0,) * (dim - 1)
+    def endpoints(self, dim: Optional[int] = None) -> Tuple[tuple, tuple]:
+        """The coupled pair's start points: coupling.x0 and coupling.y0, or
+        else (+-0.5, 0, ...) in ``dim`` dimensions, field.dim by default."""
+        if self.coupling_x0 is not None:
+            return self.coupling_x0, self.coupling_y0
+        rest = (0.0,) * (int(dim or self.field_dim) - 1)
+        return (0.5,) + rest, (-0.5,) + rest
 
 
 def whole_steps(t: float, dt: float) -> bool:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .coefficients import (CoefficientField, field_from_expressions,
                            make_standard_fields)
-from .config import RunConfig, default_endpoints, emit_config
+from .config import RunConfig, emit_config
 from .coupling_sim import (CouplingStats, simulate_coupling,
                            simulate_pair_trajectory)
 from .criterion import (VERDICT_GUARANTEED, VERDICT_INCONCLUSIVE,
@@ -140,8 +140,7 @@ def run(cfg: RunConfig, stages: Optional[Collection[str]] = None, *,
             else 0.5 * bounds.lambda0
         coupling_params = dataclasses.replace(
             cfg, coupling_mu=cfg.coupling_mu or derived_mu)
-        x0, y0 = (cfg.coupling_x0, cfg.coupling_y0) \
-            if cfg.coupling_x0 is not None else default_endpoints(field.dim)
+        x0, y0 = cfg.endpoints()
         with annotate_stage("coupling"):
             if "coupling" in stages:
                 coupling_stats = simulate_coupling(field, bounds,

@@ -66,11 +66,23 @@ SETTERS = [(f, f.metadata["flag"], None) for f in FIELDS if f.metadata["flag"]]
 SETTERS += [(f, switch, value) for f in FIELDS
             for switch, value in f.metadata["switches"]]
 PARSER = ll_cli._make_parser()
-# coupling.x0 and coupling.y0 are given together or not at all, and a
-# coupling.dt needs a horizon of whole steps: here one step
-PARTNERS = {"coupling.x0": ("coupling.y0", "--y0"),
-            "coupling.y0": ("coupling.x0", "--x0"),
-            "coupling.dt": ("coupling.t_max", "--t-max")}
+FLAGS = {f.metadata["key"]: f.metadata["flag"] for f in FIELDS}
+OTHER_END = {"coupling.x0": "coupling.y0", "coupling.y0": "coupling.x0"}
+
+
+def _partners(key, raw):
+    """The entries that a raw value of key needs beside it to pass."""
+    if key == "coupling.dt":  # a horizon of whole steps: here one step
+        return {"coupling.t_max": raw}
+    if key not in OTHER_END:
+        return {}
+    if raw == "none":  # the start points are given together or not at all
+        return {OTHER_END[key]: raw}
+    # the other start point one unit away on the first axis, and field.dim
+    # as long as the point
+    first, *rest = raw.split(", ")
+    return {OTHER_END[key]: ", ".join([repr(float(first) + 1), *rest]),
+            "field.dim": str(1 + len(rest))}
 
 
 @pytest.mark.parametrize("f, option, const", SETTERS,
@@ -85,11 +97,8 @@ def test_each_flag_sets_its_key(f, option, const, data):
     else:
         raw, argv = const, [option]
     seed = [] if key == "seed" else ["--seed=0"]
-    partner = {}
-    if key in PARTNERS:
-        other, other_flag = PARTNERS[key]
-        partner = {other: raw}
-        argv.append(f"{other_flag}={raw}")
+    partner = _partners(key, raw)
+    argv += [f"{FLAGS[other]}={value}" for other, value in partner.items()]
     expected = _config_or_reject({"seed": "0", key: raw, **partner})
     args = PARSER.parse_args(["couple", *seed, *argv])
     entries = ll_cli._entries(args)
@@ -107,10 +116,23 @@ def test_coupling_horizon_takes_whole_steps(t_max, dt, n_steps):
     assert cfg.n_steps() == n_steps
 
 
-def test_every_field_is_read_outside_the_schema():
-    # a knob that no module reads off the config changes nothing
-    src = Path(ll.__file__).parent
-    read = {node.attr for path in src.glob("*.py") if path.name != "config.py"
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+def _attributes(tree):
+    return {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)}
+
+
+def test_every_field_is_read_outside_the_schema():
+    # a knob that no module reads off the config, itself or through a
+    # RunConfig method that a module calls, changes nothing
+    src = Path(ll.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in src.glob("*.py")}
+    read = set().union(*(_attributes(tree) for name, tree in trees.items()
+                         if name != "config.py"))
+    run_config, = [node for node in trees["config.py"].body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "RunConfig"]
+    for method in run_config.body:
+        if isinstance(method, ast.FunctionDef) and method.name in read:
+            read |= _attributes(method)
     assert [f.name for f in FIELDS if f.name not in read] == []
