@@ -201,6 +201,89 @@ def test_diagonal_diffusion_outcomes_match_recorded_bits(name, seed):
     assert [v.hex() for v in rows.tolist()] == list(row_bits)
 
 
+# ---------------------------------------------------------------------------
+# recorded outcomes of the three simulators
+
+
+def _sha256_hex(values):
+    return hashlib.sha256(",".join(
+        v.hex() for v in np.asarray(values, dtype=float).ravel().tolist()
+    ).encode()).hexdigest()
+
+
+# float.hex of martingale_check's (mean, stderr): 256 paths, mu 0.5,
+# recorded before the simulators took their run knobs from RunConfig
+MARTINGALE_BITS = {
+    "zero-3": ("-0x1.4cd9865159c6dp-5", "0x1.41fd3faa30ac8p-4"),
+    "log_example-1": ("0x1.d8bff0b6dd6cfp-1", "0x1.c6572ff58773fp-6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MARTINGALE_BITS))
+def test_martingale_check_matches_recorded_bits(case):
+    if case == "zero-3":
+        field = ll.make_standard_fields("zero", 3)
+        x0, t, dt, seed = np.zeros(3), 0.5, 1e-3, 3
+
+        def u(t, x):
+            return (x * x).sum(axis=-1) - 3 * t
+    else:
+        field = ll.make_log_example(0.75)
+        x0, t, dt, seed = [1.0], 1.0, 1e-2, 9
+
+        def u(t, x):
+            return np.arctan(x[:, 0])
+    got = ll.martingale_check(field, D1_BOUNDS, u, mu=0.5, x0=x0, t=t,
+                              n_paths=256, dt=dt, seed=seed)
+    assert tuple(v.hex() for v in got) == MARTINGALE_BITS[case]
+
+
+# sha256 of the comma-joined float.hex of simulate_coupling's coupling times
+# and survival weights (200 pairs from +-0.5 e1, mu 0.5, T = 2, the default
+# dt, seed 1), recorded as MARTINGALE_BITS was
+COUPLING_BITS = {
+    "log_example-1": (
+        "54365f86064cd534ecfcfb7b10b0904b4ca45422b0b1d6d0bf4b70058382ceb5",
+        "c4108ef1862811a14589e203481259d5bfcd538f7b4940871bc444be09525dba"),
+    "var_q_const_b-2": (
+        "c886b49f14f78b9f7a6ec3739f45572246e36fedaada4a672378df611774b3fa",
+        "1e26a11cc4ce95d6820e13f21cdb819658e9ee38c9e9e29a4cc1b19aa0a4c44e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUPLING_BITS))
+def test_simulate_coupling_matches_recorded_bits(case):
+    if case == "log_example-1":
+        field, bounds = ll.make_log_example(0.25), D1_BOUNDS
+    else:
+        field = ll.make_standard_fields("var_q_const_b", 2, [0.9])
+        bounds = DIAGONAL_Q_BOUNDS
+    x0 = 0.5 * np.eye(field.dim)[0]
+    cfg = _coupling(mu=0.5, t_max=2.0, n_paths=200, seed=1)
+    assert cfg.coupling_dt == DEFAULT_DT
+    stats = ll.simulate_coupling(field, bounds, cfg, x0, -x0)
+    assert (_sha256_hex(stats.coupling_times),
+            _sha256_hex(stats.survival)) == COUPLING_BITS[case]
+
+
+# sha256 of the comma-joined float.hex of the rows (t, X, Y) of path 0's
+# record on ou d = 2 from +-0.1 e1 (mu 0.5, T = 1, dt 1e-3, stride 10, seed
+# 0), which merges at about t = 0.14; recorded as MARTINGALE_BITS was
+TRAJECTORY_SHA256 = \
+    "0b6a1e2c7dc38410ba685a2984037c8e216ee0bdad6f1d345970555fc9976c83"
+
+
+def test_pair_trajectory_matches_recorded_bits():
+    field = ll.make_standard_fields("ou", 2)
+    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=1, dt=1e-3, seed=0)
+    t, xs, ys, dist = ll.simulate_pair_trajectory(
+        field, D1_BOUNDS, cfg, np.array([0.1, 0.0]), np.array([-0.1, 0.0]),
+        stride=10)
+    assert t.size == 101 and (dist == 0.0).sum() == 87
+    assert _sha256_hex(np.concatenate([t[:, None], xs, ys], axis=1)) \
+        == TRAJECTORY_SHA256
+
+
 def test_full_diffusion_step_uses_the_jacobi_square_root(rng):
     # nonzero off-diagonals in every row but one: the whole batch takes the
     # eigen-solver, and the step equals its explicit reference to the bit
@@ -480,11 +563,6 @@ def test_outcomes_after_a_dead_block_match_recorded_bits(seed, budget,
     digest = hashlib.sha256(
         ",".join(t.hex() for t in times.tolist()).encode()).hexdigest()
     assert digest == DEAD_BLOCK_TIMES_SHA256[seed]
-
-
-def _sha256_hex(values):
-    return hashlib.sha256(
-        ",".join(v.hex() for v in values.tolist()).encode()).hexdigest()
 
 
 # sha256 of the comma-joined float.hex of the coupling times and of the
