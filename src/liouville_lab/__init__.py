@@ -46,9 +46,8 @@ from .errors import (BoundaryUndecided, CatalogueError,
                      ShiftTooLarge, SimulationBlowUp)
 from .harmonic_oracle import (HarmonicProfile, harmonic_1d,
                               liouville_verdict_1d, oscillation_bound)
-from .matrix_analysis import (SigmaBoundReport, SpectralDecomposition,
-                              check_sigma_bounds, hs_norm, shifted_sqrt,
-                              sym_eig)
+from .matrix_analysis import (SigmaBoundReport, check_sigma_bounds, hs_norm,
+                              shifted_sqrt)
 from .report import (CONSISTENT, CONTRADICTION, CRITERION_CONSERVATIVE,
                      SCHEMA_VERSION, VerdictBundle, build_field, emit,
                      read_report, run)
@@ -66,7 +65,7 @@ __all__ = [
     "ExpressionError", "GFunction", "HarmonicProfile", "LiouvilleLabError",
     "ModulusProfile", "NoAdmissibleConstants", "NotApplicable",
     "QuadratureError", "RunConfig", "SCHEMA_VERSION", "ShiftTooLarge",
-    "SigmaBoundReport", "SimulationBlowUp", "SpectralDecomposition",
+    "SigmaBoundReport", "SimulationBlowUp",
     "VERDICT_GUARANTEED", "VERDICT_INCONCLUSIVE", "VerdictBundle",
     "asymptotic_dispersion", "build_field", "build_g", "check_sigma_bounds",
     "choose_constants", "classic_condition_check", "compile_expression",
@@ -77,6 +76,6 @@ __all__ = [
     "make_standard_fields", "martingale_check", "modulus",
     "modulus_profile_from_samples", "oscillation_bound", "parse_config",
     "read_report", "run", "shifted_sqrt", "simulate_coupling",
-    "simulate_pair_trajectory", "space_time_residual", "sym_eig",
+    "simulate_pair_trajectory", "space_time_residual",
     "theorem_threshold",
 ]

@@ -21,9 +21,10 @@ The seed is mandatory: there is no wall-clock fallback anywhere, a
 config without an explicit seed is rejected.
 
 RunConfig is also what the library takes: evaluate_liouville_criterion,
-simulate_coupling and simulate_pair_trajectory read their knobs from it,
-so a bad value or a contradictory pair of values is a ConfigError when
-the config is built, whichever front end built it.
+simulate_coupling, simulate_pair_trajectory and martingale_check read
+their knobs from it, the pair simulators their start points too, so a bad
+value or a contradictory pair of values is a ConfigError when the config
+is built, whichever front end built it.
 """
 
 from __future__ import annotations
@@ -63,13 +64,12 @@ def _knob(key: str, kind: str, flag: Optional[str] = None, *,
 class RunConfig:
     """Everything a pipeline run depends on, in one frozen record."""
 
-    seed: int = _knob("seed", "int", "--seed", check=(
-        lambda v: int(v) == v, "must be an integer"))
+    seed: int = _knob("seed", "int", "--seed")
     field_name: str = _knob("field.name", "str", "--field",
                             default=_CONSISTENT_DEFAULT_FIELD,
                             resets="field.params")
     field_dim: int = _knob("field.dim", "int", "--dim", default=1, check=(
-        lambda v: v >= 1 and int(v) == v, "must be a positive integer"))
+        lambda v: v >= 1, "must be a positive integer"))
     field_params: Tuple[float, ...] = _knob("field.params", "floats",
                                             "--params", default=(0.25,))
     field_drift: Optional[Tuple[str, ...]] = _knob(
@@ -135,6 +135,8 @@ class RunConfig:
         for f in fields(self):
             key, kind = f.metadata["key"], f.metadata["kind"]
             value = getattr(self, f.name)
+            if kind == "int" and not _is_integer(value):
+                raise ConfigError(f"{key} must be an integer")
             if f.metadata["check"] is not None:
                 holds, phrase = f.metadata["check"]
                 if not holds(value):
@@ -188,6 +190,14 @@ class RunConfig:
             return self.coupling_x0, self.coupling_y0
         rest = (0.0,) * (int(dim or self.field_dim) - 1)
         return (0.5,) + rest, (-0.5,) + rest
+
+
+def _is_integer(v) -> bool:
+    """Whether v is a whole number, as the text format can hold it."""
+    try:
+        return int(v) == v
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+        return False
 
 
 def whole_steps(t: float, dt: float) -> bool:

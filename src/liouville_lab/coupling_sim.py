@@ -49,11 +49,14 @@ the ends of each step (v: the variance rate of |X - Y| along e).  In the
 driftless closed form this brings the estimate within noise of the exact
 law at dt = 1e-2, hence the default coupling.dt (config.DEFAULT_DT).
 
-Both pair simulators read their knobs from the run's RunConfig: mu,
-t_max, dt, the couple and escape radii, n_paths, the seed and whether an
-escape counts as coupled.  RunConfig has checked each knob and how they
-relate when it was built; mu must still be set (coupling.mu is none until
-the run derives it) and below the field's lambda0.
+All three simulators read their run from the run's RunConfig: mu, the
+horizon t_max, dt, n_paths and the seed; the pair simulators also the
+start points (RunConfig.endpoints), the couple and escape radii and
+whether an escape counts as coupled, while martingale_check takes its one
+start point.  RunConfig has checked each knob and how they relate when it
+was built; _start_points checks what needs the field: mu must be set
+(coupling.mu is none until the run derives it) and below the field's
+lambda0, and field.dim must be the field's dimension.
 
 Noise comes in blocks of 64 consecutive path indices: path i reads the
 Philox substream (seed, path-domain, i // 64), laid out step-major as 64
@@ -85,7 +88,7 @@ import numpy as np
 from . import _streams
 from .coefficients import (CoefficientField, EllipticityBounds, row_norms,
                            take_rows)
-from .config import STEP_CAP, RunConfig, whole_steps
+from .config import RunConfig, whole_steps
 from .errors import (CoefficientEvaluationError, ShiftTooLarge,
                      SimulationBlowUp)
 from .matrix_analysis import _check_shift, _shifted_sqrt_batch
@@ -125,27 +128,31 @@ class CouplingStats:
 
 
 def _start_points(field: CoefficientField, bounds: EllipticityBounds,
-                  mu: float, *points) -> list:
-    """Check mu against the ellipticity floor; return the start points as
-    flat float arrays of the field's dimension."""
+                  cfg: RunConfig, *points) -> list:
+    """Check cfg's mu against the ellipticity floor and its field.dim and
+    the points against the field; return the points as flat float
+    arrays."""
+    mu = cfg.coupling_mu
+    if mu is None:
+        raise ValueError("coupling.mu is none; the simulators need it set")
     if not (0.0 < mu < bounds.lambda0):
         raise ShiftTooLarge(
             f"mu = {mu} outside (0, lambda0 = {bounds.lambda0}); the "
             "shifted square root needs mu strictly below the ellipticity "
             "floor")
     rows = [np.array(p, dtype=float).reshape(-1) for p in points]
-    if any(r.size != field.dim for r in rows):
-        raise ValueError("start point dimension mismatch with the field")
+    if cfg.field_dim != field.dim or any(r.size != field.dim for r in rows):
+        raise ValueError("start point dimension mismatch with the field: "
+                         "field.dim and each start point must match its "
+                         f"dimension {field.dim}")
     return rows
 
 
 def _pair_kernel(field: CoefficientField, bounds: EllipticityBounds,
-                 cfg: RunConfig, x0, y0):
-    """The start points and the pair kernel of cfg's coupling knobs; the
+                 cfg: RunConfig):
+    """cfg's start points and the pair kernel of its coupling knobs; the
     escape radius defaults to 1e3 * (1 + |x0| + |y0|)."""
-    if cfg.coupling_mu is None:
-        raise ValueError("coupling.mu is none; the simulators need it set")
-    x0, y0 = _start_points(field, bounds, cfg.coupling_mu, x0, y0)
+    x0, y0 = _start_points(field, bounds, cfg, *cfg.endpoints())
     escape = cfg.coupling_escape_radius
     if escape is None:
         escape = 1e3 * (1.0 + float(np.linalg.norm(x0))
@@ -502,10 +509,11 @@ def _drive(z: np.ndarray, n: int, seed: int, domain: int, dt: float,
 
 
 def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
-                      cfg: RunConfig, x0, y0, *,
+                      cfg: RunConfig, *,
                       record_distance_at: Optional[float] = None,
                       ) -> CouplingStats:
-    """Estimate the coupling probability from n_paths independent pairs.
+    """Estimate the coupling probability from n_paths independent pairs
+    started at cfg.endpoints().
 
     Each path stops at the first of: a grid hit (the segment of X - Y over
     a step passes within the couple radius), escape (either endpoint
@@ -513,12 +521,11 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
     weight W collects the Brownian-bridge factor of every step without a
     hit (_PairKernel).  p_couple is the mean over paths of 1 for a grid hit
     or a counted escape and 1 - W otherwise; p_discrete counts the grid
-    hits (and counted escapes) alone.  Deterministic given cfg.seed.
+    hits (and counted escapes) alone.  record_distance_at, a whole number
+    of dt steps within the horizon, freezes the |X - Y| sample at that
+    time.  Deterministic given cfg.seed.
     """
-    x0, y0, kernel = _pair_kernel(field, bounds, cfg, x0, y0)
-    if not np.linalg.norm(x0 - y0) > cfg.coupling_couple_radius:
-        raise ValueError("x0 and y0 must start farther apart than the "
-                         "couple radius")
+    x0, y0, kernel = _pair_kernel(field, bounds, cfg)
     n = int(cfg.n_paths)
     n_steps, dt = cfg.n_steps(), cfg.coupling_dt
     escaped = np.zeros(n, dtype=bool)
@@ -530,6 +537,9 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
         k_record = int(round(record_distance_at / dt))
         if not 0 <= k_record <= n_steps:
             raise ValueError("record_distance_at outside the horizon")
+        if not whole_steps(record_distance_at, dt):
+            raise ValueError("record_distance_at must be a whole number of "
+                             "coupling.dt steps")
         recorded = np.zeros(n)
 
     def move(z, ids, k, dB, dW):
@@ -577,11 +587,10 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
 
 def simulate_pair_trajectory(field: CoefficientField,
                              bounds: EllipticityBounds,
-                             cfg: RunConfig, x0, y0,
-                             stride: int = 1,
+                             cfg: RunConfig, stride: int = 1,
                              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                         np.ndarray]:
-    """One recorded pair trajectory for the CSV dump.
+    """One recorded pair trajectory from cfg.endpoints(), for the CSV dump.
 
     Returns (t, X, Y, dist) sampled every `stride` steps (plus the final
     state).  After a grid hit the pair moves as a single merged path
@@ -590,7 +599,7 @@ def simulate_pair_trajectory(field: CoefficientField,
     """
     if int(stride) != stride or stride < 1:
         raise ValueError("stride must be a positive integer")
-    x0, y0, kernel = _pair_kernel(field, bounds, cfg, x0, y0)
+    x0, y0, kernel = _pair_kernel(field, bounds, cfg)
     z = np.stack([x0, y0])
     n_steps, dt = cfg.n_steps(), cfg.coupling_dt
     times = [0.0]
@@ -623,34 +632,31 @@ def simulate_pair_trajectory(field: CoefficientField,
 
 
 def martingale_check(field: CoefficientField, bounds: EllipticityBounds,
-                     u: Callable[[float, np.ndarray], float], mu: float,
-                     x0, t: float, n_paths: int, dt: float, seed: int,
+                     cfg: RunConfig, x0,
+                     u: Callable[[float, np.ndarray], float],
                      ) -> Tuple[float, float]:
-    """Sample mean and standard error of u(t, X_t) over single paths.
+    """Sample mean and standard error of u(t, X_t) over cfg.n_paths single
+    paths from x0, at t = coupling.t_max.
 
     X uses the same noise decomposition as the pair simulator (sigma dB
     plus sqrt(mu) dW) without reflection; for a space-time harmonic u the
     mean estimates u(0, x0) up to discretization bias.
     """
-    (x0,) = _start_points(field, bounds, mu, x0)
-    if not 0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    if not 0 < dt <= t:
-        raise ValueError("dt must lie in (0, t]")
-    if t / dt > STEP_CAP:
-        raise ValueError(f"t/dt exceeds the {STEP_CAP} step cap")
-    if not whole_steps(t, dt):
-        raise ValueError("t must be a whole number of dt steps")
-    if int(n_paths) != n_paths or n_paths < 2:
-        raise ValueError("n_paths must be an integer >= 2")
-    n, n_steps = int(n_paths), round(t / dt)
+    (x0,) = _start_points(field, bounds, cfg, x0)
+    if not cfg.coupling_t_max > 0:
+        raise ValueError("coupling.t_max must be positive")
+    if cfg.n_paths < 2:  # for the standard error
+        raise ValueError("n_paths must be at least 2")
+    mu, t, dt = cfg.coupling_mu, cfg.coupling_t_max, cfg.coupling_dt
+    n, n_steps = int(cfg.n_paths), cfg.n_steps()
     const_sigma = _const_sigma(field, mu)
 
     def move(X, ids, k, dB, dW):
         _euler_step(field, X, mu, dt, const_sigma, dB, dW)
 
-    X, _ = _drive(np.tile(x0, (n, 1)), n, seed, _streams.DOMAIN_MARTINGALE,
-                  dt, n_steps, move, "martingale paths")
+    X, _ = _drive(np.tile(x0, (n, 1)), n, cfg.seed,
+                  _streams.DOMAIN_MARTINGALE, dt, n_steps, move,
+                  "martingale paths")
     try:
         vals = np.asarray(u(t, X), dtype=float)
         if vals.shape != (X.shape[0],):

@@ -53,18 +53,6 @@ def _check_symmetric(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigendecomposition A = V diag(w) V^T with w ascending.
-
-    ``eigenvalues`` has shape (d,), ``eigenvectors`` is the orthogonal
-    matrix whose *columns* are the corresponding eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _offdiag_sq(a: np.ndarray) -> np.ndarray:
     d = a.shape[-1]
     iu, ju = np.triu_indices(d, k=1)
@@ -75,8 +63,8 @@ def _offdiag_sq(a: np.ndarray) -> np.ndarray:
 def _sym_eig_batch(mats: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     """Batched cyclic Jacobi for symmetric (n, d, d) stacks.
 
-    Returns (eigenvalues (n, d) ascending, eigenvectors (n, d, d) with
-    eigenvectors in columns).  Raises EigenFailure when the off-diagonal
+    Returns (eigenvalues (n, d) ascending, ties in sweep order, and
+    eigenvectors (n, d, d) with eigenvectors in columns).  Raises EigenFailure when the off-diagonal
     mass has not vanished after ``max_sweeps`` full sweeps.
     """
     a = np.array(mats, dtype=float)
@@ -139,17 +127,6 @@ def _sym_eig_batch(mats: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     signs = np.where(lead < 0.0, -1.0, 1.0)
     v = v * signs[:, None, :]
     return w, v
-
-
-def sym_eig(a, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SpectralDecomposition:
-    """Eigendecomposition of one symmetric matrix via cyclic Jacobi.
-
-    Eigenvalues come back ascending; ties keep the sweep order (stable
-    sort), so identical inputs always produce identical output bits.
-    """
-    a = _check_symmetric(np.asarray(a, dtype=float))
-    w, v = _sym_eig_batch(a[None, :, :], max_sweeps=max_sweeps)
-    return SpectralDecomposition(eigenvalues=w[0], eigenvectors=v[0])
 
 
 def _check_shift(lam_min: np.ndarray, mu: float) -> None:

@@ -140,16 +140,15 @@ def run(cfg: RunConfig, stages: Optional[Collection[str]] = None, *,
             else 0.5 * bounds.lambda0
         coupling_params = dataclasses.replace(
             cfg, coupling_mu=cfg.coupling_mu or derived_mu)
-        x0, y0 = cfg.endpoints()
         with annotate_stage("coupling"):
             if "coupling" in stages:
                 coupling_stats = simulate_coupling(field, bounds,
-                                                   coupling_params, x0, y0)
+                                                   coupling_params)
                 if on_coupling is not None:
                     on_coupling(coupling_stats, coupling_params)
             if "trajectory" in stages:
                 trajectory = simulate_pair_trajectory(
-                    field, bounds, coupling_params, x0, y0,
+                    field, bounds, coupling_params,
                     stride=max(1, coupling_params.n_steps() // 1000))
 
     return VerdictBundle(

@@ -17,6 +17,7 @@ finite radii, and (b) that a least-squares fit of the tail in the family's
 exact variable 1/log(2 + s^2/4) recover 4*delta, each within 2% of 4*delta.
 """
 
+import dataclasses
 import math
 import time
 
@@ -207,7 +208,7 @@ def test_criterion_07_driftless_coupling_closed_form(unit_bounds):
     for horizon in (1.0, 10.0):
         cfg = ll.RunConfig(coupling_mu=0.5, coupling_t_max=horizon,
                            n_paths=10**4, coupling_dt=1e-3, seed=11)
-        stats = ll.simulate_coupling(field, unit_bounds, cfg, [0.5], [-0.5])
+        stats = ll.simulate_coupling(field, unit_bounds, cfg)
         # |X - Y| is a Brownian motion with variance 4*mu per unit time,
         # absorbed at 0; the reflection principle gives the hitting law
         p_true = 2.0 * (1.0 - _std_normal_cdf(
@@ -231,12 +232,13 @@ def test_criterion_08_coupling_probability_vs_oscillation(profile_2,
                        coupling_dt=1e-3, seed=5)
     contracting = ll.field_from_expressions(2, ["-x1", "-x2"],
                                             label="contracting-2d")
-    st_c = ll.simulate_coupling(contracting, unit_bounds, cfg,
-                                [0.5, 0.0], [-0.5, 0.0])
+    st_c = ll.simulate_coupling(contracting, unit_bounds, dataclasses.replace(
+        cfg, field_dim=2, coupling_x0=(0.5, 0.0), coupling_y0=(-0.5, 0.0)))
     assert st_c.p_couple >= 0.99
 
     osc = ll.oscillation_bound(profile_2, 5.0, -5.0)
-    st_l = ll.simulate_coupling(log_field_2, unit_bounds, cfg, [5.0], [-5.0])
+    st_l = ll.simulate_coupling(log_field_2, unit_bounds, dataclasses.replace(
+        cfg, coupling_x0=(5.0,), coupling_y0=(-5.0,)))
     assert st_l.p_couple <= 1.0 - osc + 3.0 * st_l.ci_halfwidth, (
         f"p = {st_l.p_couple:.6f} vs cap {1.0 - osc:.6f} + "
         f"{3.0 * st_l.ci_halfwidth:.6f}")
@@ -255,17 +257,19 @@ def test_criterion_09_martingale_property(profile_075, log_field_075,
             x = np.asarray(x, dtype=float)
             return (x * x).sum(axis=-1) - dim * t
 
-        mean, stderr = ll.martingale_check(field, unit_bounds, u, mu=0.5,
-                                           x0=np.zeros(dim), t=1.0,
-                                           n_paths=10**4, dt=1e-3, seed=3)
+        cfg = ll.RunConfig(field_dim=dim, coupling_mu=0.5, coupling_t_max=1.0,
+                           n_paths=10**4, coupling_dt=1e-3, seed=3)
+        mean, stderr = ll.martingale_check(field, unit_bounds, cfg,
+                                           np.zeros(dim), u)
         assert abs(mean - 0.0) <= 3.0 * stderr + 0.01, (dim, mean, stderr)
 
     def u_log(t, x):
         return profile_075.u_at(np.asarray(x, dtype=float)[..., 0])
 
-    mean, stderr = ll.martingale_check(log_field_075, unit_bounds, u_log,
-                                       mu=0.5, x0=[1.0], t=10.0,
-                                       n_paths=10**4, dt=1e-3, seed=9)
+    cfg = ll.RunConfig(coupling_mu=0.5, coupling_t_max=10.0, n_paths=10**4,
+                       coupling_dt=1e-3, seed=9)
+    mean, stderr = ll.martingale_check(log_field_075, unit_bounds, cfg, [1.0],
+                                       u_log)
     target = float(profile_075.u_at(1.0))
     assert abs(mean - target) <= 3.0 * stderr + 0.01, (mean, target, stderr)
 

@@ -2,6 +2,8 @@
 
 import ast
 import dataclasses
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -105,6 +107,38 @@ def test_each_flag_sets_its_key(f, option, const, data):
     assert entries[key] == raw
     assert getattr(config_from_entries(entries), f.name) \
         == getattr(expected, f.name)
+
+
+INT_FIELDS = [f for f in FIELDS if f.metadata["kind"] == "int"]
+
+
+@pytest.mark.parametrize("f", INT_FIELDS,
+                         ids=[f.metadata["key"] for f in INT_FIELDS])
+def test_int_fields_refuse_a_fraction(f):
+    # the text format holds whole numbers only, so a fraction passed from
+    # Python would break parse_config(emit_config(cfg)) == cfg
+    whole = 0 if f.default is dataclasses.MISSING else f.default
+    cfg = RunConfig(**{"seed": 0, f.name: float(whole)})
+    assert ll.parse_config(ll.emit_config(cfg)) == cfg
+    for bad in (whole + 0.5, float("inf"), float("nan")):
+        with pytest.raises(ll.ConfigError, match=re.escape(
+                f"{f.metadata['key']} must be an integer")):
+            RunConfig(**{"seed": 0, f.name: bad})
+
+
+# the simulators take every run knob from cfg; a RunConfig knob that came
+# back as a parameter would give two places to set it
+SIMULATOR_PARAMETERS = {
+    "simulate_coupling": ["field", "bounds", "cfg", "record_distance_at"],
+    "simulate_pair_trajectory": ["field", "bounds", "cfg", "stride"],
+    "martingale_check": ["field", "bounds", "cfg", "x0", "u"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATOR_PARAMETERS))
+def test_simulators_take_their_run_from_the_config(name):
+    params = inspect.signature(getattr(ll, name)).parameters
+    assert list(params) == SIMULATOR_PARAMETERS[name]
 
 
 @pytest.mark.parametrize("t_max, dt, n_steps", [

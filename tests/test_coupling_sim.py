@@ -19,14 +19,27 @@ from liouville_lab.config import DEFAULT_DT
 D1_BOUNDS = ll.EllipticityBounds(1.0, 1.0, 10.0, 1)
 
 
-def _coupling(mu, t_max, n_paths, dt=DEFAULT_DT, couple_radius=1e-3,
-              escape_radius=None, seed=0, count_escaped_as_coupled=False):
-    """The RunConfig of one coupling experiment."""
+def _floats(point):
+    return tuple(float(v) for v in np.ravel(point))
+
+
+def _coupling(mu, t_max, n_paths, x0=None, y0=None, dt=DEFAULT_DT,
+              couple_radius=1e-3, escape_radius=None, seed=0,
+              count_escaped_as_coupled=False, dim=1):
+    """The RunConfig of one coupling experiment: the pair starts at x0 and
+    y0 (-x0 unless given) in len(x0) dimensions, or at RunConfig's default
+    start points in dim dimensions."""
+    points = {}
+    if x0 is not None:
+        x0 = _floats(x0)
+        y0 = tuple(-v for v in x0) if y0 is None else _floats(y0)
+        points, dim = dict(coupling_x0=x0, coupling_y0=y0), len(x0)
     return ll.RunConfig(
-        seed=seed, coupling_mu=mu, coupling_t_max=t_max, coupling_dt=dt,
-        n_paths=n_paths, coupling_couple_radius=couple_radius,
+        seed=seed, field_dim=dim, coupling_mu=mu, coupling_t_max=t_max,
+        coupling_dt=dt, n_paths=n_paths,
+        coupling_couple_radius=couple_radius,
         coupling_escape_radius=escape_radius,
-        coupling_count_escaped=count_escaped_as_coupled)
+        coupling_count_escaped=count_escaped_as_coupled, **points)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +203,11 @@ def test_diagonal_diffusion_outcomes_match_recorded_bits(name, seed):
     field = DIAGONAL_Q_FIELDS[name]()
     x0 = np.array([0.5, 0.2, 0.1][:field.dim])
     y0 = np.array([-0.5, 0.1, 0.0][:field.dim])
-    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=6, dt=1e-3, seed=seed)
-    stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg, x0, y0)
+    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=6, x0=x0, y0=y0, dt=1e-3,
+                    seed=seed)
+    stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg)
     t, xs, ys, _ = ll.simulate_pair_trajectory(
-        field, DIAGONAL_Q_BOUNDS, cfg, x0, y0, stride=500)
+        field, DIAGONAL_Q_BOUNDS, cfg, stride=500)
     assert t.tolist() == [0.0, 0.5, 1.0]
     rows = np.concatenate([xs[1:], ys[1:]], axis=1).ravel()
     time_bits, row_bits = DIAGONAL_Q_BITS[(name, seed)]
@@ -233,8 +247,9 @@ def test_martingale_check_matches_recorded_bits(case):
 
         def u(t, x):
             return np.arctan(x[:, 0])
-    got = ll.martingale_check(field, D1_BOUNDS, u, mu=0.5, x0=x0, t=t,
-                              n_paths=256, dt=dt, seed=seed)
+    cfg = _coupling(mu=0.5, t_max=t, n_paths=256, dt=dt, seed=seed,
+                    dim=field.dim)
+    got = ll.martingale_check(field, D1_BOUNDS, cfg, x0, u)
     assert tuple(v.hex() for v in got) == MARTINGALE_BITS[case]
 
 
@@ -259,9 +274,9 @@ def test_simulate_coupling_matches_recorded_bits(case):
         field = ll.make_standard_fields("var_q_const_b", 2, [0.9])
         bounds = DIAGONAL_Q_BOUNDS
     x0 = 0.5 * np.eye(field.dim)[0]
-    cfg = _coupling(mu=0.5, t_max=2.0, n_paths=200, seed=1)
+    cfg = _coupling(mu=0.5, t_max=2.0, n_paths=200, x0=x0, seed=1)
     assert cfg.coupling_dt == DEFAULT_DT
-    stats = ll.simulate_coupling(field, bounds, cfg, x0, -x0)
+    stats = ll.simulate_coupling(field, bounds, cfg)
     assert (_sha256_hex(stats.coupling_times),
             _sha256_hex(stats.survival)) == COUPLING_BITS[case]
 
@@ -275,10 +290,10 @@ TRAJECTORY_SHA256 = \
 
 def test_pair_trajectory_matches_recorded_bits():
     field = ll.make_standard_fields("ou", 2)
-    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=1, dt=1e-3, seed=0)
-    t, xs, ys, dist = ll.simulate_pair_trajectory(
-        field, D1_BOUNDS, cfg, np.array([0.1, 0.0]), np.array([-0.1, 0.0]),
-        stride=10)
+    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=1, x0=[0.1, 0.0],
+                    y0=[-0.1, 0.0], dt=1e-3, seed=0)
+    t, xs, ys, dist = ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg,
+                                                  stride=10)
     assert t.size == 101 and (dist == 0.0).sum() == 87
     assert _sha256_hex(np.concatenate([t[:, None], xs, ys], axis=1)) \
         == TRAJECTORY_SHA256
@@ -326,10 +341,10 @@ def test_nan_diffusion_is_named(dim):
         return q
 
     field = ll.CoefficientField(dim, np.zeros_like, diffusion, "nan-q")
-    cfg = _coupling(mu=0.5, t_max=0.1, n_paths=4, dt=1e-3, seed=0)
+    cfg = _coupling(mu=0.5, t_max=0.1, n_paths=4, x0=np.ones(dim), dt=1e-3,
+                    seed=0)
     with pytest.raises(ll.CoefficientEvaluationError) as exc:
-        ll.simulate_coupling(field, D1_BOUNDS, cfg, np.ones(dim),
-                             -np.ones(dim))
+        ll.simulate_coupling(field, D1_BOUNDS, cfg)
     assert str(exc.value) == f"diffusion is non-finite at x = {[1.0] * dim}"
 
 
@@ -346,11 +361,9 @@ def test_coupling_distance_law_matches_scalar_sde():
     """
     field = ll.make_standard_fields("zero", 1)
     mu, dt, n = 0.5, 1e-3, 10_000
-    cfg = _coupling(mu=mu, t_max=1.0, n_paths=n, dt=dt, seed=8)
-    stats = ll.simulate_coupling(
-        field, D1_BOUNDS, cfg, np.array([0.5]), np.array([-0.5]),
-        record_distance_at=1.0,
-    )
+    cfg = _coupling(mu=mu, t_max=1.0, n_paths=n, x0=[0.5], dt=dt, seed=8)
+    stats = ll.simulate_coupling(field, D1_BOUNDS, cfg,
+                                 record_distance_at=1.0)
     sample_a = np.sort(stats.recorded_distances)
 
     rng = np.random.default_rng(1234)
@@ -379,19 +392,19 @@ def test_coupling_dt_halving_stability():
     # weak-order-1 stability at reduced path counts (the full-size scenarios
     # run in the acceptance suite; halving dt there would double its cost)
     field = ll.make_standard_fields("zero", 1)
-    x0, y0 = np.array([0.5]), np.array([-0.5])
     p = {}
     for dt in (1e-3, 5e-4):
-        cfg = _coupling(mu=0.5, t_max=1.0, n_paths=4000, dt=dt, seed=21)
-        p[dt] = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, y0)
+        cfg = _coupling(mu=0.5, t_max=1.0, n_paths=4000, x0=[0.5], dt=dt,
+                        seed=21)
+        p[dt] = ll.simulate_coupling(field, D1_BOUNDS, cfg)
     assert abs(p[1e-3].p_couple - p[5e-4].p_couple) < 2.0 * p[1e-3].ci_halfwidth
 
     ou = ll.make_standard_fields("ou", 2)
-    x2, y2 = np.array([0.5, 0.0]), np.array([-0.5, 0.0])
     q = {}
     for dt in (1e-3, 5e-4):
-        cfg = _coupling(mu=0.9, t_max=5.0, n_paths=4000, dt=dt, seed=22)
-        q[dt] = ll.simulate_coupling(ou, D1_BOUNDS, cfg, x2, y2)
+        cfg = _coupling(mu=0.9, t_max=5.0, n_paths=4000, x0=[0.5, 0.0],
+                        y0=[-0.5, 0.0], dt=dt, seed=22)
+        q[dt] = ll.simulate_coupling(ou, D1_BOUNDS, cfg)
     assert abs(q[1e-3].p_couple - q[5e-4].p_couple) < 2.0 * q[1e-3].ci_halfwidth
 
 
@@ -404,10 +417,10 @@ def test_default_step_matches_the_closed_form(dim):
     field = ll.make_standard_fields("zero", dim)
     x0 = 0.5 * np.eye(dim)[0]
     for k, horizon in enumerate((0.25, 1.0, 4.0)):
-        cfg = _coupling(mu=0.5, t_max=horizon, n_paths=50_000,
+        cfg = _coupling(mu=0.5, t_max=horizon, n_paths=50_000, x0=x0,
                         seed=k + 3 * (dim - 1))
         assert cfg.coupling_dt == 1e-2
-        stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
+        stats = ll.simulate_coupling(field, D1_BOUNDS, cfg)
         exact = math.erfc((1.0 - cfg.coupling_couple_radius) / math.sqrt(
             8.0 * cfg.coupling_mu * horizon))
         se = stats.ci_halfwidth / 1.96
@@ -426,18 +439,18 @@ def test_default_step_agrees_with_a_five_times_finer_step(name, dim, x0):
     horizon = 10.0 if dim == 1 else 1.0
     p, se = {}, {}
     for dt in (1e-2, 2e-3):
-        cfg = _coupling(mu=0.5, t_max=horizon, n_paths=10_000, dt=dt,
-                        seed=7)
-        stats = ll.simulate_coupling(field, bounds, cfg, np.array(x0),
-                                     -np.array(x0))
+        cfg = _coupling(mu=0.5, t_max=horizon, n_paths=10_000, x0=x0,
+                        dt=dt, seed=7)
+        stats = ll.simulate_coupling(field, bounds, cfg)
         p[dt], se[dt] = stats.p_couple, stats.ci_halfwidth / 1.96
     assert abs(p[1e-2] - p[2e-3]) <= 3.0 * math.hypot(se[1e-2], se[2e-3]), p
 
 
 def test_zero_horizon_means_no_coupling():
     field = ll.make_standard_fields("zero", 1)
-    cfg = _coupling(mu=0.5, t_max=0.0, n_paths=50, dt=1e-3, seed=0)
-    stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, np.array([1.0]), np.array([-1.0]))
+    cfg = _coupling(mu=0.5, t_max=0.0, n_paths=50, x0=[1.0], dt=1e-3,
+                    seed=0)
+    stats = ll.simulate_coupling(field, D1_BOUNDS, cfg)
     assert stats.n_coupled == 0
     assert stats.p_couple == 0.0
     assert stats.p_discrete == 0.0
@@ -468,10 +481,10 @@ def test_estimator_properties(case, seed, count_escaped, dt, scale):
     make, escape_radius = ESTIMATOR_CASES[case]
     field = make()
     x0 = scale * np.eye(field.dim)[0]
-    cfg = _coupling(mu=0.5, t_max=0.5, n_paths=100, dt=dt, seed=seed,
+    cfg = _coupling(mu=0.5, t_max=0.5, n_paths=100, x0=x0, dt=dt, seed=seed,
                     escape_radius=escape_radius,
                     count_escaped_as_coupled=count_escaped)
-    st_ = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
+    st_ = ll.simulate_coupling(field, D1_BOUNDS, cfg)
     successes = st_.n_coupled + (st_.n_escaped if count_escaped else 0)
     assert st_.p_discrete == successes / 100
     assert st_.p_couple >= st_.p_discrete
@@ -485,17 +498,17 @@ def test_no_runtime_warning_when_distances_overflow_before_a_blowup():
     # in the reflection) a step before the state turns non-finite; the
     # suite turns any RuntimeWarning into an error
     cubic = ll.field_from_expressions(1, ["x1^3"], label="cubic")
-    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=4, dt=1e-3, seed=0,
-                    escape_radius=1e300)
+    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=4, x0=[3.0], y0=[2.9],
+                    dt=1e-3, seed=0, escape_radius=1e300)
     with pytest.raises(ll.SimulationBlowUp):
-        ll.simulate_coupling(cubic, D1_BOUNDS, cfg, np.array([3.0]),
-                             np.array([2.9]))
+        ll.simulate_coupling(cubic, D1_BOUNDS, cfg)
 
 
 def test_coupling_stats_consistency():
     field = ll.make_standard_fields("ou", 2)
-    cfg = _coupling(mu=0.5, t_max=2.0, n_paths=400, dt=1e-3, seed=5)
-    st = ll.simulate_coupling(field, D1_BOUNDS, cfg, np.array([0.5, 0.0]), np.array([-0.5, 0.0]))
+    cfg = _coupling(mu=0.5, t_max=2.0, n_paths=400, x0=[0.5, 0.0],
+                    y0=[-0.5, 0.0], dt=1e-3, seed=5)
+    st = ll.simulate_coupling(field, D1_BOUNDS, cfg)
     assert st.p_discrete == st.n_coupled / st.n_paths
     assert 0.0 <= st.p_discrete <= 1.0
     # p_couple and its CI are the mean and 1.96 sd/sqrt(n) of the per-path
@@ -518,9 +531,9 @@ def test_block_noise_outcomes_do_not_depend_on_path_count_or_chunking(
     x0 = 0.5 * np.eye(dim)[0]
 
     def first_block_times(n_paths):
-        cfg = _coupling(mu=0.5, t_max=1.0, n_paths=n_paths, dt=1e-3,
+        cfg = _coupling(mu=0.5, t_max=1.0, n_paths=n_paths, x0=x0, dt=1e-3,
                         seed=4)
-        stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
+        stats = ll.simulate_coupling(field, D1_BOUNDS, cfg)
         return stats.coupling_times[:64]
 
     alone = first_block_times(64)
@@ -551,10 +564,9 @@ def test_outcomes_after_a_dead_block_match_recorded_bits(seed, budget,
     if budget is not None:
         monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", budget)
     field = ll.make_standard_fields("zero", 1)
-    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=300, dt=1e-3,
+    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=300, x0=[0.02], dt=1e-3,
                     seed=seed)
-    times = ll.simulate_coupling(field, D1_BOUNDS, cfg, np.array([0.02]),
-                                 np.array([-0.02])).coupling_times
+    times = ll.simulate_coupling(field, D1_BOUNDS, cfg).coupling_times
     # a block is done well before the horizon while one above it runs on
     live_at_end = [np.isnan(times[i:i + 64]).any() for i in range(0, 300, 64)]
     assert any(not live and times[64 * b:64 * b + 64].max() < 0.9
@@ -589,9 +601,9 @@ def test_compaction_in_d_above_1_matches_recorded_bits(name, dim, seed,
         monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", budget)
     field = ll.make_standard_fields(name, dim)
     x0 = 0.4 * np.eye(dim)[0]
-    cfg = _coupling(mu=0.5, t_max=0.5, n_paths=300, dt=1e-3,
+    cfg = _coupling(mu=0.5, t_max=0.5, n_paths=300, x0=x0, dt=1e-3,
                     seed=seed, escape_radius=1.5)
-    stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg, x0, -x0)
+    stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg)
     # pairs hit and escape while others run on, hits inside 16-step chunks
     steps = np.round(stats.coupling_times / cfg.coupling_dt)
     assert stats.n_escaped > 0 and (steps % 16 > 0).sum() > 0
@@ -630,13 +642,13 @@ def test_shared_draw_claims_every_block_once(monkeypatch):
     monkeypatch.setattr(coupling_sim, "_draw_noise", traced_draw)
     monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", 1.0)
     field = ll.make_standard_fields("zero", 1)
-    cfg = _coupling(mu=0.5, t_max=0.5, n_paths=2000, dt=1e-3, seed=7)
+    cfg = _coupling(mu=0.5, t_max=0.5, n_paths=2000, x0=[0.3], dt=1e-3,
+                    seed=7)
     before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        times = ll.simulate_coupling(field, D1_BOUNDS, cfg, np.array([0.3]),
-                                     np.array([-0.3])).coupling_times
+        times = ll.simulate_coupling(field, D1_BOUNDS, cfg).coupling_times
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
@@ -657,18 +669,16 @@ def test_no_noise_thread_outlives_a_call(monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(coupling_sim, "_draw_noise", slow_draw)
-    x0, y0 = np.array([3.0]), np.array([2.9])
 
     def simulators(drift, escape_radius):
         field = ll.field_from_expressions(1, [drift])
-        cfg = _coupling(mu=0.5, t_max=1.0, n_paths=100, dt=1e-3,
-                        seed=0, escape_radius=escape_radius)
+        cfg = _coupling(mu=0.5, t_max=1.0, n_paths=100, x0=[3.0], y0=[2.9],
+                        dt=1e-3, seed=0, escape_radius=escape_radius)
         return [
-            lambda: ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, y0),
-            lambda: ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg, x0, y0),
-            lambda: ll.martingale_check(
-                field, D1_BOUNDS, lambda t, x: 0.0, mu=0.5, x0=x0, t=1.0,
-                n_paths=100, dt=1e-3, seed=0),
+            lambda: ll.simulate_coupling(field, D1_BOUNDS, cfg),
+            lambda: ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg),
+            lambda: ll.martingale_check(field, D1_BOUNDS, cfg, [3.0],
+                                        lambda t, x: 0.0),
         ]
 
     before = threading.active_count()
@@ -718,10 +728,10 @@ def test_no_noise_thread_outlives_a_call(monkeypatch):
 
 def test_coupling_deterministic():
     field = ll.make_standard_fields("zero", 1)
-    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=300, dt=1e-3, seed=9)
-    x0, y0 = np.array([0.5]), np.array([-0.5])
-    a = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, y0, record_distance_at=0.5)
-    b = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, y0, record_distance_at=0.5)
+    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=300, x0=[0.5], dt=1e-3,
+                    seed=9)
+    a = ll.simulate_coupling(field, D1_BOUNDS, cfg, record_distance_at=0.5)
+    b = ll.simulate_coupling(field, D1_BOUNDS, cfg, record_distance_at=0.5)
     assert a.n_coupled == b.n_coupled
     assert a.coupling_time_quantiles == b.coupling_time_quantiles
     assert np.array_equal(a.recorded_distances, b.recorded_distances)
@@ -729,18 +739,18 @@ def test_coupling_deterministic():
 
 def test_escaped_paths_counted_separately():
     outward = ll.field_from_expressions(1, ["x1"], label="outward")
-    x0, y0 = np.array([0.5]), np.array([-0.5])
     cfg = _coupling(
-        mu=0.5, t_max=4.0, n_paths=100, dt=1e-3, seed=1, escape_radius=10.0
+        mu=0.5, t_max=4.0, n_paths=100, x0=[0.5], dt=1e-3, seed=1,
+        escape_radius=10.0
     )
-    st = ll.simulate_coupling(outward, D1_BOUNDS, cfg, x0, y0)
+    st = ll.simulate_coupling(outward, D1_BOUNDS, cfg)
     assert st.n_escaped > 0
     assert st.p_discrete == st.n_coupled / 100  # escaped NOT counted by default
     flagged = _coupling(
-        mu=0.5, t_max=4.0, n_paths=100, dt=1e-3, seed=1, escape_radius=10.0,
-        count_escaped_as_coupled=True,
+        mu=0.5, t_max=4.0, n_paths=100, x0=[0.5], dt=1e-3, seed=1,
+        escape_radius=10.0, count_escaped_as_coupled=True,
     )
-    st2 = ll.simulate_coupling(outward, D1_BOUNDS, flagged, x0, y0)
+    st2 = ll.simulate_coupling(outward, D1_BOUNDS, flagged)
     assert st2.n_escaped == st.n_escaped
     assert st2.p_discrete == (st.n_coupled + st.n_escaped) / 100
 
@@ -750,15 +760,14 @@ def test_simulation_blowup_reported_with_path_and_time():
     # dX = X^3 dt from 3 explodes near t = 1/18 in every simulator
     cubic = ll.field_from_expressions(1, ["x1^3"], label="cubic")
     cfg = _coupling(
-        mu=0.5, t_max=1.0, n_paths=4, dt=1e-3, seed=0, escape_radius=1e300
+        mu=0.5, t_max=1.0, n_paths=4, x0=[3.0], y0=[2.9], dt=1e-3, seed=0,
+        escape_radius=1e300
     )
-    x0, y0 = np.array([3.0]), np.array([2.9])
     simulators = [
-        (lambda: ll.simulate_coupling(cubic, D1_BOUNDS, cfg, x0, y0), range(4)),
-        (lambda: ll.simulate_pair_trajectory(cubic, D1_BOUNDS, cfg, x0, y0), [0]),
-        (lambda: ll.martingale_check(
-            cubic, D1_BOUNDS, lambda t, x: 0.0, mu=0.5, x0=x0, t=1.0,
-            n_paths=4, dt=1e-3, seed=0), range(4)),
+        (lambda: ll.simulate_coupling(cubic, D1_BOUNDS, cfg), range(4)),
+        (lambda: ll.simulate_pair_trajectory(cubic, D1_BOUNDS, cfg), [0]),
+        (lambda: ll.martingale_check(cubic, D1_BOUNDS, cfg, [3.0],
+                                     lambda t, x: 0.0), range(4)),
     ]
     for run, path_indices in simulators:
         with pytest.raises(ll.SimulationBlowUp) as exc:
@@ -772,10 +781,9 @@ def test_overflowed_distances_keep_the_bridge_weight_finite():
     # beyond a finite squared norm, and inside the escape radius; with
     # variable sigma the bridge variance must not turn into inf/inf
     field = ll.field_from_expressions(1, ["10*x1"], ["2 + sin(x1)"])
-    cfg = _coupling(mu=0.5, t_max=40.0, n_paths=4, seed=0,
-                    escape_radius=1e300)
-    stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg,
-                                 np.array([3.0]), np.array([2.9]))
+    cfg = _coupling(mu=0.5, t_max=40.0, n_paths=4, x0=[3.0], y0=[2.9],
+                    seed=0, escape_radius=1e300)
+    stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg)
     assert stats.n_escaped == 0
     assert 0.0 <= stats.survival.min() and stats.survival.max() <= 1.0
     assert stats.p_couple == (1.0 - stats.survival).mean()
@@ -789,11 +797,10 @@ def test_escape_test_survives_squared_norm_overflow():
     # squared norm overflows, yet the state is finite and far inside the
     # escape radius, so the record goes on until the cubic drift blows it up
     cubic = ll.field_from_expressions(1, ["x1^3"], label="cubic")
-    cfg = _coupling(mu=0.5, t_max=2.0, n_paths=1, dt=1e-3, seed=7,
-                    escape_radius=1e300)
-    x0, y0 = np.array([1.1]), np.array([1.05])
+    cfg = _coupling(mu=0.5, t_max=2.0, n_paths=1, x0=[1.1], y0=[1.05],
+                    dt=1e-3, seed=7, escape_radius=1e300)
     with pytest.raises(ll.SimulationBlowUp) as exc:
-        ll.simulate_pair_trajectory(cubic, D1_BOUNDS, cfg, x0, y0, stride=2)
+        ll.simulate_pair_trajectory(cubic, D1_BOUNDS, cfg, stride=2)
     assert exc.value.time > 0.7405
     rows = np.array([[1e200, -3e200], [2e300, 0.0], [3.0, 4.0]])
     assert coupling_sim._beyond(rows, 1e300).tolist() == [False, True, False]
@@ -802,9 +809,10 @@ def test_escape_test_survives_squared_norm_overflow():
 
 def test_mu_outside_admissible_range():
     field = ll.make_standard_fields("zero", 1)
-    cfg = _coupling(mu=1.0, t_max=1.0, n_paths=10, dt=1e-3, seed=0)
+    cfg = _coupling(mu=1.0, t_max=1.0, n_paths=10, x0=[1.0], dt=1e-3,
+                    seed=0)
     with pytest.raises(ll.ShiftTooLarge):
-        ll.simulate_coupling(field, D1_BOUNDS, cfg, np.array([1.0]), np.array([-1.0]))
+        ll.simulate_coupling(field, D1_BOUNDS, cfg)
 
 
 def test_coupling_config_validation():
@@ -822,10 +830,48 @@ def test_coupling_config_validation():
             _coupling(**{**dict(mu=0.5, t_max=1.0, n_paths=10), **kwargs})
     # coupling.mu is none until a run derives it
     field = ll.make_standard_fields("zero", 1)
-    cfg = _coupling(mu=None, t_max=1.0, n_paths=10)
+    cfg = _coupling(mu=None, t_max=1.0, n_paths=10, x0=[1.0])
     for simulate in (ll.simulate_coupling, ll.simulate_pair_trajectory):
         with pytest.raises(ValueError, match="coupling.mu"):
-            simulate(field, D1_BOUNDS, cfg, [1.0], [-1.0])
+            simulate(field, D1_BOUNDS, cfg)
+
+
+def test_config_dimension_must_match_the_field():
+    # field.dim sizes RunConfig's default start points; a cfg of another
+    # dimension than the field is refused by every simulator, and so is a
+    # martingale start point of the wrong size
+    field = ll.make_standard_fields("zero", 2)
+    cfg = _coupling(mu=0.5, t_max=0.1, n_paths=4, dt=1e-3)
+    assert cfg.field_dim == 1
+    simulators = [
+        lambda cfg: ll.simulate_coupling(field, D1_BOUNDS, cfg),
+        lambda cfg: ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg),
+        lambda cfg: ll.martingale_check(field, D1_BOUNDS, cfg, np.zeros(2),
+                                        lambda t, x: 0.0),
+    ]
+    for run in simulators:
+        with pytest.raises(ValueError, match="start point dimension mismatch"):
+            run(cfg)
+    with pytest.raises(ValueError, match="start point dimension mismatch"):
+        ll.martingale_check(field, D1_BOUNDS, _coupling(
+            mu=0.5, t_max=0.1, n_paths=4, dt=1e-3, dim=2), np.zeros(3),
+            lambda t, x: 0.0)
+
+
+def test_record_time_must_be_a_whole_number_of_steps():
+    # 0.55 is 5.5 steps of 0.1: refused, not rounded to the sample at 0.6
+    field = ll.make_standard_fields("zero", 1)
+    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=8, dt=0.1, seed=0)
+    with pytest.raises(ValueError, match="whole number of coupling.dt steps"):
+        ll.simulate_coupling(field, D1_BOUNDS, cfg, record_distance_at=0.55)
+    for outside in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="outside the horizon"):
+            ll.simulate_coupling(field, D1_BOUNDS, cfg,
+                                 record_distance_at=outside)
+    for whole in (0.0, 0.3, 1.0):
+        stats = ll.simulate_coupling(field, D1_BOUNDS, cfg,
+                                     record_distance_at=whole)
+        assert stats.recorded_distances.shape == (8,)
 
 
 # ---------------------------------------------------------------------------
@@ -834,10 +880,9 @@ def test_coupling_config_validation():
 
 def test_pair_trajectory_shapes_and_merge():
     field = ll.make_standard_fields("ou", 2)
-    cfg = _coupling(mu=0.9, t_max=5.0, n_paths=1, dt=1e-3, seed=2)
-    t, xs, ys, dist = ll.simulate_pair_trajectory(
-        field, D1_BOUNDS, cfg, np.array([0.5, 0.0]), np.array([-0.5, 0.0])
-    )
+    cfg = _coupling(mu=0.9, t_max=5.0, n_paths=1, x0=[0.5, 0.0],
+                    y0=[-0.5, 0.0], dt=1e-3, seed=2)
+    t, xs, ys, dist = ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg)
     assert t[0] == 0.0
     assert xs.shape == (t.size, 2) and ys.shape == (t.size, 2)
     assert dist[0] == pytest.approx(1.0)
@@ -856,11 +901,11 @@ def test_pair_trajectory_couples_at_the_step_of_simulate_coupling(name, dim):
     for scale in (0.5, 0.05):
         x0 = scale * np.eye(dim)[0]
         for seed in range(8):
-            cfg = _coupling(mu=0.5, t_max=2.0, n_paths=1, dt=1e-3,
+            cfg = _coupling(mu=0.5, t_max=2.0, n_paths=1, x0=x0, dt=1e-3,
                             seed=seed)
-            stats = ll.simulate_coupling(field, D1_BOUNDS, cfg, x0, -x0)
-            t, _, _, dist = ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg,
-                                                        x0, -x0)
+            stats = ll.simulate_coupling(field, D1_BOUNDS, cfg)
+            t, _, _, dist = ll.simulate_pair_trajectory(field, D1_BOUNDS,
+                                                        cfg)
             merged = t[dist == 0.0]
             assert stats.n_coupled == int(merged.size > 0)
             if merged.size:
@@ -874,13 +919,9 @@ def test_pair_trajectory_couples_at_the_step_of_simulate_coupling(name, dim):
 
 def test_pair_trajectory_stride():
     field = ll.make_standard_fields("zero", 1)
-    cfg = _coupling(mu=0.5, t_max=0.1, n_paths=1, dt=1e-3, seed=3)
-    t1, *_ = ll.simulate_pair_trajectory(
-        field, D1_BOUNDS, cfg, np.array([5.0]), np.array([-5.0]), stride=1
-    )
-    t5, *_ = ll.simulate_pair_trajectory(
-        field, D1_BOUNDS, cfg, np.array([5.0]), np.array([-5.0]), stride=5
-    )
+    cfg = _coupling(mu=0.5, t_max=0.1, n_paths=1, x0=[5.0], dt=1e-3, seed=3)
+    t1, *_ = ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg, stride=1)
+    t5, *_ = ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg, stride=5)
     assert t1.size == 101
     assert t5.size == 21
     np.testing.assert_allclose(t5, t1[::5], rtol=1e-12)
@@ -900,10 +941,9 @@ ESCAPE_ENDS = {
 def test_pair_trajectory_ends_at_the_step_before_an_escape(case):
     (drift, x0, y0, horizon), (rows, last_t, x_end, y_end) = ESCAPE_ENDS[case]
     field = ll.field_from_expressions(1, [drift])
-    cfg = _coupling(mu=0.5, t_max=horizon, n_paths=1, dt=1e-3,
-                    seed=0, escape_radius=10.0)
-    t, xs, ys, dist = ll.simulate_pair_trajectory(
-        field, D1_BOUNDS, cfg, np.array([x0]), np.array([y0]))
+    cfg = _coupling(mu=0.5, t_max=horizon, n_paths=1, x0=[x0], y0=[y0],
+                    dt=1e-3, seed=0, escape_radius=10.0)
+    t, xs, ys, dist = ll.simulate_pair_trajectory(field, D1_BOUNDS, cfg)
     assert t.size == rows and t[-1] == last_t
     assert (xs[-1, 0].hex(), ys[-1, 0].hex()) == (x_end, y_end)
     assert (dist[-1] == 0.0) == (case == "after the merge")
@@ -916,10 +956,9 @@ def test_pair_trajectory_ends_at_the_step_before_an_escape(case):
 
 def test_martingale_constant_function():
     field = ll.make_standard_fields("zero", 2)
-    mean, stderr = ll.martingale_check(
-        field, D1_BOUNDS, lambda t, x: 7.0, mu=0.5,
-        x0=np.zeros(2), t=0.25, n_paths=64, dt=1e-3, seed=0,
-    )
+    cfg = _coupling(mu=0.5, t_max=0.25, n_paths=64, dt=1e-3, seed=0, dim=2)
+    mean, stderr = ll.martingale_check(field, D1_BOUNDS, cfg, np.zeros(2),
+                                       lambda t, x: 7.0)
     assert mean == 7.0
     assert stderr == 0.0
 
@@ -927,10 +966,9 @@ def test_martingale_constant_function():
 def test_martingale_quadratic_harmonic():
     # u(t,x) = |x|^2 - d*t satisfies du/dt + (1/2)Lap u = 0 for q = I
     field = ll.make_standard_fields("zero", 1)
+    cfg = _coupling(mu=0.5, t_max=0.5, n_paths=2000, dt=1e-3, seed=3)
     mean, stderr = ll.martingale_check(
-        field, D1_BOUNDS, lambda t, x: float(x @ x) - 1 * t, mu=0.5,
-        x0=np.zeros(1), t=0.5, n_paths=2000, dt=1e-3, seed=3,
-    )
+        field, D1_BOUNDS, cfg, np.zeros(1), lambda t, x: float(x @ x) - 1 * t)
     assert abs(mean - 0.0) <= 3 * stderr + 0.01
 
 
@@ -943,14 +981,14 @@ def test_martingale_endpoints_do_not_depend_on_path_count():
             ends[n_paths] = x.copy()
             return x[:, 0]
 
-        ll.martingale_check(field, D1_BOUNDS, u, mu=0.5, x0=np.zeros(1),
-                            t=0.5, n_paths=n_paths, dt=1e-3, seed=3)
+        cfg = _coupling(mu=0.5, t_max=0.5, n_paths=n_paths, dt=1e-3, seed=3)
+        ll.martingale_check(field, D1_BOUNDS, cfg, np.zeros(1), u)
     np.testing.assert_array_equal(ends[200][:64], ends[64])
 
 
 def test_martingale_vectorized_and_scalar_u_agree():
     field = ll.make_standard_fields("zero", 2)
-    kwargs = dict(mu=0.5, x0=np.zeros(2), t=0.25, n_paths=500, dt=1e-3, seed=11)
+    cfg = _coupling(mu=0.5, t_max=0.25, n_paths=500, dt=1e-3, seed=11, dim=2)
 
     def u_scalar(t, x):
         return float(x[0] ** 2 - t + x[1])
@@ -958,37 +996,43 @@ def test_martingale_vectorized_and_scalar_u_agree():
     def u_vec(t, x):
         return x[:, 0] ** 2 - t + x[:, 1]  # accepts the whole batch
 
-    m1, s1 = ll.martingale_check(field, D1_BOUNDS, u_scalar, **kwargs)
-    m2, s2 = ll.martingale_check(field, D1_BOUNDS, u_vec, **kwargs)
+    m1, s1 = ll.martingale_check(field, D1_BOUNDS, cfg, np.zeros(2), u_scalar)
+    m2, s2 = ll.martingale_check(field, D1_BOUNDS, cfg, np.zeros(2), u_vec)
     assert m1 == pytest.approx(m2, rel=1e-12)
     assert s1 == pytest.approx(s2, rel=1e-12)
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(t=0.0), dict(t=-1.0), dict(dt=0.0), dict(dt=-1e-3), dict(dt=0.5),
-    dict(t=1e5, dt=1e-3), dict(n_paths=2.5), dict(n_paths=1),
-    dict(n_paths=0)], ids=["t=0", "t<0", "dt=0", "dt<0", "dt>t", "step cap",
-                           "n_paths=2.5", "n_paths=1", "n_paths=0"])
-def test_martingale_check_rejects_bad_arguments(kwargs):
+# the cases RunConfig refuses when it is built raise ConfigError there; the
+# others pass RunConfig and are martingale_check's own refusals
+@pytest.mark.parametrize("kwargs, refused_by", [
+    (dict(t_max=0.0), ValueError), (dict(t_max=-1.0), ll.ConfigError),
+    (dict(dt=0.0), ll.ConfigError), (dict(dt=-1e-3), ll.ConfigError),
+    (dict(dt=0.5), ll.ConfigError), (dict(t_max=1e5, dt=1e-3), ll.ConfigError),
+    (dict(n_paths=2.5), ll.ConfigError), (dict(n_paths=1), ValueError),
+    (dict(n_paths=0), ll.ConfigError)],
+    ids=["t=0", "t<0", "dt=0", "dt<0", "dt>t", "step cap", "n_paths=2.5",
+         "n_paths=1", "n_paths=0"])
+def test_martingale_check_rejects_bad_arguments(kwargs, refused_by):
     field = ll.make_standard_fields("zero", 1)
-    args = dict(mu=0.5, x0=np.zeros(1), t=0.25, n_paths=64, dt=1e-3, seed=0)
-    with pytest.raises(ValueError):
-        ll.martingale_check(field, D1_BOUNDS, lambda t, x: 0.0,
-                            **{**args, **kwargs})
+    args = dict(mu=0.5, t_max=0.25, n_paths=64, dt=1e-3, seed=0)
+    with pytest.raises(refused_by):
+        cfg = _coupling(**{**args, **kwargs})
+        ll.martingale_check(field, D1_BOUNDS, cfg, np.zeros(1),
+                            lambda t, x: 0.0)
 
 
 def test_martingale_check_horizon_is_a_whole_number_of_steps():
     # 1 is not a whole number of 0.3 steps: refused, not cut to 0.9; and a
     # whole-step horizon is the time u is evaluated at
     field = ll.make_standard_fields("zero", 1)
-    args = dict(mu=0.5, x0=np.zeros(1), n_paths=4, dt=0.3, seed=0)
-    with pytest.raises(ValueError, match="whole number of dt steps"):
-        ll.martingale_check(field, D1_BOUNDS, lambda t, x: 0.0, t=1.0,
-                            **args)
+    args = dict(mu=0.5, n_paths=4, dt=0.3, seed=0)
+    with pytest.raises(ll.ConfigError,
+                       match="whole number of coupling.dt steps"):
+        _coupling(t_max=1.0, **args)
     times = []
-    ll.martingale_check(field, D1_BOUNDS,
-                        lambda t, x: times.append(t) or np.zeros(len(x)),
-                        t=0.9, **args)
+    ll.martingale_check(field, D1_BOUNDS, _coupling(t_max=0.9, **args),
+                        np.zeros(1),
+                        lambda t, x: times.append(t) or np.zeros(len(x)))
     assert times == [0.9]
 
 
