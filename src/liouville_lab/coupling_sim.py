@@ -142,9 +142,8 @@ def _start_points(field: CoefficientField, bounds: EllipticityBounds,
             "floor")
     rows = [np.array(p, dtype=float).reshape(-1) for p in points]
     if cfg.field_dim != field.dim or any(r.size != field.dim for r in rows):
-        raise ValueError("start point dimension mismatch with the field: "
-                         "field.dim and each start point must match its "
-                         f"dimension {field.dim}")
+        raise ValueError("start point dimension mismatch with the field "
+                         f"(dim {field.dim}; field.dim = {cfg.field_dim})")
     return rows
 
 
