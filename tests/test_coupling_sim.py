@@ -215,6 +215,27 @@ def test_diagonal_diffusion_outcomes_match_recorded_bits(name, seed):
     assert [v.hex() for v in rows.tolist()] == list(row_bits)
 
 
+@pytest.mark.parametrize("name", sorted(DIAGONAL_Q_FIELDS))
+def test_raw_diagonal_field_matches_its_expression_twin(name):
+    # a field built from raw callables declares nothing about its q, yet
+    # on the expression field's own callables it steps to the same bits:
+    # Jacobi does no rotation on a diagonal q
+    twin = DIAGONAL_Q_FIELDS[name]()
+    raw = ll.CoefficientField(twin.dim, twin.drift, twin.diffusion, "raw")
+    cfg = _coupling(mu=0.5, t_max=2.0, n_paths=200,
+                    x0=0.5 * np.eye(twin.dim)[0], seed=1)
+
+    def bits(field):
+        stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg)
+        t, xs, ys, _ = ll.simulate_pair_trajectory(
+            field, DIAGONAL_Q_BOUNDS, cfg, stride=20)
+        return (_sha256_hex(stats.coupling_times),
+                _sha256_hex(stats.survival),
+                _sha256_hex(np.concatenate([t[:, None], xs, ys], axis=1)))
+
+    assert bits(raw) == bits(twin)
+
+
 # ---------------------------------------------------------------------------
 # recorded outcomes of the three simulators
 

@@ -867,6 +867,37 @@ def test_readme_quick_start_transcript(tmp_path, capsys):
             assert line in printed, line
 
 
+# sha256 over stdout and every written file of README's two grammar
+# examples, keyed by subcommand; the couple example's diagonal q steps
+# through the diagonal sigma route
+README_GRAMMAR_BITS = {
+    "criterion":
+        "b6935f87a7cda0358d329df9a44610812deb0d7fe6fd65415525b8ed59329803",
+    "couple":
+        "7e77801f1de19028a0844afba031f56380469f1c21202773e030fed7da07c05c",
+}
+
+
+def test_readme_grammar_examples_keep_their_bits(tmp_path, capsys,
+                                                 monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "Custom fields come from expressions")[1]
+    block = re.findall(r"```sh\n(.*?)```", section, re.S)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()]
+    assert sorted(argv[0] for argv in commands) == sorted(README_GRAMMAR_BITS)
+    for argv in commands:
+        (tmp_path / argv[0]).mkdir()
+        monkeypatch.chdir(tmp_path / argv[0])
+        assert run_cli(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        digest = hashlib.sha256(out.encode())
+        for path in sorted(Path("liouville-out").glob("*")):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == README_GRAMMAR_BITS[argv[0]]
+
+
 def test_readme_catalogue_block_is_the_catalogue_output(capsys):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text(encoding="utf-8").split("## Built-in fields")[1]
