@@ -78,7 +78,7 @@ class RunConfig:
     field_diffusion: Optional[Tuple[str, ...]] = _knob(
         "field.diffusion", "opt_strs", "--diffusion", default=None)
     window_radius: float = _knob("window.radius", "float", "--window-radius",
-                                 default=100.0, check=_POSITIVE)
+                                 default=100.0, check=_POSITIVE_FINITE)
     radii_min: float = _knob("radii.min", "float", "--radii-min", default=1.0)
     radii_max: float = _knob("radii.max", "float", "--radii-max", default=1e5)
     radii_points: int = _knob(
@@ -99,8 +99,9 @@ class RunConfig:
                                  switches=(("--oracle", "true"),
                                            ("--no-oracle", "false")))
     oracle_x_max: float = _knob("oracle.x_max", "float", "--oracle-x-max",
-                                default=1e6, check=(lambda v: v > 1e-2,
-                                                    "too small"))
+                                default=1e6, check=(
+                                    lambda v: 1e-2 < v < math.inf,
+                                    "must be finite and above 0.01"))
     coupling_enabled: bool = _knob("coupling.enabled", "bool", default=False,
                                    switches=(("--couple", "true"),
                                              ("--no-couple", "false")))
@@ -163,6 +164,8 @@ class RunConfig:
                 and not len(x0) == len(y0) == self.field_dim:
             raise ConfigError("coupling.x0 and coupling.y0 must each have "
                               "field.dim entries")
+        if not all(map(math.isfinite, x0 + y0)):
+            raise ConfigError("coupling.x0 and coupling.y0 must be finite")
         if not math.dist(x0, y0) > self.coupling_couple_radius:
             raise ConfigError("coupling.x0 and coupling.y0 must start "
                               "farther apart than coupling.couple_radius")

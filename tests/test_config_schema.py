@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import math
 import re
 from pathlib import Path
 
@@ -170,3 +171,30 @@ def test_every_field_is_read_outside_the_schema():
         if isinstance(method, ast.FunctionDef) and method.name in read:
             read |= _attributes(method)
     assert [f.name for f in FIELDS if f.name not in read] == []
+
+
+FLOAT_FIELDS = [f for f in FIELDS
+                if f.metadata["kind"] in ("float", "opt_float")]
+
+
+@pytest.mark.parametrize("f", FLOAT_FIELDS,
+                         ids=[f.metadata["key"] for f in FLOAT_FIELDS])
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_float_fields_refuse_inf_and_nan(f, bad):
+    # an infinite window radius made the sup-search objective NaN, and an
+    # infinite oracle.x_max overflowed the oracle's march
+    with pytest.raises(ll.ConfigError):
+        RunConfig(**{"seed": 0, f.name: bad})
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_start_points_must_be_finite(bad, capsys):
+    # an infinite start used to pass and blow up in the coupled pair; a NaN
+    # one was refused as too close to its partner
+    with pytest.raises(ll.ConfigError,
+                       match="coupling.x0 and coupling.y0 must be finite"):
+        RunConfig(seed=0, coupling_x0=(0.0, bad), coupling_y0=(0.0, 0.0),
+                  field_dim=2)
+    assert ll_cli.main(["couple", "--seed", "0", "--mu", "0.5", "--x0=0",
+                        f"--y0={bad!r}"]) == 2
+    assert "must be finite" in capsys.readouterr().err
