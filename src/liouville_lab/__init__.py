@@ -27,8 +27,7 @@ from .coefficients import (CATALOGUE, CoefficientField, EllipticityBounds,
                            make_standard_fields)
 from .config import RunConfig, emit_config, parse_config
 from .coupling_sim import (CouplingStats, martingale_check,
-                           simulate_coupling, simulate_pair_trajectory,
-                           space_time_residual)
+                           simulate_coupling, simulate_pair_trajectory)
 from .criterion import (VERDICT_GUARANTEED, VERDICT_INCONCLUSIVE,
                         ClassicConditionReport, CriterionConstants,
                         CriterionReport,
@@ -76,6 +75,5 @@ __all__ = [
     "make_standard_fields", "martingale_check", "modulus",
     "modulus_profile_from_samples", "oscillation_bound", "parse_config",
     "read_report", "run", "shifted_sqrt", "simulate_coupling",
-    "simulate_pair_trajectory", "space_time_residual",
-    "theorem_threshold",
+    "simulate_pair_trajectory", "theorem_threshold",
 ]

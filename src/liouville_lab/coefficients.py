@@ -63,10 +63,11 @@ class CoefficientField:
     ``drift`` and ``diffusion`` take an (n, d) float array; they must be
     pure (bit-identical output for identical input), and
     field_from_expressions rejects a drift that is non-finite on the axes
-    and diagonal of the default window.  ``constant_diffusion`` lets
-    consumers compute the shifted square root of q once instead of at
-    every step.  A variable q needs no flag to skip the eigen-solver where
-    it is diagonal: the simulator sees that in the values.
+    and diagonal of the default window.  ``diffusion_form`` declares q's
+    structure, which consumers read instead of q's values: a "constant"
+    q has its shifted square root computed once, a "diagonal" one skips
+    the eigen-solver, and "full", the default of a field built from raw
+    callables, promises nothing.
     ``smoothness_note`` is set when the field is only known to be
     continuous (e.g. expressions involving ``abs``): the criterion and
     simulator still run, but reports carry the caveat.
@@ -76,12 +77,15 @@ class CoefficientField:
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
     label: str
-    constant_diffusion: bool = False
+    diffusion_form: str = "full"
     smoothness_note: Optional[str] = None
 
     def __post_init__(self):
         if int(self.dim) < 1:
             raise ValueError("dim must be a positive integer")
+        if self.diffusion_form not in ("constant", "diagonal", "full"):
+            raise ValueError("diffusion_form must be constant, diagonal or "
+                             f"full, got {self.diffusion_form!r}")
 
 
 @dataclass(frozen=True)
@@ -437,7 +441,9 @@ def field_from_expressions(dim: int, drift_exprs: Sequence[str],
     ``drift_exprs`` must have exactly ``dim`` entries (components of b).
     ``diffusion_exprs`` may be omitted (q = I), a single entry (isotropic
     q = expr * I), ``dim`` entries (diagonal), or ``dim**2`` entries
-    (full matrix, row-major; must evaluate symmetric).
+    (full matrix, row-major; must evaluate symmetric).  diffusion_form is
+    "constant" when every entry is constant, else "diagonal" for 1 or
+    ``dim`` entries and "full" for ``dim**2``.
     """
     dim = int(dim)
     if dim < 1:
@@ -474,6 +480,8 @@ def field_from_expressions(dim: int, drift_exprs: Sequence[str],
             f"diffusion takes 1, {dim} or {dim * dim} expressions, "
             f"got {len(q_parts)}")
 
+    form = "constant" if all(p.is_constant for p in q_parts) else \
+        "diagonal" if len(q_parts) in (1, dim) else "full"
     note = None
     if any(p.uses_abs for p in b_parts + q_parts):
         note = ("coefficients use |.| and are treated as continuous only; "
@@ -484,7 +492,7 @@ def field_from_expressions(dim: int, drift_exprs: Sequence[str],
         drift=drift,
         diffusion=diffusion,
         label=label,
-        constant_diffusion=all(p.is_constant for p in q_parts),
+        diffusion_form=form,
         smoothness_note=note,
     )
 

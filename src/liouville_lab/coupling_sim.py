@@ -23,12 +23,13 @@ the couple radius, which escaped and how likely each surviving pair was
 to meet between the grid times.  Unpaired points take _euler_step, b dt
 + sigma dB + sqrt(mu) dW, with the same arithmetic: martingale_check
 moves every path with it, and simulate_pair_trajectory its pair once it
-merged.  sigma comes from one of three routes (_sigma): a field with
-constant diffusion has its sigma computed once; a step whose whole batch
-of q is diagonal (seen in the values: a finite diagonal and no nonzero
-entry off it) takes sigma = diag(sqrt(q_ii - mu)), which is what the
-eigen-solver returns for such a batch, to the bit; any other batch goes
-through the batched Jacobi square root.
+merged.  sigma comes from one of three routes (_sigma), chosen by the
+form the field declares for q (CoefficientField.diffusion_form), never by
+q's values: a constant q has its sigma computed once per run; a diagonal
+q whose diagonal is finite at every point of the step takes sigma =
+diag(sqrt(q_ii - mu)), which is what the eigen-solver returns for such a
+batch, to the bit; any other batch goes through the batched Jacobi square
+root.
 
 Conventions: coupling is declared at a positive radius r (exact hitting
 is a null event under discretization); the reflection direction is
@@ -88,7 +89,7 @@ import numpy as np
 from . import _streams
 from .coefficients import (CoefficientField, EllipticityBounds, row_norms,
                            take_rows)
-from .config import RunConfig, whole_steps
+from .config import RunConfig
 from .errors import (CoefficientEvaluationError, ShiftTooLarge,
                      SimulationBlowUp)
 from .matrix_analysis import _check_shift, _shifted_sqrt_batch
@@ -110,9 +111,8 @@ class CouplingStats:
     escaped and escapes are counted), so p_couple = mean(1 - survival).
     coupling_time_quantiles holds the (25%, 50%, 90%) quantiles of the grid
     hit times (NaN when no path hit), and coupling_times each path's hit
-    time (NaN where it did not hit).  recorded_distances is test
-    instrumentation: the |X-Y| sample frozen at a requested time, 0.0 for
-    paths that already hit.
+    time (NaN where it did not hit).  final_distances holds each path's
+    |X - Y| at the horizon, 0.0 for a path that hit or escaped before it.
     """
 
     n_paths: int
@@ -124,7 +124,7 @@ class CouplingStats:
     coupling_time_quantiles: Tuple[float, float, float]
     coupling_times: np.ndarray
     survival: np.ndarray
-    recorded_distances: Optional[np.ndarray] = None
+    final_distances: np.ndarray
 
 
 def _start_points(field: CoefficientField, bounds: EllipticityBounds,
@@ -161,7 +161,7 @@ def _pair_kernel(field: CoefficientField, bounds: EllipticityBounds,
 
 
 def _const_sigma(field: CoefficientField, mu: float) -> Optional[np.ndarray]:
-    if not field.constant_diffusion:
+    if field.diffusion_form != "constant":
         return None
     q0 = np.asarray(field.diffusion(np.zeros((1, field.dim))), dtype=float)[0]
     return _shifted_sqrt_batch(q0[None], mu)[0]
@@ -176,10 +176,7 @@ def _sigma(field: CoefficientField, pts: np.ndarray, mu: float,
         return "const", const_sigma
     q = np.asarray(field.diffusion(pts), dtype=float)
     diag = np.diagonal(q, axis1=1, axis2=2)
-    if np.isfinite(diag).all() \
-            and np.count_nonzero(q) == np.count_nonzero(diag):
-        # Jacobi does no rotation on a diagonal q and v is a permutation,
-        # so sigma = diag(sqrt(q_ii - mu)) to the bit
+    if field.diffusion_form == "diagonal" and np.isfinite(diag).all():
         _check_shift(diag.min(axis=1), mu)
         return "diag", np.sqrt(diag - mu)
     bad = ~np.isfinite(q).all(axis=(1, 2))
@@ -252,13 +249,12 @@ class _PairKernel:
 
     def step(self, z: np.ndarray, dB: np.ndarray, dW: np.ndarray,
              survival: Optional[np.ndarray] = None,
-             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+             ) -> Tuple[np.ndarray, np.ndarray]:
         """One step of the pairs of z, with dB, dW and survival each of
         one row per pair.  Multiplies survival, if given, by each pair's
-        bridge factor and returns (d0, hit, done): |x - y| before the
-        step, the pairs that hit, and those that hit or have an endpoint
-        beyond the escape radius.  A state that turned non-finite is left
-        for the caller to name."""
+        bridge factor and returns (hit, done): the pairs that hit, and
+        those that hit or have an endpoint beyond the escape radius.  A
+        state that turned non-finite is left for the caller to name."""
         m = len(z) // 2
         if self._rows is None or self._rows.shape[1] != m:
             # per pair: x - y before the step; x - y after it (until then
@@ -306,9 +302,9 @@ class _PairKernel:
         far = _beyond(z, self.escape_radius)
         done = hit | far[:m] | far[m:]
 
-        d0 = np.sqrt(sq0, out=sq0)
         if survival is None:
-            return d0, hit, done
+            return hit, done
+        d0 = np.sqrt(sq0, out=sq0)
         d1 = np.sqrt(_rowdot(diff1, diff1, proj), out=proj)
         np.multiply(np.subtract(d0, self.radius, out=expo),
                     np.subtract(d1, self.radius, out=d1), out=expo)
@@ -330,7 +326,7 @@ class _PairKernel:
             np.divide(expo, np.multiply(var, -0.5 * self.dt, out=var),
                       out=expo)
         survival *= np.negative(np.expm1(expo, out=expo), out=expo)
-        return d0, hit, done
+        return hit, done
 
 
 def _draw_noise(gens: Sequence[np.random.Generator], out: np.ndarray,
@@ -508,9 +504,7 @@ def _drive(z: np.ndarray, n: int, seed: int, domain: int, dt: float,
 
 
 def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
-                      cfg: RunConfig, *,
-                      record_distance_at: Optional[float] = None,
-                      ) -> CouplingStats:
+                      cfg: RunConfig) -> CouplingStats:
     """Estimate the coupling probability from n_paths independent pairs
     started at cfg.endpoints().
 
@@ -520,9 +514,7 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
     weight W collects the Brownian-bridge factor of every step without a
     hit (_PairKernel).  p_couple is the mean over paths of 1 for a grid hit
     or a counted escape and 1 - W otherwise; p_discrete counts the grid
-    hits (and counted escapes) alone.  record_distance_at, a whole number
-    of dt steps within the horizon, freezes the |X - Y| sample at that
-    time.  Deterministic given cfg.seed.
+    hits (and counted escapes) alone.  Deterministic given cfg.seed.
     """
     x0, y0, kernel = _pair_kernel(field, bounds, cfg)
     n = int(cfg.n_paths)
@@ -531,21 +523,10 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
     couple_time = np.full(n, np.nan)
     survival = np.ones(n)
     live_survival = np.ones(n)
-    recorded = k_record = None
-    if record_distance_at is not None:
-        k_record = int(round(record_distance_at / dt))
-        if not 0 <= k_record <= n_steps:
-            raise ValueError("record_distance_at outside the horizon")
-        if not whole_steps(record_distance_at, dt):
-            raise ValueError("record_distance_at must be a whole number of "
-                             "coupling.dt steps")
-        recorded = np.zeros(n)
 
     def move(z, ids, k, dB, dW):
         nonlocal live_survival
-        d0, hit, done = kernel.step(z, dB, dW, live_survival)
-        if k == k_record:
-            recorded[ids] = d0
+        hit, done = kernel.step(z, dB, dW, live_survival)
         if not done.any():
             return None
         couple_time[ids[hit]] = (k + 1) * dt
@@ -557,10 +538,10 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
     z, ids = _drive(np.repeat(np.stack([x0, y0]), n, axis=0), n, cfg.seed,
                     _streams.DOMAIN_PATHS, dt, n_steps, move, "coupled pair")
     survival[ids] = live_survival
-    if k_record == n_steps:
-        m = ids.size
-        with np.errstate(over="ignore"):  # above about 1.3e154 it reads inf
-            recorded[ids] = row_norms(z[:m] - z[m:])
+    final_distances = np.zeros(n)
+    m = ids.size
+    with np.errstate(over="ignore"):  # above about 1.3e154 it reads inf
+        final_distances[ids] = row_norms(z[:m] - z[m:])
 
     coupled = ~np.isnan(couple_time)
     n_coupled = int(coupled.sum())
@@ -580,7 +561,7 @@ def simulate_coupling(field: CoefficientField, bounds: EllipticityBounds,
         ci_halfwidth=1.96 * float(contribution.std()) / math.sqrt(n),
         p_discrete=int(succeeded.sum()) / n,
         coupling_time_quantiles=quantiles, coupling_times=couple_time,
-        survival=survival, recorded_distances=recorded,
+        survival=survival, final_distances=final_distances,
     )
 
 
@@ -611,7 +592,7 @@ def simulate_pair_trajectory(field: CoefficientField,
             _euler_step(field, z[:1], cfg.coupling_mu, dt, kernel.const_sigma,
                         dB, dW)
         else:
-            _, hit, done = kernel.step(z, dB, dW)
+            hit, done = kernel.step(z, dB, dW)
             merged = bool(hit[0])
         if merged:  # Y := X, and X alone decides an escape
             z[1] = z[0]
@@ -667,38 +648,3 @@ def martingale_check(field: CoefficientField, bounds: EllipticityBounds,
     stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
     return mean, stderr
 
-
-def space_time_residual(field: CoefficientField,
-                        u: Callable[[float, np.ndarray], float],
-                        grid: Sequence[Tuple[float, np.ndarray]],
-                        h: float = 1e-3) -> float:
-    """Max |d_t u + L u| over the grid, by second-order central
-    differences with step h (4-point stencil for the mixed terms)."""
-    if not h > 0:
-        raise ValueError("h must be positive")
-    worst = 0.0
-    dim = field.dim
-    eye = np.eye(dim)
-    for t, x in grid:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != dim:
-            raise ValueError("grid point dimension mismatch")
-        b = np.asarray(field.drift(x[None]), dtype=float)[0]
-        q = np.asarray(field.diffusion(x[None]), dtype=float)[0]
-        u0 = float(u(t, x))
-        dt_u = (float(u(t + h, x)) - float(u(t - h, x))) / (2.0 * h)
-        val = dt_u
-        for i in range(dim):
-            up = float(u(t, x + h * eye[i]))
-            dn = float(u(t, x - h * eye[i]))
-            val += b[i] * (up - dn) / (2.0 * h)
-            val += 0.5 * q[i, i] * (up - 2.0 * u0 + dn) / h ** 2
-            for j in range(i + 1, dim):
-                upp = float(u(t, x + h * eye[i] + h * eye[j]))
-                upm = float(u(t, x + h * eye[i] - h * eye[j]))
-                ump = float(u(t, x - h * eye[i] + h * eye[j]))
-                umm = float(u(t, x - h * eye[i] - h * eye[j]))
-                cross = (upp - upm - ump + umm) / (4.0 * h ** 2)
-                val += q[i, j] * cross
-        worst = max(worst, abs(val))
-    return worst

@@ -527,7 +527,7 @@ def modulus(field: CoefficientField, lam: float, s0: float,
         raise ValueError("grid_size must be >= 3")
     grid = np.geomspace(s_min, s0, grid_size)
     grid[-1] = s0
-    skip_q = field.constant_diffusion
+    skip_q = field.diffusion_form == "constant"
 
     def objective(m, e, s):
         pts = _pair_points(m, e, s)
@@ -852,7 +852,7 @@ def evaluate_liouville_criterion(field: CoefficientField,
             profile = prof
             constants = cand
             break
-        if field.constant_diffusion:
+        if field.diffusion_form == "constant":
             # lam never enters omega when q is constant; retrying other
             # mu values cannot change the Dini outcome.
             break

@@ -391,7 +391,7 @@ class HarmonicProfile:
 
 def _constant_q_scale(field: CoefficientField) -> float:
     """q of a field whose diffusion is constant as an expression."""
-    if not field.constant_diffusion:
+    if field.diffusion_form != "constant":
         raise NotApplicable(
             f"field {field.label!r} has non-constant diffusion; the 1D "
             "oracle only covers constant q (rescaled to 1)")
@@ -406,7 +406,7 @@ def harmonic_1d(field: CoefficientField, x_max: float = 1e6,
     """Construct the normalized harmonic function of a 1D field.
 
     Requires d = 1 and a diffusion that is constant as an expression
-    (``field.constant_diffusion``; a constant q = c is rescaled:
+    (``field.diffusion_form == "constant"``; a constant q = c is rescaled:
     the harmonic equation (c/2) u'' + b u' = 0 has the same solutions as
     u''/2 + (b/c) u' = 0).  Classification is described in the module
     docstring; sides that overflow the exponent guard are truncated and

@@ -363,16 +363,16 @@ def test_catalogue_values_match_recorded_bits(name, dim, params):
 
 def test_catalogue_fields_keep_their_labels_and_flags():
     cases = {
-        ("zero", 2, ()): ("zero(d=2)", True),
-        ("ou", 2, ()): ("ou(d=2)", True),
-        ("var_q_const_b", 3, ()): ("var_q_const_b(d=3, a=0.5)", False),
-        ("radial_expand", 3, (4.0,)): ("radial_expand(d=3, c=4)", True),
-        ("log_example", 1, (0.25,)): ("log_example(delta=0.25)", True),
+        ("zero", 2, ()): ("zero(d=2)", "constant"),
+        ("ou", 2, ()): ("ou(d=2)", "constant"),
+        ("var_q_const_b", 3, ()): ("var_q_const_b(d=3, a=0.5)", "diagonal"),
+        ("radial_expand", 3, (4.0,)): ("radial_expand(d=3, c=4)", "constant"),
+        ("log_example", 1, (0.25,)): ("log_example(delta=0.25)", "constant"),
     }
-    for (name, dim, params), (label, constant_q) in cases.items():
+    for (name, dim, params), (label, form) in cases.items():
         field = ll.make_standard_fields(name, dim, params)
         assert field.label == label
-        assert field.constant_diffusion is constant_q
+        assert field.diffusion_form == form
         assert field.smoothness_note is None
 
 
@@ -484,7 +484,28 @@ def test_expression_diffusion_entries():
         np.array([[1.2, 0.3], [0.3, 1.0]]),
         rtol=1e-15,
     )
-    assert field.constant_diffusion
+    assert field.diffusion_form == "constant"
+
+
+@pytest.mark.parametrize("dim, diffusion, form", [
+    (2, None, "constant"), (2, ["2", "1", "1", "3"], "constant"),
+    (1, ["1 + x1^2"], "diagonal"), (2, ["1 + x1^2"], "diagonal"),
+    (2, ["1 + x1^2", "2"], "diagonal"),
+    (2, ["2 + x1", "0.3", "0.3", "2"], "full"),
+    (2, ["2 + x1", "0", "0", "2"], "full")])
+def test_expression_field_declares_its_diffusion_form(dim, diffusion, form):
+    field = ll.field_from_expressions(dim, ["0"] * dim, diffusion)
+    assert field.diffusion_form == form
+
+
+def test_raw_field_is_full_unless_it_declares_a_form():
+    field = ll.field_from_expressions(1, ["0"])
+    raw = ll.CoefficientField(1, field.drift, field.diffusion, "raw")
+    assert raw.diffusion_form == "full"
+    with pytest.raises(ValueError, match="diffusion_form must be constant, "
+                                         "diagonal or full, got 'scalar'"):
+        ll.CoefficientField(1, field.drift, field.diffusion, "raw",
+                            diffusion_form="scalar")
 
 
 @pytest.mark.parametrize(

@@ -130,7 +130,7 @@ def test_int_fields_refuse_a_fraction(f):
 # the simulators take every run knob from cfg; a RunConfig knob that came
 # back as a parameter would give two places to set it
 SIMULATOR_PARAMETERS = {
-    "simulate_coupling": ["field", "bounds", "cfg", "record_distance_at"],
+    "simulate_coupling": ["field", "bounds", "cfg"],
     "simulate_pair_trajectory": ["field", "bounds", "cfg", "stride"],
     "martingale_check": ["field", "bounds", "cfg", "x0", "u"],
 }

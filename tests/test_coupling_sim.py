@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import liouville_lab as ll
 from liouville_lab import coupling_sim
 from liouville_lab.config import DEFAULT_DT
+from space_time import space_time_residual
 
 
 D1_BOUNDS = ll.EllipticityBounds(1.0, 1.0, 10.0, 1)
@@ -321,8 +322,9 @@ def test_pair_trajectory_matches_recorded_bits():
 
 
 def test_full_diffusion_step_uses_the_jacobi_square_root(rng):
-    # nonzero off-diagonals in every row but one: the whole batch takes the
-    # eigen-solver, and the step equals its explicit reference to the bit
+    # a field of d^2 diffusion entries takes the eigen-solver, on its one
+    # row with a diagonal q too, and the step equals its explicit reference
+    # to the bit
     field = ll.field_from_expressions(
         2, ["-x1", "x1*x2"],
         ["2 + sin(x1)", "0.3*x2", "0.3*x2", "2 + x1^2/(1 + x1^2)"])
@@ -383,9 +385,8 @@ def test_coupling_distance_law_matches_scalar_sde():
     field = ll.make_standard_fields("zero", 1)
     mu, dt, n = 0.5, 1e-3, 10_000
     cfg = _coupling(mu=mu, t_max=1.0, n_paths=n, x0=[0.5], dt=dt, seed=8)
-    stats = ll.simulate_coupling(field, D1_BOUNDS, cfg,
-                                 record_distance_at=1.0)
-    sample_a = np.sort(stats.recorded_distances)
+    stats = ll.simulate_coupling(field, D1_BOUNDS, cfg)
+    sample_a = np.sort(stats.final_distances)
 
     rng = np.random.default_rng(1234)
     r = np.full(n, 1.0)
@@ -751,11 +752,11 @@ def test_coupling_deterministic():
     field = ll.make_standard_fields("zero", 1)
     cfg = _coupling(mu=0.5, t_max=1.0, n_paths=300, x0=[0.5], dt=1e-3,
                     seed=9)
-    a = ll.simulate_coupling(field, D1_BOUNDS, cfg, record_distance_at=0.5)
-    b = ll.simulate_coupling(field, D1_BOUNDS, cfg, record_distance_at=0.5)
+    a = ll.simulate_coupling(field, D1_BOUNDS, cfg)
+    b = ll.simulate_coupling(field, D1_BOUNDS, cfg)
     assert a.n_coupled == b.n_coupled
     assert a.coupling_time_quantiles == b.coupling_time_quantiles
-    assert np.array_equal(a.recorded_distances, b.recorded_distances)
+    assert np.array_equal(a.final_distances, b.final_distances)
 
 
 def test_escaped_paths_counted_separately():
@@ -877,22 +878,6 @@ def test_config_dimension_must_match_the_field():
         ll.martingale_check(field, D1_BOUNDS, _coupling(
             mu=0.5, t_max=0.1, n_paths=4, dt=1e-3, dim=2), np.zeros(3),
             lambda t, x: 0.0)
-
-
-def test_record_time_must_be_a_whole_number_of_steps():
-    # 0.55 is 5.5 steps of 0.1: refused, not rounded to the sample at 0.6
-    field = ll.make_standard_fields("zero", 1)
-    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=8, dt=0.1, seed=0)
-    with pytest.raises(ValueError, match="whole number of coupling.dt steps"):
-        ll.simulate_coupling(field, D1_BOUNDS, cfg, record_distance_at=0.55)
-    for outside in (-0.1, 1.1):
-        with pytest.raises(ValueError, match="outside the horizon"):
-            ll.simulate_coupling(field, D1_BOUNDS, cfg,
-                                 record_distance_at=outside)
-    for whole in (0.0, 0.3, 1.0):
-        stats = ll.simulate_coupling(field, D1_BOUNDS, cfg,
-                                     record_distance_at=whole)
-        assert stats.recorded_distances.shape == (8,)
 
 
 # ---------------------------------------------------------------------------
@@ -1060,7 +1045,7 @@ def test_martingale_check_horizon_is_a_whole_number_of_steps():
 def test_residual_constant_is_zero():
     field = ll.make_standard_fields("zero", 2)
     grid = [(0.0, np.zeros(2)), (1.0, np.array([1.0, -1.0]))]
-    assert ll.space_time_residual(field, lambda t, x: 4.2, grid) == 0.0
+    assert space_time_residual(field, lambda t, x: 4.2, grid) == 0.0
 
 
 def test_residual_quadratic_space_time_harmonic():
@@ -1068,7 +1053,7 @@ def test_residual_quadratic_space_time_harmonic():
     # at h = 1e-4 that budget holds for order-one grid points
     field = ll.make_standard_fields("zero", 1)
     grid = [(t, np.array([x])) for t in (0.0, 0.5) for x in (-0.5, 0.2, 0.5)]
-    res = ll.space_time_residual(
+    res = space_time_residual(
         field, lambda t, x: float(x[0] ** 2) - t, grid, h=1e-4
     )
     assert res <= 1e-8
@@ -1081,7 +1066,7 @@ def test_residual_exercises_cross_derivatives():
         2, ["0", "0"], ["1.2", "0.3", "0.3", "1.0"], label="crossq"
     )
     grid = [(0.2, np.array([0.5, -0.7])), (1.0, np.array([-1.1, 0.4]))]
-    res = ll.space_time_residual(
+    res = space_time_residual(
         field, lambda t, x: float(x[0] * x[1]) - 0.3 * t, grid, h=1e-3
     )
     assert res <= 1e-8

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import liouville_lab as ll
+from space_time import space_time_residual
 
 mp.mp.dps = 25
 
@@ -165,7 +166,8 @@ def test_profile_residual_bound(log_field_075, log_field_2):
     for field in (log_field_075, log_field_2):
         prof = ll.harmonic_1d(field, x_max=1e4, tol=tol)
         pts = [(0.0, np.array([x])) for x in np.linspace(-5, 5, 21)]
-        resid = ll.space_time_residual(field, lambda t, x: prof.u_at(x[0]), pts, h=1e-3)
+        resid = space_time_residual(field, lambda t, x: prof.u_at(x[0]), pts,
+                                    h=1e-3)
         assert resid <= 10 * tol
 
 
