@@ -164,7 +164,7 @@ class RunConfig:
                 and not len(x0) == len(y0) == self.field_dim:
             raise ConfigError("coupling.x0 and coupling.y0 must each have "
                               "field.dim entries")
-        if not all(map(math.isfinite, x0 + y0)):
+        if not all(map(math.isfinite, (*x0, *y0))):
             raise ConfigError("coupling.x0 and coupling.y0 must be finite")
         if not math.dist(x0, y0) > self.coupling_couple_radius:
             raise ConfigError("coupling.x0 and coupling.y0 must start "

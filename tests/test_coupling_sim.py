@@ -768,6 +768,9 @@ def test_escaped_paths_counted_separately():
     st = ll.simulate_coupling(outward, D1_BOUNDS, cfg)
     assert st.n_escaped > 0
     assert st.p_discrete == st.n_coupled / 100  # escaped NOT counted by default
+    # only a path still live at the horizon has a distance there
+    assert (st.final_distances > 0).sum() \
+        == 100 - st.n_coupled - st.n_escaped
     flagged = _coupling(
         mu=0.5, t_max=4.0, n_paths=100, x0=[0.5], dt=1e-3, seed=1,
         escape_radius=10.0, count_escaped_as_coupled=True,
