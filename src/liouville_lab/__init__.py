@@ -38,11 +38,11 @@ from .criterion import (VERDICT_GUARANTEED, VERDICT_INCONCLUSIVE,
                         evaluate_liouville_criterion, modulus,
                         modulus_profile_from_samples, theorem_threshold)
 from .errors import (BoundaryUndecided, CatalogueError,
-                     CoefficientEvaluationError, ConfigError,
-                     ConstantMismatch, EigenFailure, EllipticityViolation,
-                     ExpressionError, LiouvilleLabError,
-                     NoAdmissibleConstants, NotApplicable, QuadratureError,
-                     ShiftTooLarge, SimulationBlowUp)
+                     CoefficientEvaluationError, CoefficientOverflow,
+                     ConfigError, ConstantMismatch, EigenFailure,
+                     EllipticityViolation, ExpressionError,
+                     LiouvilleLabError, NoAdmissibleConstants, NotApplicable,
+                     QuadratureError, ShiftTooLarge, SimulationBlowUp)
 from .harmonic_oracle import (HarmonicProfile, harmonic_1d,
                               liouville_verdict_1d, oscillation_bound)
 from .matrix_analysis import (SigmaBoundReport, check_sigma_bounds, hs_norm,
@@ -56,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryUndecided", "CATALOGUE", "CatalogueError",
     "ClassicConditionReport", "CoefficientEvaluationError",
-    "CoefficientField", "ConfigError", "CONSISTENT", "ConstantMismatch",
+    "CoefficientField", "CoefficientOverflow", "ConfigError", "CONSISTENT", "ConstantMismatch",
     "CONTRADICTION", "CouplingStats",
     "CRITERION_CONSERVATIVE", "CriterionConstants",
     "CriterionReport", "DispersionCurve", "EigenFailure",

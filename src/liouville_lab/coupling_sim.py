@@ -13,10 +13,11 @@ with e = (X-Y)/|X-Y|.  The difference process then feels twice the
 reflected noise along e, which is what drives the pair together.
 
 All three simulators step their paths through one driver, _drive: it
-takes the noise chunks of _NoiseFeed, maps each live path to its column
-of the chunk, enters np.errstate once per chunk, raises SimulationBlowUp
-with the path and time of a state that turned non-finite, and drops the
-paths that finish.  What a step does is the caller's move function.
+takes the noise chunks of _NoiseFeed, gathers each live path's row of a
+step from its block's slab, enters np.errstate once per chunk, raises
+SimulationBlowUp with the path and time of a state that turned
+non-finite, and drops the paths that finish.  What a step does is the
+caller's move function.
 Paired steps go through one fused kernel, _PairKernel: it builds the
 reflected dW, moves [X; Y], and decides in the same pass which pairs hit
 the couple radius, which escaped and how likely each surviving pair was
@@ -62,19 +63,26 @@ lambda0, and field.dim must be the field's dimension.
 Noise comes in blocks of 64 consecutive path indices: path i reads the
 Philox substream (seed, path-domain, i // 64), laid out step-major as 64
 paths by 2*dim normals per step, so its increment at step k is entry
-[k, i % 64] of that stream.  _NoiseFeed hands out the noise in chunks of
-16..128 whole steps and starts drawing chunk c+1 on one worker thread
-while the caller steps chunk c, so two chunks are in flight and the noise
-budget is split over them.  Chunk c+1 covers the blocks that still held a
-live path when chunk c began; a path that finishes mid-chunk leaves the
-rest of its entries unused, and a block with no live path left is not
-drawn again.  When the caller needs chunk c+1 it draws the blocks the
-worker has not yet claimed.  Each block of a chunk is claimed by exactly
-one of the two threads, and chunk c+2 is started only once every block of
-chunk c+1 is drawn, so each stream is read in order.  Each path's noise
-is a pure function of the seed and the path index, whatever n_paths, the
-chunk length, the set of live paths or which thread drew it, and since
-every step acts row by row, so is its outcome.
+[k, i % 64] of that stream, times sqrt(dt).  _NoiseFeed hands out the
+noise in chunks of whole steps, block-major: each block's normals are
+drawn straight into its own contiguous (steps, 64, 2*dim) slab of the
+chunk, and _drive gathers the live paths' rows of a step from the slabs
+and scales them by sqrt(dt).  Two chunks are in flight, since chunk c+1
+is drawn on one worker thread while the caller steps chunk c, and each
+holds at most _NOISE_BUDGET_BYTES (12 MB) of normals, 16 bytes per
+path-dim and step: 128 steps up to 5,859 path-dims of live blocks, fewer
+above that, and past 187,500 path-dims the 4-step floor binds, so that a
+chunk holds 4 steps of every live block and outgrows the budget.  Chunk
+c+1 covers the blocks that still held a live path when chunk c began; a
+path that finishes mid-chunk leaves the rest of its entries unused, and a
+block with no live path left is not drawn again.  When the caller needs
+chunk c+1 it draws the blocks the worker has not yet claimed.  Each block
+of a chunk is claimed by exactly one of the two threads, and chunk c+2 is
+started only once every block of chunk c+1 is drawn, so each stream is
+read in order.  Each path's noise is a pure function of the seed and the
+path index, whatever n_paths, the chunk length, the set of live paths or
+which thread drew it, and since every step acts row by row, so is its
+outcome.
 """
 
 from __future__ import annotations
@@ -94,7 +102,7 @@ from .errors import (CoefficientEvaluationError, ShiftTooLarge,
                      SimulationBlowUp)
 from .matrix_analysis import _check_shift, _shifted_sqrt_batch
 
-_NOISE_BUDGET_BYTES = 3e7  # per chunk, and _NoiseFeed holds two
+_NOISE_BUDGET_BYTES = 1.2e7  # per chunk, and _NoiseFeed holds two
 _BLOCK = 64  # paths per noise stream; see the module docstring
 _TINY = np.finfo(float).tiny
 
@@ -330,31 +338,31 @@ class _PairKernel:
 
 
 def _draw_noise(gens: Sequence[np.random.Generator], out: np.ndarray,
-                root_dt: float, claim: Callable[[], Optional[int]]) -> None:
-    """Fill the columns of out, shape (n_k, 64 * len(gens), 2*dim), of
-    every block j that claim() hands out, until it returns None, with the
-    increments (dB, dW) of the next n_k steps of the block's stream gens[j]
-    in columns 64j..64j+63.  Both threads of a _NoiseFeed call it on the
-    same chunk; claim gives each block to one of them."""
-    block = np.empty((len(out), _BLOCK, out.shape[2]))
+                claim: Callable[[], Optional[int]]) -> None:
+    """Fill the slab out[j], shape (n_k, 64, 2*dim), of every block j that
+    claim() hands out, until it returns None, with the normals of the next
+    n_k steps of the block's stream gens[j].  Both threads of a _NoiseFeed
+    call it on the same chunk; claim gives each block to one of them."""
     for j in iter(claim, None):
-        gens[j].standard_normal(out=block)
-        np.multiply(block, root_dt, out=out[:, j * _BLOCK:(j + 1) * _BLOCK])
+        gens[j].standard_normal(out=out[j])
 
 
 class _NoiseFeed:
-    """The noise of a run's path blocks in chunks of 16..128 steps (never
-    past the horizon, within the per-chunk noise budget), each drawn by
-    _draw_noise on a worker thread while the caller steps the one before,
-    and by the caller itself once it needs the chunk.
+    """The unscaled normals of a run's path blocks in chunks of 4..128
+    steps (never past the horizon, and within the per-chunk noise budget
+    unless the 4-step floor binds), each drawn by _draw_noise on a worker
+    thread while the caller steps the one before, and by the caller itself
+    once it needs the chunk.
 
-    take(live) draws the blocks of the chunk in flight that the worker has
-    not claimed, waits for the worker, starts the next chunk for the
-    blocks in live (those still holding a live path, a subset of the
-    blocks of the chunk taken) and returns (chunk, blocks): block blocks[j]
-    is in columns 64j..64j+63.  A lock-guarded counter hands out each
-    block of a chunk to one thread, and the next chunk starts only after
-    both threads are done with this one, so every stream is read in order.
+    A chunk is block-major, shape (blocks, n_k, 64, 2*dim): each block's
+    stream is drawn straight into its own contiguous slab.  take(live)
+    draws the blocks of the chunk in flight that the worker has not
+    claimed, waits for the worker, starts the next chunk for the blocks in
+    live (those still holding a live path, a subset of the blocks of the
+    chunk taken) and returns (chunk, blocks): block blocks[j] is in slab
+    chunk[j].  A lock-guarded counter hands out each block of a chunk to
+    one thread, and the next chunk starts only after both threads are done
+    with this one, so every stream is read in order.
     Chunks are allocated on the caller's thread, so they come from its
     heap whatever the thread timing, and a caller that drops each chunk
     before it takes the next holds at most two.  take raises a draw that
@@ -365,11 +373,10 @@ class _NoiseFeed:
     """
 
     def __init__(self, gens: Sequence[np.random.Generator], n_steps: int,
-                 dim: int, root_dt: float):
+                 dim: int):
         self._gens = gens
         self._steps_left = n_steps
         self._dim = dim
-        self._root_dt = root_dt
         self._lock = threading.Lock()
         self._claimed = self._n_blocks = 0  # of the chunk in flight
         self._worker: Optional[threading.Thread] = None
@@ -400,15 +407,16 @@ class _NoiseFeed:
         if not self._steps_left:
             return
         self._blocks = np.asarray(blocks)
-        rows = _BLOCK * len(self._blocks)
-        budget = int(_NOISE_BUDGET_BYTES / (rows * 2 * self._dim * 8))
-        n_k = min(max(16, min(128, budget)), self._steps_left)
-        self._chunk = chunk = np.empty((n_k, rows, 2 * self._dim))
+        step_bytes = len(self._blocks) * _BLOCK * 2 * self._dim * 8
+        n_k = min(max(4, min(128, int(_NOISE_BUDGET_BYTES / step_bytes))),
+                  self._steps_left)
+        self._chunk = chunk = np.empty(
+            (len(self._blocks), n_k, _BLOCK, 2 * self._dim))
         gens = [self._gens[b] for b in self._blocks]
         self._claimed, self._n_blocks = 0, len(gens)
 
         def share():
-            _draw_noise(gens, chunk, self._root_dt, self._claim)
+            _draw_noise(gens, chunk, self._claim)
 
         def work():
             try:
@@ -426,7 +434,7 @@ class _NoiseFeed:
         if self._error is not None:
             raise self._error
         chunk, blocks, self._chunk = self._chunk, self._blocks, None
-        self._steps_left -= len(chunk)
+        self._steps_left -= chunk.shape[1]
         self._start(live)
         return chunk, blocks
 
@@ -471,20 +479,33 @@ def _drive(z: np.ndarray, n: int, seed: int, domain: int, dt: float,
     dim = z.shape[1]
     rows = len(z) // n  # per path: 1, or 2 for a pair
     ids = np.arange(n)
+    root_dt = math.sqrt(dt)
+    gens = _block_streams(seed, domain, n)
+    slab_of = np.empty(len(gens), dtype=np.intp)  # block -> slab in a chunk
+    increments = np.empty((n, 2 * dim))  # (dB, dW) of the live paths
     k = 0
-    with _NoiseFeed(_block_streams(seed, domain, n), n_steps, dim,
-                    math.sqrt(dt)) as feed:
+    with _NoiseFeed(gens, n_steps, dim) as feed:
         while k < n_steps and ids.size:
-            noise, blocks = feed.take(np.unique(ids // _BLOCK))
-            # column of each live path in the chunk; while they are the
-            # leading columns the chunk rows are used without a gather
-            cols = np.searchsorted(blocks, ids // _BLOCK) * _BLOCK \
-                + ids % _BLOCK
+            # ids is sorted, so each block's paths are neighbours
+            path_blocks = ids // _BLOCK
+            first = np.empty(ids.size, dtype=bool)
+            first[0] = True
+            np.not_equal(path_blocks[1:], path_blocks[:-1], out=first[1:])
+            noise, blocks = feed.take(path_blocks[first])
+            slab_of[blocks] = np.arange(len(blocks))
+            n_k = noise.shape[1]
+            normals = noise.reshape(-1, 2 * dim)
+            # row of each live path's normals in the chunk at its step 0;
+            # at step s the same rows of normals[s * 64:]
+            at = slab_of[path_blocks] * (n_k * _BLOCK) + ids % _BLOCK
+            path_blocks = first = None  # not held while the chunk runs
             with np.errstate(all="ignore"):
-                for chunk_row in noise:
+                for step in range(n_k):
                     m = ids.size
-                    nz = chunk_row[:m] if cols[-1] == m - 1 \
-                        else np.take(chunk_row, cols, axis=0)
+                    # mode "clip" does not buffer out; at is in range
+                    nz = np.take(normals[step * _BLOCK:], at, axis=0,
+                                 out=increments[:m], mode="clip")
+                    nz *= root_dt
                     keep = move(z, ids, k, nz[:, :dim], nz[:, dim:])
                     k += 1
                     if not np.isfinite(z).all():
@@ -495,11 +516,11 @@ def _drive(z: np.ndarray, n: int, seed: int, domain: int, dt: float,
                             path_index=int(ids[np.flatnonzero(bad)[0]]),
                             time=k * dt)
                     if keep is not None:
-                        ids, cols = ids[keep], cols[keep]
+                        ids, at = ids[keep], at[keep]
                         z = take_rows(z, np.tile(keep, rows))
                         if not ids.size:
                             break
-            noise = chunk_row = nz = None  # at most two chunks live
+            noise = normals = None  # at most two chunks live
     return z, ids
 
 

@@ -33,6 +33,11 @@ class CoefficientEvaluationError(LiouvilleLabError):
     """A drift/diffusion callable returned a non-finite or mis-shaped value."""
 
 
+class CoefficientOverflow(CoefficientEvaluationError):
+    """A coefficient's arithmetic overflowed at the x it names, so that its
+    value there, finite or not, is not the field's."""
+
+
 class CatalogueError(LiouvilleLabError):
     """Unknown catalogue field name or invalid parameter vector."""
 
@@ -62,7 +67,14 @@ class NoAdmissibleConstants(LiouvilleLabError):
 
 
 class QuadratureError(LiouvilleLabError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Adaptive quadrature failed to reach the requested tolerance.
+
+    Carries the (lo, hi) span of the segments left unresolved, when known.
+    """
+
+    def __init__(self, message, x_range=None):
+        super().__init__(message)
+        self.x_range = x_range
 
 
 class BoundaryUndecided(LiouvilleLabError):

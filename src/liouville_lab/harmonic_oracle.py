@@ -31,16 +31,20 @@ family lives in.  The classifier therefore fits
 
     log u'(r)  ~  c + p*log r + q*log log r
 
-jointly over the last decades and decides by the power exponent p,
-falling back to the log exponent q only inside a narrow window
-|p + 1| <= 0.01 where the power term is indistinguishable from the
-critical decay.  If q is also within 0.05 of its own critical value -1,
+jointly over the last three decades and decides by the power exponent
+p, falling back to the log exponent q only inside the window
+|p + 1| <= w where the power term cannot be told from the critical
+decay.  w is the fit's own precision: twice the gap between p and the p
+of the same fit over the upper two thirds of its range, and at least
+1e-6.  If q is also within 0.05 of its own critical value -1,
 classification is withheld (the profile carries ``None`` and
 liouville-verdict queries raise BoundaryUndecided).  A plain power fit
 with the documented +-0.02 trigger window would misclassify the sharp
 family right at the acceptance points (the fitted p sits at exactly
--1 -+ 0.02 there, contaminated by the log factor); the joint fit
-recovers p to ~1e-6 on this family, so the narrower window is safe.
+-1 -+ 0.02 there, contaminated by the log factor).  The joint fit
+recovers p to ~1e-6 on this family at the default x_max = 1e6, where w
+is 1.4e-6; a fixed w = 0.01 called every delta in [0.495, 0.5)
+non-Liouville.  The critical-branch notes print the w they used.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import numpy as np
 
 from .coefficients import CoefficientField, make_log_example
 from .errors import (BoundaryUndecided, CoefficientEvaluationError,
-                     NotApplicable, QuadratureError)
+                     CoefficientOverflow, NotApplicable, QuadratureError)
 
 # G7/K15 panel: Kronrod nodes/weights, with the embedded Gauss-7 rule on
 # the odd-index nodes.  Standard tabulated values.
@@ -94,7 +98,12 @@ _GL10_W = np.array([
 _POINTS_PER_DECADE = 256
 _OVERFLOW_EXPONENT = 600.0  # truncate where -2B exceeds this (exp ~ 4e260)
 _MAX_REFINE_ROUNDS = 16
-_P_WINDOW = 0.01   # |p + 1| window where the power fit alone cannot decide
+# |p + 1| window where the power fit alone cannot decide: the fit's own
+# precision (_joint_tail_fit).  At delta = 1/2 of the sharp family, p's
+# error is 1.03 times the gap between the fit and its refit over the upper
+# two thirds, at x_max = 1e4, 1e5 and 1e6; twice the gap covers it.
+_P_GAP_FACTOR = 2.0
+_P_WINDOW_FLOOR = 1e-6  # where the two fits agree to rounding
 _Q_WINDOW = 0.05   # |q + 1| window where the log fit cannot decide either
 _DU_FLOOR = math.exp(-745.0)  # _uprime's floor: no power/log tail fit there
 
@@ -178,7 +187,8 @@ def _adapt(panel, split, a, b, carry, budget, what: str):
         index = np.concatenate([index, index])
     raise QuadratureError(
         f"{what} did not converge after {_MAX_REFINE_ROUNDS} refinement "
-        f"rounds near x in [{a.min():.6g}, {b.max():.6g}]")
+        f"rounds near x in [{a.min():.6g}, {b.max():.6g}]",
+        x_range=(float(a.min()), float(b.max())))
 
 
 @dataclass(frozen=True)
@@ -271,17 +281,32 @@ def _march_side(bfun, x_max: float, tol: float) -> _SideResult:
     return _SideResult(bfun, base, u, du, bnodes, truncated, *verdict)
 
 
-def _joint_tail_fit(x: np.ndarray, du: np.ndarray) -> Optional[Tuple[float, float]]:
+def _exponents(lr: np.ndarray, ldu: np.ndarray) -> Tuple[float, float]:
+    """(p, q) of the least-squares fit ldu ~ c + p*lr + q*log(lr)."""
+    design = np.stack([np.ones(lr.size), lr, np.log(lr)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, ldu, rcond=None)
+    return float(coef[1]), float(coef[2])
+
+
+def _joint_tail_fit(x: np.ndarray, du: np.ndarray,
+                    ) -> Tuple[Optional[Tuple[float, float]], float]:
+    """((p, q), p_window) of the tail fit over the last three decades (the
+    upper half of the grid when they hold too few points), or (None, nan)
+    when that holds too few points as well.
+    p_window is the |p + 1| within which p cannot decide: twice the gap
+    between p and the p of the same fit over the upper two thirds of its
+    log range, at least _P_WINDOW_FLOOR."""
     lo = max(3.0, float(x[-1]) / 1000.0)
     sel = (x >= lo) & (du > 0.0)
     if sel.sum() < 8:
         sel = (x >= max(3.0, float(x[x.size // 2]))) & (du > 0.0)
         if sel.sum() < 8:
-            return None
-    lr = np.log(x[sel])
-    design = np.stack([np.ones(lr.size), lr, np.log(lr)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, np.log(du[sel]), rcond=None)
-    return float(coef[1]), float(coef[2])
+            return None, math.nan
+    lr, ldu = np.log(x[sel]), np.log(du[sel])
+    fit = _exponents(lr, ldu)
+    upper = lr >= lr[0] + (lr[-1] - lr[0]) / 3.0
+    p_upper, _ = _exponents(lr[upper], ldu[upper])
+    return fit, max(_P_GAP_FACTOR * abs(fit[0] - p_upper), _P_WINDOW_FLOOR)
 
 
 def _bounded_tail_extra(x_end: float, du_end: float,
@@ -306,7 +331,8 @@ def _classify_side(x, u, du, tol):
     u_prev = float(u[dec_idx])
     fast_bounded = (du[-1] <= _DU_FLOOR
                     or increment < max(tol, 1e-13) * (abs(u_prev) + 1.0))
-    fit = None if du[-1] <= _DU_FLOOR else _joint_tail_fit(x, du)
+    fit, p_window = (None, math.nan) if du[-1] <= _DU_FLOOR \
+        else _joint_tail_fit(x, du)
     if fast_bounded:
         extra = _bounded_tail_extra(float(x[-1]), float(du[-1]), fit) \
             if fit else 0.0
@@ -316,17 +342,18 @@ def _classify_side(x, u, du, tol):
                 "tail fit impossible (too few usable points); "
                 "classification withheld")
     p, q = fit
-    if abs(p + 1.0) > _P_WINDOW:
+    if abs(p + 1.0) > p_window:
         bounded = p < -1.0
         note = f"power fit decisive: u' ~ r^{p:.4f}"
     elif abs(q + 1.0) > _Q_WINDOW:
         bounded = q < -1.0
-        note = (f"power exponent critical (p = {p:.4f}); log fit decisive: "
+        note = (f"power exponent critical (p = {p:.4f}, |p + 1| <= "
+                f"{p_window:.2g}); log fit decisive: "
                 f"u' ~ r^-1 * log^{q:.3f} r")
     else:
         return (None, math.nan, fit,
-                f"both exponents critical (p = {p:.4f}, q = {q:.3f}); "
-                "classification withheld")
+                f"both exponents critical (p = {p:.4f}, |p + 1| <= "
+                f"{p_window:.2g}; q = {q:.3f}); classification withheld")
     if bounded:
         limit = float(u[-1]) + _bounded_tail_extra(float(x[-1]),
                                                    float(du[-1]), fit)
@@ -434,8 +461,24 @@ def harmonic_1d(field: CoefficientField, x_max: float = 1e6,
             return b
         return bfun
 
-    right = _march_side(side(1.0), x_max, tol)
-    left = _march_side(side(-1.0), x_max, tol)
+    def march(sign: float) -> _SideResult:
+        """The side of sign; a quadrature that fails where the drift's
+        arithmetic overflows raises CoefficientOverflow at that x."""
+        try:
+            return _march_side(side(sign), x_max, tol)
+        except QuadratureError as exc:
+            for x in exc.x_range or ():
+                try:
+                    with np.errstate(all="ignore", over="raise"):
+                        field.drift(np.array([[sign * x]]))
+                except FloatingPointError:
+                    raise CoefficientOverflow(
+                        f"drift arithmetic overflows at x = {sign * x:.6g}, "
+                        f"short of x_max = {x_max:.6g}") from exc
+            raise
+
+    right = march(1.0)
+    left = march(-1.0)
 
     x = np.concatenate([-left.x[::-1], right.x[1:]])
     u = np.concatenate([-left.u[::-1], right.u[1:]])

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -561,7 +562,7 @@ def test_block_noise_outcomes_do_not_depend_on_path_count_or_chunking(
     alone = first_block_times(64)
     assert 0 < np.isnan(alone).sum() < 64  # both outcomes occur
     np.testing.assert_array_equal(first_block_times(200), alone)
-    # a budget below one step's noise gives the shortest chunks, 16 steps
+    # a budget below one step's noise gives the shortest chunks, 4 steps
     monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", 1.0)
     np.testing.assert_array_equal(first_block_times(200), alone)
 
@@ -581,7 +582,7 @@ def test_outcomes_after_a_dead_block_match_recorded_bits(seed, budget,
                                                          monkeypatch):
     # a chunk covers the blocks live when the chunk before it began, so once
     # a block dies the live paths of the blocks above it must be mapped
-    # past its columns; the 16-step chunks of a budget of 1 byte bring many
+    # past its slab; the 4-step chunks of a budget of 1 byte bring many
     # chunk boundaries after the death
     if budget is not None:
         monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", budget)
@@ -626,9 +627,9 @@ def test_compaction_in_d_above_1_matches_recorded_bits(name, dim, seed,
     cfg = _coupling(mu=0.5, t_max=0.5, n_paths=300, x0=x0, dt=1e-3,
                     seed=seed, escape_radius=1.5)
     stats = ll.simulate_coupling(field, DIAGONAL_Q_BOUNDS, cfg)
-    # pairs hit and escape while others run on, hits inside 16-step chunks
+    # pairs hit and escape while others run on, hits inside 4-step chunks
     steps = np.round(stats.coupling_times / cfg.coupling_dt)
-    assert stats.n_escaped > 0 and (steps % 16 > 0).sum() > 0
+    assert stats.n_escaped > 0 and (steps % 4 > 0).sum() > 0
     assert (_sha256_hex(stats.coupling_times), _sha256_hex(stats.survival)) \
         == COMPACTION_BITS[(name, dim, seed)]
 
@@ -650,7 +651,7 @@ def test_shared_draw_claims_every_block_once(monkeypatch):
     # id, and the names of the threads that drew its blocks)
     chunks = {}
 
-    def traced_draw(gens, out, root_dt, claim):
+    def traced_draw(gens, out, claim):
         def traced_claim():
             j = claim()
             if j is not None:
@@ -659,7 +660,7 @@ def test_shared_draw_claims_every_block_once(monkeypatch):
                 if threading.current_thread() is not caller:
                     time.sleep(2e-4)
             return j
-        draw(gens, out, root_dt, traced_claim)
+        draw(gens, out, traced_claim)
 
     monkeypatch.setattr(coupling_sim, "_draw_noise", traced_draw)
     monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", 1.0)
@@ -674,10 +675,49 @@ def test_shared_draw_claims_every_block_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
-    assert len(chunks) == 32  # 500 steps in 16-step chunks
+    assert len(chunks) == 125  # 500 steps in 4-step chunks
     assert any(names == {caller.name, "noise-draw"}
                for _, names in chunks.values())
     assert _sha256_hex(times) == SHARED_DRAW_TIMES_SHA256
+
+
+# bytes per path of what simulate_coupling holds besides the noise chunks
+# in d = 1: the state [X; Y] and its compaction copy, the gathered
+# increments, the pair kernel's buffers, the drift and the outcome arrays,
+# about 200 in all; twice that is allowed
+PER_PATH_BYTES = 400
+
+
+@pytest.mark.parametrize("budget", [None, 1e6])
+def test_noise_chunks_keep_to_the_budget(budget, monkeypatch):
+    # the closed-form shape at 2e4 paths: 313 blocks of 64 paths, 16 bytes
+    # per path and step; a budget of 1e6 bytes asks for 3 steps a chunk,
+    # so the 4-step floor binds
+    if budget is not None:
+        monkeypatch.setattr(coupling_sim, "_NOISE_BUDGET_BYTES", budget)
+    budget = coupling_sim._NOISE_BUDGET_BYTES
+    draw = coupling_sim._draw_noise
+    shapes = []  # (bytes, steps) of each chunk, once per thread drawing it
+
+    def traced_draw(gens, out, claim):
+        shapes.append((out.nbytes, out.shape[1]))
+        draw(gens, out, claim)
+
+    monkeypatch.setattr(coupling_sim, "_draw_noise", traced_draw)
+    n = 20000
+    cfg = _coupling(mu=0.5, t_max=1.0, n_paths=n, x0=[0.5], dt=0.01, seed=11)
+    tracemalloc.start()
+    try:
+        ll.simulate_coupling(ll.make_standard_fields("zero", 1), D1_BOUNDS,
+                             cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(size <= budget or steps == 4 for size, steps in shapes)
+    if budget == 1e6:
+        assert any(size > budget for size, _ in shapes)
+    else:
+        assert peak < 2 * budget + PER_PATH_BYTES * n
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -11,6 +11,7 @@ for the drift b(x) = x/(2+x^2) * (delta + 2/log(2+x^2)) with u'(0) = 1.
 
 import hashlib
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -112,6 +113,23 @@ def test_verdict_boundary_delta_half():
 def test_verdict_brackets_threshold():
     assert ll.liouville_verdict_1d(0.49) is True
     assert ll.liouville_verdict_1d(0.51) is False
+
+
+@pytest.mark.parametrize("delta, expected", [
+    (0.495, True), (0.499, True), (0.4999, True), (0.5, False),
+    (0.5001, False)])
+def test_verdict_next_to_the_sharp_threshold(delta, expected):
+    # the fitted p is -2 delta to about 1e-6, so the power fit alone decides
+    # every delta here but 1/2; a fixed |p + 1| window of 0.01 sent the
+    # deltas in [0.495, 0.5) to the log fit, which called them bounded
+    assert ll.liouville_verdict_1d(delta) is expected
+
+
+def test_critical_note_prints_its_window():
+    prof = ll.harmonic_1d(ll.make_log_example(0.5))
+    assert prof.notes[0] == (
+        "right: power exponent critical (p = -1.0000, |p + 1| <= 1.4e-06); "
+        "log fit decisive: u' ~ r^-1 * log^-2.000 r")
 
 
 def test_tail_fit_exponents():
@@ -368,3 +386,19 @@ def test_non_finite_drift_is_named_with_its_x(centre):
         ll.harmonic_1d(field)
     x = float(str(info.value).split("[")[1].rstrip("]"))
     assert abs(x - centre) < 0.01
+
+
+def test_drift_overflow_is_named_with_its_x():
+    # x1*x1 overflows past sqrt(largest double), where the compiled drift
+    # x/(2 + x^2)(delta + 2/log(2 + x^2)) drops to 0: the drift integral
+    # cannot converge there, and the error names the overflow, not the
+    # quadrature
+    with pytest.raises(ll.CoefficientOverflow,
+                       match=r"^drift arithmetic overflows at x = ") as info:
+        ll.harmonic_1d(ll.make_log_example(0.25), x_max=1e300)
+    x = float(str(info.value).split(" = ")[1].split(",")[0])
+    assert x == pytest.approx(math.sqrt(sys.float_info.max), rel=1e-5)
+    assert isinstance(info.value.__cause__, ll.QuadratureError)
+    # short of it the oracle runs as before
+    assert ll.harmonic_1d(ll.make_log_example(0.25),
+                          x_max=1e100).liouville_holds is True

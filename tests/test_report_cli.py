@@ -486,6 +486,15 @@ def test_cli_oracle_names_a_non_finite_drift(capfd):
     assert abs(float(line[len(prefix):-1]) - 300.0) < 0.01
 
 
+def test_cli_oracle_names_a_drift_overflow(capfd):
+    # log_example's x1*x1 overflows at sqrt(largest double) = 1.34078e154
+    proc = _cli_child("harmonic1d", "--seed", "0", "--oracle-x-max", "1e300")
+    assert proc.returncode == 3
+    assert capfd.readouterr().err.splitlines() == [
+        "error in stage oracle: drift arithmetic overflows at x = "
+        "1.34078e+154, short of x_max = 1e+300"]
+
+
 def test_cli_field_construction_failure_prints_only_the_error(capfd):
     # numpy warnings from the drift probe must not reach stderr ahead of the
     # error
