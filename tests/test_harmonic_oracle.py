@@ -17,6 +17,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import gl10_panel
 import liouville_lab as ll
 from space_time import space_time_residual
 
@@ -314,17 +315,21 @@ def _oracle_cases():
     }
 
 
-def _oracle_digest(prof):
-    """sha256 of the comma-joined float.hex of every number the profile
-    reports, and of u_at/du_at on 41 points symmetric about 0."""
+def _oracle_values(prof):
+    """Every number the profile reports, and u_at/du_at on 41 points
+    symmetric about 0."""
     reach = min(prof.x[-1], -prof.x[0])
     half = np.geomspace(1e-2, reach, 20)
     grid = np.concatenate([-half[::-1], [0.0], half])
-    values = [*prof.x, *prof.u, *prof.du, prof.sup_estimate,
-              prof.u_plus_limit, prof.u_minus_limit,
-              *(prof.tail_fit_right or ()), *(prof.tail_fit_left or ()),
-              *prof.u_at(grid), *prof.du_at(grid)]
-    text = ",".join(float(v).hex() for v in values)
+    return [*prof.x, *prof.u, *prof.du, prof.sup_estimate,
+            prof.u_plus_limit, prof.u_minus_limit,
+            *(prof.tail_fit_right or ()), *(prof.tail_fit_left or ()),
+            *prof.u_at(grid), *prof.du_at(grid)]
+
+
+def _oracle_digest(prof):
+    """sha256 of the comma-joined float.hex of _oracle_values."""
+    text = ",".join(float(v).hex() for v in _oracle_values(prof))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -357,6 +362,25 @@ ORACLE_BITS = {
 def test_oracle_keeps_its_recorded_bits(name):
     prof = ll.harmonic_1d(_oracle_cases()[name])
     assert _oracle_digest(prof) == ORACLE_BITS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BITS))
+def test_oracle_agrees_with_the_nested_gl10_panel(name, monkeypatch):
+    # the panel that took B at each Kronrod node from a 10-point
+    # Gauss-Legendre rule over [a, node]: the same grid, the same
+    # non-finite entries, and every finite value within 1e-12 relative
+    field = _oracle_cases()[name]
+    prof = ll.harmonic_1d(field)
+    with monkeypatch.context() as patch:
+        gl10_panel.install(patch)
+        ref = ll.harmonic_1d(field)
+    assert np.array_equal(prof.x, ref.x)
+    new, old = np.array(_oracle_values(prof)), np.array(_oracle_values(ref))
+    assert new.shape == old.shape
+    finite = np.isfinite(old)
+    assert np.array_equal(np.isfinite(new), finite)
+    assert np.array_equal(new[~finite], old[~finite], equal_nan=True)
+    np.testing.assert_allclose(new[finite], old[finite], rtol=1e-12, atol=0)
 
 
 def test_no_tail_fit_where_du_sits_at_its_clip_floor():
