@@ -10,16 +10,18 @@ harmonic functions exist exactly when u stays bounded on at least one
 side, so the Liouville property reduces to a pair of improper-integral
 convergence questions that this module answers numerically.
 
-Numerics: B(x) = int_0^x b is marched over a log-spaced grid (256 points
-per decade), and u increments integrate u' = exp(-2B) with B at each
-Kronrod node supplied by an inner 10-point Gauss-Legendre panel from the
-segment's left end.  Both integrals run through one adaptive engine: a
-segment's G7/K15 pair is accepted when |K15 - G7| is within its budget
-and bisected otherwise (for u, the right half starts from B at the
-midpoint, a K15 panel of the left half), for at most 16 rounds, after
-which a QuadratureError names the integral.  The budget of a segment is
-its length's share of tol plus 1e-14 (1 + |K15|) for the drift and
-1e-12 |K15| for u.  A drift value that is not finite raises
+Numerics: every integral uses one rule pair, G7/K15.  B(x) = int_0^x b
+is marched over a log-spaced grid (256 points per decade), and u
+increments integrate u' = exp(-2B) on panels that sample b once at their
+15 Kronrod nodes: B at node i is B(a) + h (S f)_i, with f the samples, h
+the half-width and S_ij = int_{-1}^{x_i} l_j the spectral integration
+matrix of the nodes' Lagrange basis l_j (exact for degree 14).  Both
+integrals run through one adaptive engine: a segment's pair is accepted
+when |K15 - G7| is within its budget and bisected otherwise (for u, the
+right half starts from B at the midpoint, a K15 panel of the left half),
+for at most 16 rounds, after which a QuadratureError names the integral.
+The budget of a segment is its length's share of tol plus
+1e-14 (1 + |K15|) for the drift and 1e-12 |K15| for u.  A drift value that is not finite raises
 CoefficientEvaluationError with the x where it was met.  Sides where -2B
 exceeds the overflow guard are truncated and classified unbounded (u'
 explodes).
@@ -49,6 +51,7 @@ non-Liouville.  The critical-branch notes print the w they used.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclasses_field
 from typing import Callable, Optional, Tuple
@@ -82,18 +85,6 @@ _G7_W = np.array([
     0.417959183673469,
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
-_GL10_X = np.array([
-    -0.973906528517172, -0.865063366688985, -0.679409568299024,
-    -0.433395394129247, -0.148874338981631,
-    0.148874338981631, 0.433395394129247, 0.679409568299024,
-    0.865063366688985, 0.973906528517172,
-])
-_GL10_W = np.array([
-    0.066671344308688, 0.149451349150581, 0.219086362515982,
-    0.269266719309996, 0.295524224714753,
-    0.295524224714753, 0.269266719309996, 0.219086362515982,
-    0.149451349150581, 0.066671344308688,
-])
 
 _POINTS_PER_DECADE = 256
 _OVERFLOW_EXPONENT = 600.0  # truncate where -2B exceeds this (exp ~ 4e260)
@@ -126,18 +117,29 @@ def _uprime(bvals: np.ndarray) -> np.ndarray:
     return np.exp(np.clip(-2.0 * bvals, -745.0, 705.0))
 
 
-def _nodes(a, b, nodes) -> Tuple[np.ndarray, np.ndarray]:
-    """Half-widths h of the segments [a, b] (arrays of one shape) and
-    their Gauss ``nodes``, shaped (*a.shape, nodes.size)."""
+@functools.cache
+def _k15_integration() -> np.ndarray:
+    """S[i, j] = int_{-1}^{x_i} l_j over the Lagrange basis l_j of the
+    Kronrod nodes x: the K15 rule on [-1, x_i] of l_j's product form,
+    exact since l_j has degree 14.  Built on first use, so a run without
+    the oracle never builds it."""
+    x = _K15_X
+    half = 0.5 * (x + 1.0)  # half-widths of the [-1, x_i]
+    diff = (half[:, None] * (x + 1.0) - 1.0)[..., None] - x  # t_im - x_k
+    s = np.empty((x.size, x.size))
+    for j in range(x.size):
+        k = np.arange(x.size) != j
+        s[:, j] = half * (np.prod(diff[..., k] / (x[j] - x[k]), axis=-1)
+                          @ _K15_W)
+    return s
+
+
+def _sample(bfun, a, b) -> Tuple[np.ndarray, np.ndarray]:
+    """Half-widths h of the segments [a, b] (arrays of one shape) and b at
+    their Kronrod nodes, shaped (*a.shape, 15)."""
     h = 0.5 * (b - a)
-    pts = h[..., None] * nodes
-    pts += 0.5 * (a + b)[..., None]  # in place: the oracle's largest array
-    return h, pts
-
-
-def _sample(bfun, a, b, nodes) -> Tuple[np.ndarray, np.ndarray]:
-    """Half-widths h of the segments [a, b] and b at their Gauss nodes."""
-    h, pts = _nodes(a, b, nodes)
+    pts = h[..., None] * _K15_X
+    pts += 0.5 * (a + b)[..., None]
     f = np.asarray(bfun(pts.reshape(-1, 1)), dtype=float)[:, 0]
     return h, f.reshape(pts.shape)
 
@@ -148,16 +150,12 @@ def _kronrod(h, f) -> Tuple[np.ndarray, np.ndarray]:
     return k15, np.abs(k15 - h * (f[..., 1::2] @ _G7_W))
 
 
-def _du(bfun, a, x, b_at_a) -> np.ndarray:
-    """u' at x, from B(a) and a GL10 panel of b over [a, x]."""
-    h, f = _sample(bfun, a, x, _GL10_X)
-    return _uprime(b_at_a + h * (f @ _GL10_W))
-
-
 def _uprime_panel(bfun, a, b, b_at_a):
-    """K15/G7 masses of exp(-2B) over segments [a, b] with B(a) given."""
-    h, knodes = _nodes(a, b, _K15_X)
-    return _kronrod(h, _du(bfun, a[:, None], knodes, b_at_a[:, None]))
+    """K15/G7 masses of exp(-2B) over segments [a, b] with B(a) given, B
+    at the Kronrod nodes taken from the panel's own samples f of b."""
+    h, f = _sample(bfun, a, b)
+    bvals = b_at_a[:, None] + h[:, None] * (f @ _k15_integration().T)
+    return _kronrod(h, _uprime(bvals))
 
 
 def _adapt(panel, split, a, b, carry, budget, what: str):
@@ -195,11 +193,11 @@ def _adapt(panel, split, a, b, carry, budget, what: str):
 class _SideResult:
     """One side's profile, with pointwise-exact (u, u').
 
-    A query x is anchored at the last grid node below it; u' there is
-    exp(-2(B_node + int b)) with the local drift integral done by the
-    same K15/GL10 panels as the marcher, so evaluations are smooth in x
-    (no interpolation kinks) and finite-difference residuals of u stay
-    at the quadrature level.
+    A query x is anchored at the last grid node below it: u there adds
+    the marcher's u' panel over [node, x] to the node's u, and u' is
+    exp(-2(B_node + int b)) with int b a K15 panel of b over [node, x].
+    So evaluations are smooth in x (no interpolation kinks) and
+    finite-difference residuals of u stay at the quadrature level.
     """
 
     bfun: Callable[[np.ndarray], np.ndarray]  # b on this side, x >= 0
@@ -224,7 +222,8 @@ class _SideResult:
 
     def du_at(self, xq: np.ndarray) -> np.ndarray:
         idx = self._anchor(xq)
-        return _du(self.bfun, self.x[idx], xq, self.bnodes[idx])
+        mass, _ = _kronrod(*_sample(self.bfun, self.x[idx], xq))
+        return _uprime(self.bnodes[idx] + mass)
 
 
 def _march_side(bfun, x_max: float, tol: float) -> _SideResult:
@@ -234,7 +233,7 @@ def _march_side(bfun, x_max: float, tol: float) -> _SideResult:
     base[-1] = x_max
     drift_len = float(base[-1] - base[0])
     pa, pb, pm, pidx = _adapt(
-        lambda a, b, _: _kronrod(*_sample(bfun, a, b, _K15_X)),
+        lambda a, b, _: _kronrod(*_sample(bfun, a, b)),
         lambda a, mid, carry: carry, base[:-1], base[1:],
         np.zeros(base.size - 1),  # the drift panel carries nothing
         lambda mass, width: 1e-14 * (1.0 + np.abs(mass))
@@ -266,7 +265,7 @@ def _march_side(bfun, x_max: float, tol: float) -> _SideResult:
     u_len = float(base[-1] - base[0])
     _, _, um, uidx = _adapt(
         lambda a, b, ba: _uprime_panel(bfun, a, b, ba),
-        lambda a, mid, ba: ba + _kronrod(*_sample(bfun, a, mid, _K15_X))[0],
+        lambda a, mid, ba: ba + _kronrod(*_sample(bfun, a, mid))[0],
         part_nodes[:-1], part_nodes[1:], b_part[:-1],
         lambda mass, width: 1e-12 * np.abs(mass) + tol * width / u_len,
         "harmonic-function integral")

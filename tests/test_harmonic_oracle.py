@@ -9,6 +9,7 @@ which follows from -2*int_0^x b = -delta*log((2+x^2)/2) - 2*log(log(2+x^2)/log 2
 for the drift b(x) = x/(2+x^2) * (delta + 2/log(2+x^2)) with u'(0) = 1.
 """
 
+import dataclasses
 import hashlib
 import math
 import sys
@@ -19,6 +20,7 @@ import pytest
 
 import gl10_panel
 import liouville_lab as ll
+from liouville_lab import harmonic_oracle
 from space_time import space_time_residual
 
 mp.mp.dps = 25
@@ -70,6 +72,29 @@ def test_uprime_closed_form(delta):
 def test_normalization_at_origin(profile_075):
     assert profile_075.u_at(0.0) == 0.0
     assert profile_075.du_at(0.0) == 1.0
+
+
+def test_kronrod_integration_matrix_is_exact_to_degree_14():
+    # (S f)_i integrates the interpolant of f over [-1, x_i]
+    s = harmonic_oracle._k15_integration()
+    x = harmonic_oracle._K15_X
+    for k in range(15):
+        exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        np.testing.assert_allclose(s @ x ** k, exact, rtol=0, atol=1e-13)
+
+
+def test_oracle_samples_the_drift_only_at_kronrod_nodes():
+    # b is sampled once per Kronrod node of each panel (138,300 points);
+    # a nested 10-point rule per node took 760,650
+    field = ll.make_log_example(0.25)
+    points = []
+
+    def drift(x):
+        points.append(len(x))
+        return field.drift(x)
+
+    ll.harmonic_1d(dataclasses.replace(field, drift=drift))
+    assert sum(points) < 2e5
 
 
 # ---------------------------------------------------------------------------
