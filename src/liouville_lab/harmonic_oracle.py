@@ -209,6 +209,7 @@ class _SideResult:
     bounded: Optional[bool]  # None = classification withheld
     limit: float             # lim u (finite, or +inf when unbounded)
     fit: Optional[Tuple[float, float]]  # (p, q) of the tail fit, if made
+    window: Optional[float]  # the fit's |p + 1| window, if made
     note: str
 
     def _anchor(self, xq: np.ndarray) -> np.ndarray:
@@ -275,7 +276,7 @@ def _march_side(bfun, x_max: float, tol: float) -> _SideResult:
     u = np.concatenate([[0.0], _kahan_cumsum(base_masses)])
     bnodes = b_part[np.searchsorted(part_nodes, base)]
     du = _uprime(bnodes)
-    verdict = (False, math.inf, None, note) if truncated \
+    verdict = (False, math.inf, None, None, note) if truncated \
         else _classify_side(base, u, du, tol)
     return _SideResult(bfun, base, u, du, bnodes, truncated, *verdict)
 
@@ -290,7 +291,7 @@ def _exponents(lr: np.ndarray, ldu: np.ndarray) -> Tuple[float, float]:
 def _joint_tail_fit(x: np.ndarray, du: np.ndarray,
                     ) -> Tuple[Optional[Tuple[float, float]], float]:
     """((p, q), p_window) of the tail fit over the last three decades (the
-    upper half of the grid when they hold too few points), or (None, nan)
+    upper half of the grid when they hold too few points), or (None, None)
     when that holds too few points as well.
     p_window is the |p + 1| within which p cannot decide: twice the gap
     between p and the p of the same fit over the upper two thirds of its
@@ -300,7 +301,7 @@ def _joint_tail_fit(x: np.ndarray, du: np.ndarray,
     if sel.sum() < 8:
         sel = (x >= max(3.0, float(x[x.size // 2]))) & (du > 0.0)
         if sel.sum() < 8:
-            return None, math.nan
+            return None, None
     lr, ldu = np.log(x[sel]), np.log(du[sel])
     fit = _exponents(lr, ldu)
     upper = lr >= lr[0] + (lr[-1] - lr[0]) / 3.0
@@ -324,20 +325,22 @@ def _bounded_tail_extra(x_end: float, du_end: float,
 
 
 def _classify_side(x, u, du, tol):
-    """(bounded, limit, fit, note) of a side that was not truncated."""
+    """(bounded, limit, fit, p_window, note) of a side that was not
+    truncated."""
     dec_idx = int(np.searchsorted(x, x[-1] / 10.0))
     increment = float(u[-1] - u[dec_idx])
     u_prev = float(u[dec_idx])
     fast_bounded = (du[-1] <= _DU_FLOOR
                     or increment < max(tol, 1e-13) * (abs(u_prev) + 1.0))
-    fit, p_window = (None, math.nan) if du[-1] <= _DU_FLOOR \
+    fit, p_window = (None, None) if du[-1] <= _DU_FLOOR \
         else _joint_tail_fit(x, du)
     if fast_bounded:
         extra = _bounded_tail_extra(float(x[-1]), float(du[-1]), fit) \
             if fit else 0.0
-        return True, float(u[-1]) + extra, fit, "tail converged numerically"
+        return (True, float(u[-1]) + extra, fit, p_window,
+                "tail converged numerically")
     if fit is None:
-        return (None, math.nan, None,
+        return (None, math.nan, None, None,
                 "tail fit impossible (too few usable points); "
                 "classification withheld")
     p, q = fit
@@ -350,7 +353,7 @@ def _classify_side(x, u, du, tol):
                 f"{p_window:.2g}); log fit decisive: "
                 f"u' ~ r^-1 * log^{q:.3f} r")
     else:
-        return (None, math.nan, fit,
+        return (None, math.nan, fit, p_window,
                 f"both exponents critical (p = {p:.4f}, |p + 1| <= "
                 f"{p_window:.2g}; q = {q:.3f}); classification withheld")
     if bounded:
@@ -358,7 +361,7 @@ def _classify_side(x, u, du, tol):
                                                    float(du[-1]), fit)
     else:
         limit = math.inf
-    return bounded, limit, fit, note
+    return bounded, limit, fit, p_window, note
 
 
 @dataclass(frozen=True)
@@ -373,6 +376,8 @@ class HarmonicProfile:
     (None when undecided, otherwise NOT(bounded on both sides)).
     ``u_plus_limit``/``u_minus_limit`` are the one-sided limits (signed
     infinities on unbounded sides); ``sup_estimate`` is sup |u|.
+    ``tail_window_right``/``tail_window_left`` are the |p + 1| windows of
+    the tail fits (None where no fit was made).
     """
 
     label: str
@@ -389,6 +394,8 @@ class HarmonicProfile:
     truncated_left: bool
     tail_fit_right: Optional[Tuple[float, float]]
     tail_fit_left: Optional[Tuple[float, float]]
+    tail_window_right: Optional[float]
+    tail_window_left: Optional[float]
     notes: Tuple[str, ...]
     _right: _SideResult = dataclasses_field(repr=False, compare=False)
     _left: _SideResult = dataclasses_field(repr=False, compare=False)
@@ -503,6 +510,7 @@ def harmonic_1d(field: CoefficientField, x_max: float = 1e6,
         u_minus_limit=float(u_minus),
         truncated_right=right.truncated, truncated_left=left.truncated,
         tail_fit_right=right.fit, tail_fit_left=left.fit,
+        tail_window_right=right.window, tail_window_left=left.window,
         notes=notes,
         _right=right, _left=left,
     )

@@ -254,6 +254,10 @@ def _report_doc(bundle: VerdictBundle) -> dict:
                 else _reals(prof.tail_fit_right),
                 "tail_fit_left": None if prof.tail_fit_left is None
                 else _reals(prof.tail_fit_left),
+                "tail_window_right": None if prof.tail_window_right is None
+                else _real(prof.tail_window_right),
+                "tail_window_left": None if prof.tail_window_left is None
+                else _real(prof.tail_window_left),
                 "notes": list(prof.notes),
             })
         doc["oracle"] = entry

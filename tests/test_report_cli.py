@@ -263,9 +263,27 @@ def test_report_json_structure(tmp_path):
     assert doc["criterion"]["verdict"] == ll.VERDICT_GUARANTEED
     assert doc["criterion"]["escape"]["divergent"] is True
     assert doc["oracle"]["verdict"] is True
+    # each side's |p + 1| window from its tail fit
+    prof = bundle.oracle_profile
+    assert doc["oracle"]["tail_window_right"] == prof.tail_window_right
+    assert doc["oracle"]["tail_window_left"] == prof.tail_window_left
+    assert 1e-6 <= prof.tail_window_right == prof.tail_window_left < 0.1
     assert doc["consistency"] == "Consistent"
     # config echo allows the run to be reproduced exactly
     assert ll.parse_config(doc["config_text"]) == cfg
+
+
+def test_report_json_tail_windows_are_null_without_a_fit(tmp_path):
+    # ou's u' = exp(x^2) overflows the guard, so both sides are truncated
+    # and neither makes a tail fit
+    cfg = fast_config(**{"field.name": "ou", "field.dim": "1",
+                         "field.params": "", "oracle.enabled": "true"})
+    ll_report.emit(ll_report.run(cfg), tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["oracle"]["truncated_right"] and doc["oracle"]["truncated_left"]
+    assert doc["oracle"]["tail_fit_right"] is None
+    assert doc["oracle"]["tail_window_right"] is None
+    assert doc["oracle"]["tail_window_left"] is None
 
 
 def test_read_report_schema_guard(tmp_path):
@@ -804,7 +822,10 @@ _SHORT_COUPLING = ("--n-paths", "50", "--t-max", "1")
 # while couple and harmonic1d still ran their own stages; running them
 # through report.run kept every byte.  "full (derived mu)" takes the
 # criterion's mu and "full (inconclusive)" takes 0.5 * lambda0, so both
-# branches of the mu rule are pinned.
+# branches of the mu rule are pinned.  The oracle runs of "full", "full
+# (derived mu)" and "harmonic1d --output" were re-recorded when B at the
+# oracle's Kronrod nodes came from the panel's own samples and report.json
+# gained the oracle's tail windows.
 SUBCOMMAND_BITS = {
     "criterion": (
         ("criterion", *_SMALL, "--output", "out"),
@@ -812,10 +833,10 @@ SUBCOMMAND_BITS = {
     "full": (
         ("full", *_SMALL, *_SHORT_COUPLING, "--mu", "0.5", "--x0", "1.0",
          "--y0", "-1.0", "--output", "out"),
-        "3ad72e79aa37b62810b24cca881a8b598eb0dd2c69902135479dd353e5902466"),
+        "8fb0c153ac538ede18e39298fa91ef1b7f92e0d4759e679ce193280c9faa7e33"),
     "full (derived mu)": (
         ("full", *_SMALL, *_SHORT_COUPLING, "--output", "out"),
-        "f7701aaa6fadced32620e3d839d7f14a17b3adab44a533f22b3a5a8028451f2b"),
+        "20538f7b0e846b3e757747e44f6c57a554a0019271fc4bb198b03066bd5896d4"),
     "full (inconclusive)": (
         ("full", *_SMALL[4:], "--field", "radial_expand", "--dim", "2",
          *_SHORT_COUPLING, "--output", "out"),
@@ -831,7 +852,7 @@ SUBCOMMAND_BITS = {
         "a7097b49eda00c73e1fec6d6e6e032feec85737da9a00efa398cf641f9890099"),
     "harmonic1d --output": (
         ("harmonic1d", *_SMALL, "--output", "out"),
-        "66c97605c5da353f2e346d4148a30e3a821022364e9022042902513012686864"),
+        "87d6069885ceff9fd42863054a708b2b8e03bc2861902ba67b209e7bfc8fe044"),
 }
 
 
