@@ -33,7 +33,7 @@ from .criterion import (VERDICT_GUARANTEED, VERDICT_INCONCLUSIVE,
                         CriterionReport,
                         DispersionCurve, EscapeResult, GFunction,
                         ModulusProfile, asymptotic_dispersion, build_g,
-                        choose_constants, classic_condition_check,
+                        classic_condition_check,
                         drift_dispersion, escape_integral_divergent,
                         evaluate_liouville_criterion, modulus,
                         modulus_profile_from_samples, theorem_threshold)
@@ -41,7 +41,7 @@ from .errors import (BoundaryUndecided, CatalogueError,
                      CoefficientEvaluationError, CoefficientOverflow,
                      ConfigError, ConstantMismatch, EigenFailure,
                      EllipticityViolation, ExpressionError,
-                     LiouvilleLabError, NoAdmissibleConstants, NotApplicable,
+                     LiouvilleLabError, NotApplicable,
                      QuadratureError, ShiftTooLarge, SimulationBlowUp)
 from .harmonic_oracle import (HarmonicProfile, harmonic_1d,
                               liouville_verdict_1d, oscillation_bound)
@@ -62,12 +62,12 @@ __all__ = [
     "CriterionReport", "DispersionCurve", "EigenFailure",
     "EllipticityBounds", "EllipticityViolation", "EscapeResult",
     "ExpressionError", "GFunction", "HarmonicProfile", "LiouvilleLabError",
-    "ModulusProfile", "NoAdmissibleConstants", "NotApplicable",
+    "ModulusProfile", "NotApplicable",
     "QuadratureError", "RunConfig", "SCHEMA_VERSION", "ShiftTooLarge",
     "SigmaBoundReport", "SimulationBlowUp",
     "VERDICT_GUARANTEED", "VERDICT_INCONCLUSIVE", "VerdictBundle",
     "asymptotic_dispersion", "build_field", "build_g", "check_sigma_bounds",
-    "choose_constants", "classic_condition_check", "compile_expression",
+    "classic_condition_check", "compile_expression",
     "drift_dispersion", "emit", "emit_config",
     "escape_integral_divergent", "estimate_ellipticity", "eval_diffusion",
     "eval_drift", "evaluate_liouville_criterion", "field_from_expressions",

@@ -58,7 +58,7 @@ from .coefficients import (CoefficientField, EllipticityBounds,
                            take_rows)
 from .config import MODULUS_S_MIN, RunConfig
 from .errors import (CoefficientEvaluationError, ConstantMismatch,
-                     NoAdmissibleConstants, annotate_stage)
+                     annotate_stage)
 
 VERDICT_GUARANTEED = "LiouvilleGuaranteed"
 VERDICT_INCONCLUSIVE = "Inconclusive"
@@ -398,28 +398,6 @@ def _admissible_candidates(bounds: EllipticityBounds, dim: int,
         out.append(CriterionConstants(mu=mu, s0=s0, s1=s1, s2=s2,
                                       lam=1.0 / (4.0 * (bounds.lambda0 - mu))))
     return out
-
-
-def choose_constants(bounds: EllipticityBounds, dim: int,
-                     curve: DispersionCurve, mu_grid: int = _MU_GRID, *,
-                     tail_fraction: float = _TAIL_FRACTION
-                     ) -> CriterionConstants:
-    """Scan a mu grid and keep the admissible constants of largest margin.
-
-    s1 is the tail maximum of the dispersion curve, s0 the smallest grid
-    radius from which kappa stays <= s1.  The margin 4*mu - s2 is
-    strictly increasing in mu, so the scan returns the largest
-    admissible mu on the grid; the grid (and the Dini retry in the
-    pipeline) is what keeps the choice honest for variable q.
-    """
-    s1 = asymptotic_dispersion(curve, tail_fraction)
-    cands = _admissible_candidates(bounds, dim, curve, s1, mu_grid)
-    if not cands:
-        raise NoAdmissibleConstants(
-            f"no mu in (0, {bounds.lambda0:g}) satisfies s1 < 2*mu - "
-            f"{dim}*(Lambda0-mu)/2 with s1 = {s1:.6g}, "
-            f"Lambda0 = {bounds.Lambda0:g}")
-    return cands[0]
 
 
 # --------------------------------------------------------------------------

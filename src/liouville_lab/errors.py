@@ -62,10 +62,6 @@ class ConstantMismatch(LiouvilleLabError):
     """Modulus profile and criterion constants disagree on the q-weight."""
 
 
-class NoAdmissibleConstants(LiouvilleLabError):
-    """No (mu, s0, s1) triple on the scan grid satisfies the margin condition."""
-
-
 class QuadratureError(LiouvilleLabError):
     """Adaptive quadrature failed to reach the requested tolerance.
 
