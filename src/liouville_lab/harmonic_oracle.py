@@ -21,10 +21,10 @@ when |K15 - G7| is within its budget and bisected otherwise (for u, the
 right half starts from B at the midpoint, a K15 panel of the left half),
 for at most 16 rounds, after which a QuadratureError names the integral.
 The budget of a segment is its length's share of tol plus
-1e-14 (1 + |K15|) for the drift and 1e-12 |K15| for u.  A drift value that is not finite raises
-CoefficientEvaluationError with the x where it was met.  Sides where -2B
-exceeds the overflow guard are truncated and classified unbounded (u'
-explodes).
+1e-14 (1 + |K15|) for the drift and 1e-12 |K15| for u.  A drift value
+that is not finite raises CoefficientEvaluationError with the x where it
+was met.  Sides where -2B exceeds the overflow guard are truncated and
+classified unbounded (u' explodes).
 
 Tail classification: pure numeric convergence at a finite x_max cannot
 separate u' ~ r^(-1) (unbounded integral) from u' ~ r^(-1) log^(-2) r
@@ -289,7 +289,8 @@ def _exponents(lr: np.ndarray, ldu: np.ndarray) -> Tuple[float, float]:
 
 
 def _joint_tail_fit(x: np.ndarray, du: np.ndarray,
-                    ) -> Tuple[Optional[Tuple[float, float]], float]:
+                    ) -> Tuple[Optional[Tuple[float, float]],
+                               Optional[float]]:
     """((p, q), p_window) of the tail fit over the last three decades (the
     upper half of the grid when they hold too few points), or (None, None)
     when that holds too few points as well.
