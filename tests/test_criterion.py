@@ -175,8 +175,8 @@ def test_classic_condition_fails_for_variable_q(var_q_field, var_q_bounds):
 
 
 # ---------------------------------------------------------------------------
-# admissible constants (the tests keep the name of choose_constants, the
-# public wrapper they called until it was deleted)
+# admissible constants (the tests are named after the deleted
+# choose_constants, which returned the first candidate)
 
 
 def _admissible(bounds, curve):
